@@ -23,7 +23,7 @@ from .channel import generate_scenario
 from .config import ConfigError, ExperimentConfig, load_config
 from .dual import InfeasibleProblemError, solve_optimal
 from .heuristics import solve_fixed_alpha, solve_fsa, solve_noan, solve_suboptimal
-from .model import SystemConfig
+from .model import DomainError, SystemConfig
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -223,7 +223,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, DomainError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except InfeasibleProblemError as exc:

@@ -21,7 +21,8 @@ import numpy as np
 from scipy.optimize import linprog
 
 from .model import (Allocation, ChannelRealization, SystemConfig, LN2,
-                    all_harvested_powers, secrecy_rate, weighted_sum_secrecy)
+                    all_harvested_powers, optimal_split, secrecy_rate,
+                    weighted_sum_secrecy)
 from . import vector
 
 
@@ -195,16 +196,17 @@ class _Engine:
                          total: float) -> float:
         tol = self.opt.feasibility_tol
         pmax = self.cfg.total_power
-        if total > pmax + tol:
-            if total <= 1.01 * pmax:
-                scale = pmax / total
-                alloc = Allocation(assign=alloc.assign,
-                                   power=alloc.power * scale,
-                                   split=alloc.split)
-                q = q * scale
-                total = pmax
-            else:
-                return math.nan
+        if total > pmax + tol and total > 1.01 * pmax:
+            return math.nan
+        if total > pmax:
+            # scaled back even within the tolerance: an overspend would let
+            # the primal exceed the dual bound and the gap go negative
+            scale = pmax / total
+            alloc = Allocation(assign=alloc.assign,
+                               power=alloc.power * scale,
+                               split=alloc.split)
+            q = q * scale
+            total = pmax
         if self.cfg.num_ers and np.any(q < self.cfg.harvest_target - tol):
             return math.nan
         obj_raw = weighted_sum_secrecy(alloc, self.ch, self.cfg) * self.cfg.num_scs
@@ -321,7 +323,6 @@ class _Engine:
             p_sc = np.asarray(res.x)
         else:
             p_sc = np.zeros(n)
-        powered = p_sc > 0
         x = np.zeros((cfg.num_irs, n), dtype=int)
         p = np.zeros((cfg.num_irs, n))
         a = np.zeros((cfg.num_irs, n))
@@ -329,16 +330,15 @@ class _Engine:
             owners = np.argmax(self.fixed_assign, axis=0)
         else:
             owners = np.argmax(self.cfg.weights[:, None] * self.H, axis=0)
-        for idx in np.nonzero(powered)[0]:
-            k = owners[idx]
-            x[k, idx] = 1
-            p[k, idx] = p_sc[idx]
-            if self.alpha_fixed is not None:
-                a[k, idx] = self.alpha_fixed
-            else:
-                h2, b2 = self.H[k, idx], self.B[k, idx]
-                a[k, idx] = min(max(0.5 + cfg.noise_power / (2 * p_sc[idx])
-                                    * (1 / h2 - 1 / b2), 0.0), 1.0)
+        cols = np.nonzero(p_sc > 0)[0]
+        rows = owners[cols]
+        x[rows, cols] = 1
+        p[rows, cols] = p_sc[cols]
+        if self.alpha_fixed is not None:
+            a[rows, cols] = self.alpha_fixed
+        else:
+            a[rows, cols] = optimal_split(p_sc[cols], self.H[rows, cols],
+                                          self.B[rows, cols], cfg.noise_power)
         alloc = Allocation(assign=x, power=p, split=a)
         q = all_harvested_powers(alloc, self.ch, cfg)
         self._consider_primal(alloc, q, float(p_sc.sum()))

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (Allocation, ChannelRealization, DomainError, SystemConfig,
-                    all_harvested_powers, secrecy_rate, weighted_sum_secrecy)
+                    all_harvested_powers, optimal_split, secrecy_rate,
+                    weighted_sum_secrecy)
 from .dual import (InfeasibleProblemError, SolveReport, SolverOptions,
                    solve_dual)
 
@@ -22,12 +23,6 @@ from .dual import (InfeasibleProblemError, SolveReport, SolverOptions,
 class HeuristicReport(SolveReport):
     n1: int = 0  # SCs consumed by the harvesting stage
     n2: int = 0  # SCs assigned greedily for secrecy rate
-
-
-def _alpha_star(p: float, h2, b2, sigma2):
-    # values above one only arise inside the zero-rate region (the secrecy
-    # rate is zero there regardless), so clamping is harmless
-    return np.clip(0.5 + (sigma2 / (2.0 * p)) * (1.0 / h2 - 1.0 / b2), 0.0, 1.0)
 
 
 def solve_suboptimal(config: SystemConfig,
@@ -55,7 +50,7 @@ def solve_suboptimal(config: SystemConfig,
 
     rest = np.nonzero(owner < 0)[0]
     if rest.size:
-        a_star = _alpha_star(p_eq, ir_g[:, rest], channels.eve_gains[:, rest],
+        a_star = optimal_split(p_eq, ir_g[:, rest], channels.eve_gains[:, rest],
                              config.noise_power)
         rs = secrecy_rate(np.full_like(a_star, p_eq), a_star,
                           ir_g[:, rest], channels.eve_gains[:, rest],
@@ -67,7 +62,7 @@ def solve_suboptimal(config: SystemConfig,
     x[owner, np.arange(n)] = 1
     p = np.where(x == 1, p_eq, 0.0)
     a = np.where(x == 1,
-                 _alpha_star(p_eq, ir_g, channels.eve_gains, config.noise_power),
+                 optimal_split(p_eq, ir_g, channels.eve_gains, config.noise_power),
                  0.0)
     alloc = Allocation(assign=x, power=p, split=a)
     q = all_harvested_powers(alloc, channels, config)

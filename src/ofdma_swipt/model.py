@@ -200,11 +200,32 @@ def threshold_x(alpha, h2, b2, sigma2):
         raise DomainError("split ratio must lie in [0, 1]")
     if np.any(h2a <= 0) or np.any(b2a <= 0) or np.any(np.asarray(sigma2) <= 0):
         raise DomainError("gains and noise power must be positive")
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        finite = (sigma2 / alpha) * (1.0 / h2a - 1.0 / b2a)
-    at_zero = np.where(b2a >= h2a, np.inf, -np.inf)
-    out = np.where(alpha == 0.0, at_zero, finite)
+    out = _threshold(alpha, h2a, b2a, sigma2)
     return out if out.ndim else float(out)
+
+
+def _threshold(alpha, h2, b2, sigma2):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        finite = (sigma2 / alpha) * (1.0 / h2 - 1.0 / b2)
+    at_zero = np.where(b2 >= h2, np.inf, -np.inf)
+    return np.where(alpha == 0.0, at_zero, finite)
+
+
+def _secrecy_rate(p, alpha, h2, b2, sigma2):
+    """Secrecy rate without input checks; the one rate expression.
+
+    rate_ir - rate_eve simplifies exactly to
+    log2(1 + (1-a) p [s (h2 - b2) + a h2 b2 p] / (s (s + b2 p))), which has no
+    cancellation between two logarithms. The bracket's sign is the threshold
+    test; the rate is gated on ``p > [threshold_x]^+`` so that it is zero
+    exactly below the threshold and positive beyond it.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gain = ((1.0 - alpha) * p * (sigma2 * (h2 - b2) + alpha * h2 * b2 * p)
+                / (sigma2 * (sigma2 + b2 * p)))
+        rs = np.log1p(gain) / LN2
+    x_plus = np.maximum(_threshold(alpha, h2, b2, sigma2), 0.0)
+    return np.where(p > x_plus, np.maximum(rs, 0.0), 0.0)
 
 
 def secrecy_rate(p, alpha, h2, b2, sigma2):
@@ -213,10 +234,23 @@ def secrecy_rate(p, alpha, h2, b2, sigma2):
     Exactly zero for p <= [threshold_x]^+ and strictly positive beyond it.
     """
     p, alpha = _validate_rate_inputs(p, alpha, sigma2)
-    x_plus = np.maximum(threshold_x(alpha, h2, b2, sigma2), 0.0)
-    diff = rate_ir(p, alpha, h2, sigma2) - rate_eve(p, alpha, b2, sigma2)
-    out = np.where(p > x_plus, np.maximum(diff, 0.0), 0.0)
+    if np.any(np.asarray(h2) <= 0) or np.any(np.asarray(b2) <= 0):
+        raise DomainError("channel gain must be positive")
+    out = _secrecy_rate(p, alpha, h2, b2, sigma2)
     return out if out.ndim else float(out)
+
+
+def optimal_split(p, h2, b2, sigma2):
+    """Best split ratio at fixed power: [1/2 + (s/2p)(1/h2 - 1/b2)] clipped
+    to [0, 1].
+
+    Values above one only arise inside the zero-rate region, where the
+    secrecy rate is zero whatever the split, so the clip is harmless there;
+    wherever the rate is positive the result is below one.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a = 0.5 + (sigma2 / (2.0 * p)) * (1.0 / h2 - 1.0 / b2)
+    return np.clip(a, 0.0, 1.0)
 
 
 def harvested_power(alloc: Allocation, channels: ChannelRealization,

@@ -1,29 +1,22 @@
-"""Per-subcarrier joint optimization of transmit power and AN split ratio.
+"""One (IR, SC) pair of the per-subcarrier kernel in :mod:`ofdma_swipt.vector`.
 
-Given the dual prices, each (IR, SC) pair contributes
-``L(p, a) = w * secrecy_rate(p, a) + p * omega`` and the maximizer is found
-among a finite candidate set built from stationarity polynomials plus
-boundary points. Five scenarios arise from the sign of ``h2 - b2`` and the
-position of the peak-power cap relative to the zero-rate threshold.
-
-Stationarity polynomials are evaluated in normalized units (noise power 1,
-gains replaced by sqrt(h2/b2) and its reciprocal) so that coefficients stay
-near unity; raw evaluation underflows in double precision at realistic
-parameter magnitudes (noise around 5e-12 W, gains spanning many decades).
+Given the dual prices, each pair contributes
+``L(p, a) = w * secrecy_rate(p, a) + p * omega``. The functions here take one
+pair as a :class:`PerScContext` and answer with the batched kernel on a
+one-element problem, so the tests that judge them judge the code the dual
+loop runs.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .model import LN2, GAIN_RTOL, DomainError, rate_eve, rate_ir, secrecy_rate, threshold_x
-
-
-class UnboundedSubproblemError(RuntimeError):
-    """The per-SC Lagrangian grows without bound (infinite peak power, omega >= 0)."""
+from .model import LN2, DomainError, optimal_split, secrecy_rate, threshold_x
+from . import vector
+from .vector import UnboundedSubproblemError
 
 
 @dataclass(frozen=True)
@@ -45,17 +38,6 @@ class PerScContext:
         if self.p_peak <= 0:
             raise DomainError("peak power must be positive")
 
-    def gains_equal(self) -> bool:
-        return math.isclose(self.h2, self.b2, rel_tol=GAIN_RTOL, abs_tol=0.0)
-
-
-@dataclass
-class CandidateSet:
-    """Feasible (p, alpha) candidates and the scenario label they came from."""
-
-    candidates: list[tuple[float, float]]
-    scenario: str  # one of 'a'..'e'
-
 
 def price_omega(lam: np.ndarray, gamma: float, zeta: np.ndarray,
                 er_gains_on_sc: np.ndarray) -> float:
@@ -65,13 +47,10 @@ def price_omega(lam: np.ndarray, gamma: float, zeta: np.ndarray,
 
 
 def optimal_alpha_given_p(p: float, ctx: PerScContext) -> float:
-    """Best split ratio at fixed power: [1/2 + (s/2p)(1/h2 - 1/b2)]^+, always < 1."""
+    """Best split ratio at fixed power: [1/2 + (s/2p)(1/h2 - 1/b2)] in [0, 1]."""
     if p <= 0:
         raise DomainError("power must be positive")
-    a = 0.5 + (ctx.sigma2 / (2.0 * p)) * (1.0 / ctx.h2 - 1.0 / ctx.b2)
-    # below the zero-rate threshold the unclamped value can reach 1; such
-    # candidates are filtered out by the threshold check downstream
-    return min(max(a, 0.0), 1.0)
+    return float(optimal_split(p, ctx.h2, ctx.b2, ctx.sigma2))
 
 
 def lagrangian_value(p: float, alpha: float, ctx: PerScContext) -> float:
@@ -91,99 +70,25 @@ def lagrangian_dp(p: float, alpha: float, ctx: PerScContext) -> float:
     return ctx.weight * term / LN2 + ctx.omega
 
 
-def _normalized(ctx: PerScContext) -> tuple[PerScContext, float]:
-    """Rescale power so noise is 1 and the two gains are reciprocal; return scale."""
-    p0 = ctx.sigma2 / math.sqrt(ctx.h2 * ctx.b2)
-    r = math.sqrt(ctx.h2 / ctx.b2)
-    return PerScContext(h2=r, b2=1.0 / r, sigma2=1.0, weight=ctx.weight,
-                        omega=ctx.omega * p0, p_peak=ctx.p_peak / p0), p0
-
-
-def _cubic_coeffs(alpha: float, ctx: PerScContext) -> tuple[float, float, float, float]:
-    """Coefficients of the fixed-alpha stationarity cubic in p (descending)."""
-    H, B, s, w, om = ctx.h2, ctx.b2, ctx.sigma2, ctx.weight, ctx.omega
-    a = alpha
-    a1 = LN2 * H * B * B * om * a * (a - 1.0)
-    b1 = B * (B * H * w * a * (a - 1.0) + LN2 * om * s * (H * a * a - B * a - H))
-    c1 = (2.0 * B * H * w * s * a * (a - 1.0)
-          - LN2 * om * s * s * (B * (1.0 + a) + H * (1.0 - a)))
-    d1 = (a - 1.0) * (H - B) * w * s * s - LN2 * om * s ** 3
-    return a1, b1, c1, d1
-
-
-def _quadratic_coeffs(ctx: PerScContext) -> tuple[float, float, float]:
-    """Coefficients of the stationarity quadratic with alpha eliminated."""
-    H, B, s, w, om = ctx.h2, ctx.b2, ctx.sigma2, ctx.weight, ctx.omega
-    a2 = LN2 * B * B * H * om
-    b2 = B * (B * H * w + LN2 * om * s * (B + 2.0 * H))
-    c2 = s * (B * w * (H - B) + LN2 * om * s * (B + H))
-    return a2, b2, c2
-
-
-def _real_positive_roots(coeffs) -> list[float]:
-    """Real positive roots of a polynomial given in descending coefficients."""
-    c = np.asarray(coeffs, dtype=float)
-    scale = np.max(np.abs(c))
-    if scale == 0.0:
-        return []
-    c = c / scale
-    c = np.trim_zeros(c, "f")
-    # drop leading coefficients that are negligible against the rest
-    while len(c) > 1 and abs(c[0]) < 1e-14 * np.max(np.abs(c)):
-        c = c[1:]
-    if len(c) <= 1:
-        return []
-    roots = np.roots(c)
+def _in_window(roots, alphas, p0, h, b, p_peak):
+    """(power, split) of the roots beyond the zero-rate threshold and within
+    the cap, converted back from normalized units."""
     out = []
-    for r in roots:
-        if abs(r.imag) <= 1e-9 * (1.0 + abs(r.real)) and r.real > 0:
-            out.append(float(r.real))
-    return sorted(out)
-
-
-def _newton_polish(p: float, deriv, lo: float, hi: float, iters: int = 4) -> float:
-    """A few damped Newton steps on ``deriv`` with a finite-difference slope."""
-    for _ in range(iters):
-        g = deriv(p)
-        eps = 1e-7 * p
-        slope = (deriv(p + eps) - deriv(p - eps)) / (2.0 * eps)
-        if slope == 0.0 or not math.isfinite(slope):
-            break
-        step = g / slope
-        step = max(min(step, 0.5 * p), -0.5 * p)
-        p_new = p - step
-        if not (lo < p_new <= hi) or not math.isfinite(p_new):
-            break
-        p = p_new
-        if abs(g) < 1e-15:
-            break
-    return p
+    for r, a in zip(roots, alphas):
+        x_plus = max(threshold_x(a, h, b, 1.0), 0.0)
+        if x_plus < r <= p_peak / p0:
+            out.append((float(r * p0), float(a)))
+    return out
 
 
 def cubic_candidates(alpha: float, ctx: PerScContext) -> list[float]:
     """Stationary powers at fixed alpha within ([X(alpha)]^+, P_peak]."""
     if not 0.0 <= alpha <= 1.0:
         raise DomainError("split ratio must lie in [0, 1]")
-    nctx, p0 = _normalized(ctx)
-    roots = _real_positive_roots(_cubic_coeffs(alpha, nctx))
-    x_plus = max(threshold_x(alpha, nctx.h2, nctx.b2, nctx.sigma2), 0.0)
-    hi = min(nctx.p_peak, math.inf)
-    out = []
-    for r in roots:
-        r = _newton_polish(r, lambda p: lagrangian_dp(p, alpha, nctx),
-                           lo=0.0, hi=hi if math.isfinite(hi) else 1e30)
-        if x_plus < r <= nctx.p_peak:
-            out.append(r * p0)
-    return sorted(set(out))
-
-
-def _alpha_clamp_point(ctx: PerScContext) -> float:
-    """Power at which the unclamped optimal alpha hits zero (h2 > b2 only)."""
-    return (1.0 / ctx.b2 - 1.0 / ctx.h2) * ctx.sigma2
-
-
-def _envelope_dp(p: float, ctx: PerScContext) -> float:
-    return lagrangian_dp(p, optimal_alpha_given_p(p, ctx), ctx)
+    p0, h, b = vector.normalized(ctx.h2, ctx.b2, ctx.sigma2)
+    roots = vector.fixed_alpha_roots(alpha, h, b, ctx.weight, ctx.omega * p0)
+    pairs = _in_window(roots, [alpha] * len(roots), p0, h, b, ctx.p_peak)
+    return sorted({p for p, _ in pairs})
 
 
 def quadratic_candidates(ctx: PerScContext) -> list[tuple[float, float]]:
@@ -195,70 +100,16 @@ def quadratic_candidates(ctx: PerScContext) -> list[tuple[float, float]]:
     if math.isinf(ctx.p_peak) and ctx.omega >= 0.0:
         raise UnboundedSubproblemError(
             "per-SC objective grows without bound at infinite peak power")
-    nctx, p0 = _normalized(ctx)
-    a2, b2, c2 = _quadratic_coeffs(nctx)
-    roots = _real_positive_roots([a2, b2, c2])
-    out: list[tuple[float, float]] = []
-    for r in roots:
-        r = _newton_polish(r, lambda p: _envelope_dp(p, nctx),
-                           lo=0.0, hi=nctx.p_peak if math.isfinite(nctx.p_peak) else 1e30)
-        a = optimal_alpha_given_p(r, nctx)
-        x_plus = max(threshold_x(a, nctx.h2, nctx.b2, nctx.sigma2), 0.0)
-        if x_plus < r <= nctx.p_peak:
-            out.append((r * p0, a))
+    p0, h, b = vector.normalized(ctx.h2, ctx.b2, ctx.sigma2)
+    roots = vector.joint_roots(h, b, ctx.weight, ctx.omega * p0)
+    out = _in_window(roots, optimal_split(roots, h, b, 1.0), p0, h, b, ctx.p_peak)
     if math.isfinite(ctx.p_peak):
         out.append((ctx.p_peak, optimal_alpha_given_p(ctx.p_peak, ctx)))
     return out
 
 
-def feasible_set(ctx: PerScContext) -> CandidateSet:
-    """Classify into scenario a-e and assemble the candidate set.
-
-    Always contains the (0, 0) fallback so the assignment rule can compare
-    against skipping the subcarrier.
-    """
-    cands: list[tuple[float, float]] = [(0.0, 0.0)]
-    if ctx.gains_equal():
-        scenario = "c"
-        cands += quadratic_candidates(ctx)
-    elif ctx.h2 < ctx.b2:
-        x1 = threshold_x(1.0, ctx.h2, ctx.b2, ctx.sigma2)
-        if ctx.p_peak > x1:
-            scenario = "a"
-            cands += quadratic_candidates(ctx)
-            if math.isfinite(ctx.p_peak):
-                cands.append((ctx.p_peak, 0.0))
-        else:
-            scenario = "b"
-            cands.append((ctx.p_peak, 0.0))
-    else:
-        p_clamp = _alpha_clamp_point(ctx)
-        if ctx.p_peak > p_clamp:
-            scenario = "d"
-            cands += quadratic_candidates(ctx)
-            cands += [(p, 0.0) for p in cubic_candidates(0.0, ctx)]
-            # the two-subregion split can have its maximum exactly where
-            # alpha*(p) clamps to zero
-            cands.append((p_clamp, 0.0))
-        else:
-            scenario = "e"
-            cands += [(p, 0.0) for p in cubic_candidates(0.0, ctx)]
-            # the stationary-root set alone misses maxima at the power cap
-            # (objective increasing on the whole feasible interval)
-            cands.append((ctx.p_peak, 0.0))
-    cleaned = []
-    for p, a in cands:
-        if math.isfinite(p) and 0.0 <= p <= ctx.p_peak:
-            cleaned.append((p, min(max(a, 0.0), 1.0)))
-    return CandidateSet(candidates=cleaned, scenario=scenario)
-
-
 def solve_per_sc(ctx: PerScContext) -> tuple[float, float, float]:
     """Maximize w*secrecy_rate + p*omega; returns (p*, alpha*, value)."""
-    fs = feasible_set(ctx)
-    best = (0.0, 0.0, 0.0)
-    for p, a in fs.candidates:
-        v = lagrangian_value(p, a, ctx)
-        if v > best[2]:
-            best = (p, a, v)
-    return best
+    p, a, v = vector.solve_all([[ctx.h2]], [[ctx.b2]], ctx.sigma2,
+                               [ctx.weight], [ctx.omega], ctx.p_peak)
+    return float(p[0, 0]), float(a[0, 0]), float(v[0, 0])

@@ -1,51 +1,46 @@
-"""Vectorized per-subcarrier optimization over all (IR, SC) pairs at once.
+"""The per-subcarrier kernel: optimal (power, split) for every (IR, SC) pair.
 
-The dual loop evaluates K1*N subproblems per iteration, so the scalar
-reference path in :mod:`ofdma_swipt.persc` is too slow there. This module
-computes the same candidate construction with array arithmetic (closed-form
-quadratic/cubic roots plus a few damped Newton polish steps). Equivalence
-with the scalar path is cross-checked in the test suite.
+Given the dual prices, each pair contributes
+``L(p, a) = w * secrecy_rate(p, a) + p * omega``. Its maximizer is one of a
+finite set of candidates: the closed-form real roots of the stationarity
+quadratic with the split eliminated (a = optimal_split(p)), the roots of the
+fixed-split stationarity cubic, and boundary points; the (0, 0) skip is the
+fallback. The dual loop calls :func:`solve_all` on all K1*N pairs at once;
+:mod:`ofdma_swipt.persc` is its one-pair view.
 
 All computations run in normalized units per element: power scaled by
 sigma^2/sqrt(h2*b2), so the effective gains are sqrt(h2/b2) and its inverse
-and the noise power is one.
+and the noise power is one. There the closed-form roots are accurate to
+rounding; raw coefficients underflow in double precision at realistic
+magnitudes (noise around 5e-12 W, gains spanning many decades).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .model import LN2, GAIN_RTOL
+from .model import GAIN_RTOL, LN2, _secrecy_rate, optimal_split
 
 _TINY = 1e-300
 
 
-def _alpha_star(p, h, b):
-    """Clamped optimal split ratio at fixed power (normalized units)."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        a = 0.5 + (0.5 / p) * (1.0 / h - 1.0 / b)
-    return np.clip(a, 0.0, 1.0)
+class UnboundedSubproblemError(ValueError):
+    """The per-SC Lagrangian grows without bound (infinite peak power, omega >= 0)."""
+
+
+def normalized(H, B, sigma2):
+    """Power unit p0 = sigma2/sqrt(H*B) and the normalized gains (h, 1/h)."""
+    p0 = sigma2 / np.sqrt(H * B)
+    h = np.sqrt(H / B)
+    return p0, h, 1.0 / h
 
 
 def _value(p, a, h, b, w, om):
-    """w * secrecy_rate(p, a) + p * om with the zero-region enforced; NaN-safe."""
+    """w * secrecy_rate(p, a) + p * om in normalized units; -inf where p is
+    not a finite positive power."""
     p = np.where(np.isfinite(p) & (p > 0), p, np.nan)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        x = (1.0 / a) * (1.0 / h - 1.0 / b)
-        x = np.where(a > 0, x, np.where(b >= h, np.inf, -np.inf))
-        xp = np.maximum(x, 0.0)
-        rs = (np.log2(1.0 + (1.0 - a) * h * p)
-              - np.log2(1.0 + b * p) + np.log2(1.0 + a * b * p))
-        rs = np.where(p > xp, np.maximum(rs, 0.0), 0.0)
-        v = w * rs + p * om
+    v = w * _secrecy_rate(p, a, h, b, 1.0) + p * om
     return np.where(np.isnan(p), -np.inf, v)
-
-
-def _dLdp(p, a, h, b, w, om):
-    """Analytic derivative of the per-SC objective in p at fixed alpha."""
-    return (w / LN2) * ((1.0 - a) * h / (1.0 + (1.0 - a) * h * p)
-                        - b / (1.0 + b * p)
-                        + a * b / (1.0 + a * b * p)) + om
 
 
 def _quad_roots(a2, b2, c2):
@@ -111,31 +106,31 @@ def _cubic_roots(a, b, c, d):
     return out
 
 
-def _polish(p, a, h, b, w, om, p_hi, iters=3, envelope=False):
-    """Damped Newton steps on dL/dp; alpha tracks alpha*(p) when envelope."""
-    for _ in range(iters):
-        aa = _alpha_star(p, h, b) if envelope else a
-        g = _dLdp(p, aa, h, b, w, om)
-        eps = 1e-7 * np.maximum(p, _TINY)
-        a_p = _alpha_star(p + eps, h, b) if envelope else a
-        a_m = _alpha_star(p - eps, h, b) if envelope else a
-        slope = (_dLdp(p + eps, a_p, h, b, w, om)
-                 - _dLdp(p - eps, a_m, h, b, w, om)) / (2.0 * eps)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            step = g / slope
-        step = np.clip(step, -0.5 * p, 0.5 * p)
-        p_new = p - step
-        ok = np.isfinite(p_new) & (p_new > 0) & (p_new <= p_hi)
-        p = np.where(ok, p_new, p)
-    return p
+def joint_roots(h, b, w, om):
+    """Real roots of the stationarity quadratic with the split eliminated;
+    NaN-padded (2, ...)."""
+    return _quad_roots(LN2 * b * b * h * om,
+                       b * (b * h * w + LN2 * om * (b + 2.0 * h)),
+                       b * w * (h - b) + LN2 * om * (b + h))
+
+
+def fixed_alpha_roots(a, h, b, w, om):
+    """Real roots of the stationarity cubic in p at a fixed split ``a``;
+    NaN-padded (3, ...). At a = 0 the cubic term vanishes."""
+    return _cubic_roots(
+        LN2 * h * b * b * om * a * (a - 1.0),
+        b * (b * h * w * a * (a - 1.0) + LN2 * om * (h * a * a - b * a - h)),
+        2.0 * b * h * w * a * (a - 1.0) - LN2 * om * (b * (1.0 + a) + h * (1.0 - a)),
+        (a - 1.0) * (h - b) * w - LN2 * om)
 
 
 def solve_all(H, B, sigma2, weights, omega, p_peak, alpha_fixed=None):
     """Optimal (p, alpha, value) for every (IR, SC) pair.
 
     H, B: (K1, N) IR and eavesdropper gains; weights: (K1,); omega: (N,)
-    price vector; p_peak: scalar cap (must be finite here — the dual loop
-    caps at min(P_peak, P_max), which the total-power constraint implies).
+    price vector; p_peak: scalar cap. An infinite cap needs a negative price
+    on every pair, otherwise the objective is unbounded (the dual loop caps
+    at min(P_peak, P_max), which the total-power constraint implies).
     With ``alpha_fixed`` the split ratio is pinned and only the power is
     optimized (fixed-alpha benchmark schemes).
 
@@ -145,67 +140,39 @@ def solve_all(H, B, sigma2, weights, omega, p_peak, alpha_fixed=None):
     B = np.asarray(B, dtype=float)
     w = np.asarray(weights, dtype=float)[:, None]
     om_in = np.broadcast_to(np.asarray(omega, dtype=float), H.shape)
-    if not np.isfinite(p_peak):
-        raise ValueError("vectorized solver requires a finite power cap")
+    if not np.isfinite(p_peak) and np.any(om_in >= 0.0):
+        raise UnboundedSubproblemError(
+            "per-SC objective grows without bound at infinite peak power")
 
-    # normalized units
-    p0 = sigma2 / np.sqrt(H * B)
-    h = np.sqrt(H / B)
-    b = 1.0 / h
+    p0, h, b = normalized(H, B, sigma2)
     om = om_in * p0
-    pk = p_peak / p0
-
-    eq = np.isclose(H, B, rtol=GAIN_RTOL, atol=0.0)
-    hgb = (H > B) & ~eq  # scenario d/e side
-    hlb = (H < B) & ~eq  # scenario a/b side
-
-    cands_p = []
-    cands_a = []
+    pk = np.broadcast_to(p_peak / p0, H.shape)
 
     if alpha_fixed is None:
-        # subregion i: alpha-eliminated stationarity quadratic
-        a2 = LN2 * b * b * h * om
-        b2 = b * (b * h * w + LN2 * om * (b + 2.0 * h))
-        c2 = b * w * (h - b) + LN2 * om * (b + h)
-        qr = _quad_roots(a2, b2, c2)
-        for r in qr:
-            r = np.where(r > 0, r, np.nan)
-            r = _polish(r, None, h, b, w, om, pk, envelope=True)
-            cands_p.append(r)
-            cands_a.append(_alpha_star(r, h, b))
-        # peak boundary with its best split
-        pk_arr = np.broadcast_to(pk, H.shape)
-        cands_p.append(pk_arr)
-        cands_a.append(_alpha_star(pk_arr, h, b))
-        # subregion ii: fixed alpha=0 stationarity (h2 > b2 only)
-        b1 = b * LN2 * om * (-h)
-        c1 = -LN2 * om * (b + h)
-        d1 = -w * (h - b) - LN2 * om
-        qr0 = _quad_roots(b1, c1, d1)
-        for r in qr0:
-            r = np.where(hgb & (r > 0), r, np.nan)
-            r = _polish(r, 0.0, h, b, w, om, pk)
-            cands_p.append(r)
-            cands_a.append(np.zeros_like(r))
-        # clamp boundary of the two subregions
-        p_clamp = np.where(hgb, 1.0 / b - 1.0 / h, np.nan)
-        cands_p.append(np.where(p_clamp <= pk, p_clamp, np.nan))
-        cands_a.append(np.zeros_like(p_clamp))
-        # zero-rate region boundary candidate (h2 < b2)
+        eq = np.isclose(H, B, rtol=GAIN_RTOL, atol=0.0)
+        hgb = (H > B) & ~eq
+        hlb = (H < B) & ~eq
+        # subregion i: alpha = optimal_split(p)
+        cands_p = list(joint_roots(h, b, w, om))
+        cands_a = [optimal_split(r, h, b, 1.0) for r in cands_p]
+        # zero-rate boundary (h2 < b2), listed before the peak pair so that
+        # an energy-only pair, where both carry no secrecy rate, reports
+        # split 0 rather than 1
         cands_p.append(np.where(hlb, pk, np.nan))
+        cands_a.append(np.zeros_like(h))
+        cands_p.append(pk)
+        cands_a.append(optimal_split(pk, h, b, 1.0))
+        # subregion ii (h2 > b2): alpha clamped to zero, and the power where
+        # optimal_split reaches zero, which bounds the two subregions
+        for r in fixed_alpha_roots(0.0, h, b, w, om):
+            cands_p.append(np.where(hgb, r, np.nan))
+            cands_a.append(np.zeros_like(h))
+        cands_p.append(np.where(hgb, 1.0 / b - 1.0 / h, np.nan))
         cands_a.append(np.zeros_like(h))
     else:
         a0 = float(alpha_fixed)
-        nctx_coeffs = _fixed_alpha_coeffs(a0, h, b, w, om)
-        cr = _cubic_roots(*nctx_coeffs)
-        for r in cr:
-            r = np.where(r > 0, r, np.nan)
-            r = _polish(r, a0, h, b, w, om, pk)
-            cands_p.append(r)
-            cands_a.append(np.full_like(r, a0))
-        pk_arr = np.broadcast_to(pk, H.shape).copy()
-        cands_p.append(pk_arr)
-        cands_a.append(np.full_like(pk_arr, a0))
+        cands_p = list(fixed_alpha_roots(a0, h, b, w, om)) + [pk]
+        cands_a = [np.full(H.shape, a0)] * len(cands_p)
 
     P = np.stack(cands_p)
     A = np.stack(cands_a)
@@ -223,12 +190,3 @@ def solve_all(H, B, sigma2, weights, omega, p_peak, alpha_fixed=None):
     a_best = np.where(skip, 0.0, a_best)
     v_best = np.where(skip, 0.0, v_best)
     return p_best, a_best, v_best
-
-
-def _fixed_alpha_coeffs(a, h, b, w, om):
-    """Stationarity cubic coefficients at fixed alpha (normalized units)."""
-    a1 = LN2 * h * b * b * om * a * (a - 1.0)
-    b1 = b * (b * h * w * a * (a - 1.0) + LN2 * om * (h * a * a - b * a - h))
-    c1 = 2.0 * b * h * w * a * (a - 1.0) - LN2 * om * (b * (1.0 + a) + h * (1.0 - a))
-    d1 = (a - 1.0) * (h - b) * w - LN2 * om
-    return a1, b1, c1, d1

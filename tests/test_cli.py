@@ -47,6 +47,11 @@ class TestSolveCommand:
         bad.write_text("scheme: optimal\n")  # no system section
         assert main(["solve", "--config", str(bad)]) == EXIT_CONFIG
 
+    def test_domain_error_exit_code(self, tmp_path):
+        # parses, but one receiver leaves no eavesdropper to secure against
+        cfg = write_config(tmp_path, system={"K1": 1, "K2": 0})
+        assert main(["solve", "--config", cfg]) == EXIT_CONFIG
+
     def test_not_converged_exit_code(self, tmp_path):
         cfg = write_config(tmp_path, solver={"max_iter": 2})
         assert main(["solve", "--config", cfg,

@@ -163,6 +163,13 @@ class TestSolveOptimal:
         with pytest.raises(InfeasibleProblemError):
             solve_optimal(cfg, paper_channels(cfg, seed=0))
 
+    def test_budget_not_overspent_and_gap_nonnegative(self):
+        # an allocation above P_max could score above the dual bound
+        cfg = paper_system(n_sc=16)
+        rep = solve_optimal(cfg, paper_channels(cfg, seed=2))
+        assert rep.allocation.sc_power.sum() <= cfg.total_power * (1 + 1e-15)
+        assert duality_gap(rep) >= -1e-12
+
     def test_matched_seed_gap_shrinks_with_bandwidth(self):
         # the reported gap never exceeds a loose ceiling at either size and
         # stays nonnegative up to numerical tolerance

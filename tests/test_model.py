@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ofdma_swipt import (Allocation, ChannelRealization, DomainError,
@@ -87,6 +87,8 @@ class TestSecrecyRate:
            p=st.floats(min_value=0.0, max_value=1e4),
            sigma2=st.sampled_from([1.0, 5e-12]))
     @settings(max_examples=300)
+    # above the threshold, yet a difference of two logarithms rounds to 0
+    @example(h2=1.0000000000000004, b2=1.0, alpha=0.0, p=19.0, sigma2=1.0)
     def test_zero_region_dichotomy(self, h2, b2, alpha, p, sigma2):
         p_unit = sigma2 / math.sqrt(h2 * b2)
         p_scaled = p * p_unit

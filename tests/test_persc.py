@@ -1,5 +1,5 @@
 """Per-subcarrier joint (power, split) optimizer: candidate construction,
-stationarity of returned roots, scenario classification and the grid oracle."""
+stationarity of returned roots and the grid oracle."""
 
 import math
 
@@ -7,11 +7,10 @@ import numpy as np
 import pytest
 
 from ofdma_swipt import DomainError
-from ofdma_swipt.persc import (CandidateSet, PerScContext,
-                               UnboundedSubproblemError, cubic_candidates,
-                               feasible_set, lagrangian_dp, lagrangian_value,
-                               optimal_alpha_given_p, price_omega,
-                               quadratic_candidates, solve_per_sc)
+from ofdma_swipt.persc import (PerScContext, UnboundedSubproblemError,
+                               cubic_candidates, lagrangian_dp,
+                               lagrangian_value, optimal_alpha_given_p,
+                               price_omega, quadratic_candidates, solve_per_sc)
 
 from conftest import grid_best, random_context
 
@@ -134,41 +133,6 @@ class TestQuadraticCandidates:
         ctx = ctx_of(h2=2.0, b2=1.0, omega=0.5, p_peak=np.inf)
         with pytest.raises(UnboundedSubproblemError):
             quadratic_candidates(ctx)
-
-
-class TestFeasibleSet:
-    def test_scenario_b_single_candidate(self):
-        # eavesdropper stronger and the cap below the full-noise threshold:
-        # only the cap with no information power remains
-        ctx = ctx_of(h2=1.0, b2=2.0, p_peak=0.4)
-        cs = feasible_set(ctx)
-        assert cs.scenario == "b"
-        assert (0.4, 0.0) in cs.candidates
-
-    def test_scenario_c_symmetric(self):
-        ctx = ctx_of(h2=2.0, b2=2.0, omega=-0.1, p_peak=3.0)
-        cs = feasible_set(ctx)
-        assert cs.scenario == "c"
-        assert all(a in (0.0, 0.5) for _, a in cs.candidates)
-
-    def test_scenario_e_classification(self):
-        ctx = ctx_of(h2=2.0, b2=1.0, p_peak=0.3)
-        assert feasible_set(ctx).scenario == "e"
-
-    def test_scenario_partition_and_candidate_bounds(self, rng):
-        seen = set()
-        for _ in range(300):
-            ctx = random_context(rng)
-            cs = feasible_set(ctx)
-            assert cs.scenario in "abcde"
-            seen.add(cs.scenario)
-            for p, a in cs.candidates:
-                assert 0.0 <= p <= ctx.p_peak
-                assert 0.0 <= a <= 1.0
-        assert {"a", "d", "e"} <= seen
-
-    def test_returns_candidate_set_type(self):
-        assert isinstance(feasible_set(ctx_of(p_peak=1.0)), CandidateSet)
 
 
 class TestSolvePerSc:
