@@ -9,9 +9,8 @@ from .model import (Allocation, ChannelRealization, DomainError, SystemConfig,
 from .persc import (PerScContext, UnboundedSubproblemError, cubic_candidates,
                     optimal_alpha_given_p, price_omega, quadratic_candidates,
                     solve_per_sc)
-from .dual import (DualState, InfeasibleProblemError, SolveReport,
-                   SolverOptions, assign_subcarriers, duality_gap,
-                   solve_optimal, subgradient_step)
+from .dual import (InfeasibleProblemError, SolveReport, SolverOptions,
+                   assign_subcarriers, solve_optimal)
 from .heuristics import (HeuristicReport, noncancel_secrecy_rate,
                          solve_fixed_alpha, solve_fsa, solve_noan,
                          solve_suboptimal)

@@ -88,7 +88,6 @@ def _report_dict(report, seed: int) -> dict:
         "harvested_w": [float(q) for q in np.atleast_1d(report.harvested)],
         "duality_gap_bps_hz": report.duality_gap,
         "iterations": report.iterations,
-        "feasible": report.feasible,
         "allocation": {
             "assign": report.allocation.assign.tolist(),
             "power_w": report.allocation.power.tolist(),
@@ -128,7 +127,8 @@ def cmd_sweep(args) -> int:
         f"# ofdma-swipt sweep axis={args.axis} scheme={exp.scheme} "
         f"trials={args.trials} seed={args.seed}",
         "# row seed = seed + trial; objective and gap are band-averaged (per SC)",
-        "axis_value,trial,scheme,objective,gap,feasible,iterations,wallclock",
+        "axis_value,trial,scheme,objective,gap,feasible,iterations,wallclock,"
+        "converged",
     ]
     for value in values:
         exp_v = apply_axis(exp, args.axis, value)
@@ -138,12 +138,14 @@ def cmd_sweep(args) -> int:
             try:
                 report = run_scheme(exp_v, row_seed)
                 obj, gap = report.objective, report.duality_gap
-                feas, iters = int(report.feasible), report.iterations
+                feas, iters = 1, report.iterations
+                conv = int(report.metadata.get("converged", True))
             except InfeasibleProblemError:
-                obj, gap, feas, iters = math.nan, math.nan, 0, 0
+                obj, gap, feas, iters, conv = math.nan, math.nan, 0, 0, 0
             wallclock = time.perf_counter() - t0 if args.timing else 0.0
             lines.append(",".join(_fmt(v) for v in (
-                value, trial, exp.scheme, obj, gap, feas, iters, wallclock)))
+                value, trial, exp.scheme, obj, gap, feas, iters, wallclock,
+                conv)))
     _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 

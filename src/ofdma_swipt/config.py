@@ -20,12 +20,9 @@ scenario:
   pathloss_exp: 3
   num_taps: 8
 solver:
-  max_iter: 5000
-  convergence_tol: 1e-6
-  feasibility_tol: 1e-9
-  xi0: 1.0
-  nu0: 1.0
-  polish_rounds: 2
+  max_iter: 5000          # cap on dual evaluations
+  convergence_tol: 1e-9   # certified dual bound gap, relative
+  feasibility_tol: 1e-9   # watts
 scheme: optimal    # optimal | suboptimal | fsa | alpha05 | noan
 
 Powers are dBm in files and watts internally.
@@ -109,13 +106,13 @@ def parse_config(data: dict) -> ExperimentConfig:
         if sc_d:
             raise ConfigError(f"unknown scenario keys: {sorted(sc_d)}")
         so_d = dict(data.get("solver", {}))
+        default = SolverOptions()
         solver = SolverOptions(
-            max_iterations=int(so_d.pop("max_iter", 5000)),
-            convergence_tol=float(so_d.pop("convergence_tol", 1e-6)),
-            feasibility_tol=float(so_d.pop("feasibility_tol", 1e-9)),
-            step_xi0=float(so_d.pop("xi0", 1.0)),
-            step_nu0=float(so_d.pop("nu0", 1.0)),
-            polish_rounds=int(so_d.pop("polish_rounds", 2)),
+            max_iterations=int(so_d.pop("max_iter", default.max_iterations)),
+            convergence_tol=float(so_d.pop("convergence_tol",
+                                           default.convergence_tol)),
+            feasibility_tol=float(so_d.pop("feasibility_tol",
+                                           default.feasibility_tol)),
         )
         if so_d:
             raise ConfigError(f"unknown solver keys: {sorted(so_d)}")

@@ -1,15 +1,20 @@
-"""Outer Lagrange-dual loop: per-SC optimization, assignment, subgradient
-updates of the multipliers, primal recovery and duality-gap measurement.
+"""Outer Lagrange-dual loop: per-SC optimization, assignment, a cutting-plane
+minimization of the dual, primal recovery and duality-gap measurement.
 
 The dual function is evaluated with the per-SC power additionally capped at
 min(P_peak, P_max); the cap is implied by the total-power constraint, keeps
 every subproblem bounded, and leaves the dual bound valid.
 
-After the diminishing-step subgradient phase, a few rounds of coordinate
-bisection polish the multipliers (each harvest multiplier against its target,
-then the power price against the budget). Every dual point visited tightens
-the reported bound; every primal iterate is screened for feasibility and the
-best feasible one is returned.
+The dual g(lambda, gamma) is convex on the nonnegative orthant, and each
+evaluation yields a cut: its value and the subgradient (Q - Qbar, P_max -
+sum p). Kelley's method (J. SIAM 8(4), 1960) evaluates next at the minimizer
+of the piecewise-linear model of all cuts, found by an LP over a box that
+grows whenever the minimizer lands on its upper face. When the minimizer is
+inside the box the model's minimum is, by convexity, a lower bound on g over
+the whole orthant; the loop stops once the best dual value is within
+``convergence_tol`` of that bound, relative to |g| at the start point. Every
+dual point visited tightens the reported bound; every primal iterate is
+screened for feasibility and the best feasible one is returned.
 """
 
 from __future__ import annotations
@@ -32,40 +37,17 @@ class InfeasibleProblemError(RuntimeError):
 
 @dataclass
 class SolverOptions:
-    max_iterations: int = 5000
-    step_xi0: float = 1.0
-    step_nu0: float = 1.0
-    convergence_tol: float = 1e-6  # relative change of (lambda, gamma)
-    convergence_window: int = 10
+    max_iterations: int = 5000  # dual evaluations
+    convergence_tol: float = 1e-9  # bound gap, relative to |g| at the start
     feasibility_tol: float = 1e-9  # watts
-    polish_rounds: int = 2
-    bisect_iters: int = 50
     keep_trace: bool = True
 
     def __post_init__(self):
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        for name in ("step_xi0", "step_nu0", "convergence_tol",
-                     "feasibility_tol"):
+        for name in ("convergence_tol", "feasibility_tol"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
-
-
-@dataclass
-class DualState:
-    """Multipliers, iteration counter and the current step sizes."""
-
-    lam: np.ndarray  # (K2,), >= 0
-    gamma: float  # >= 0
-    iteration: int = 0
-    xi: np.ndarray = None  # (K2,) current step sizes
-    nu: float = 1.0
-
-    def __post_init__(self):
-        self.lam = np.atleast_1d(np.asarray(self.lam, dtype=float))
-        if self.xi is None:
-            self.xi = np.ones_like(self.lam)
-        self.xi = np.atleast_1d(np.asarray(self.xi, dtype=float))
 
 
 @dataclass
@@ -74,7 +56,6 @@ class SolveReport:
     harvested: np.ndarray  # (K2,) watts
     duality_gap: float | None
     iterations: int
-    feasible: bool
     allocation: Allocation
     trace: list
     metadata: dict = field(default_factory=dict)
@@ -90,25 +71,6 @@ def assign_subcarriers(values: np.ndarray) -> np.ndarray:
     win = values[k_star, cols] > 0.0
     x[k_star[win], cols[win]] = 1
     return x
-
-
-def subgradient_step(dual: DualState, primal: Allocation,
-                     channels: ChannelRealization,
-                     config: SystemConfig) -> DualState:
-    """One projected subgradient update of (lambda, gamma) at the given primal."""
-    q = all_harvested_powers(primal, channels, config)
-    total = float(primal.sc_power.sum())
-    lam_new = np.maximum(dual.lam - dual.xi * (q - config.harvest_target), 0.0)
-    gamma_new = max(dual.gamma - dual.nu * (config.total_power - total), 0.0)
-    return DualState(lam=lam_new, gamma=gamma_new, iteration=dual.iteration + 1,
-                     xi=dual.xi.copy(), nu=dual.nu)
-
-
-def duality_gap(report: SolveReport) -> float:
-    """Duality gap of a converged run; signals absence on infeasible runs."""
-    if not report.feasible or report.duality_gap is None:
-        raise ValueError("duality gap undefined: no feasible primal")
-    return report.duality_gap
 
 
 def check_harvest_feasibility(config: SystemConfig,
@@ -150,6 +112,8 @@ class _Engine:
         self.best_alloc: Allocation | None = None
         self.best_q: np.ndarray | None = None
         self.trace: list = []
+        self.lam: np.ndarray | None = None  # argmin of the visited dual values
+        self.gamma: float | None = None
         # marginal-rate scale at equal power: rough inverse water level
         p_eq = config.total_power / config.num_scs
         slopes = (config.weights[:, None] * self.H
@@ -158,11 +122,8 @@ class _Engine:
         if config.num_ers:
             gbar = channels.er_gains.mean(axis=1)
             self.lam_scale = self.gamma0 / (config.harvest_eff * gbar)
-            self.q_scale = np.maximum(config.harvest_target,
-                                      config.harvest_eff * gbar * config.total_power)
         else:
             self.lam_scale = np.zeros(0)
-            self.q_scale = np.zeros(0)
 
     def evaluate(self, lam: np.ndarray, gamma: float) -> dict:
         """Inner maximization at one dual point; updates bound and primal."""
@@ -182,7 +143,8 @@ class _Engine:
         sc_val = (x * val).sum()
         g_raw = (sc_val - float(lam @ self.cfg.harvest_target)
                  + gamma * self.cfg.total_power)
-        self.g_min = min(self.g_min, g_raw)
+        if g_raw < self.g_min:
+            self.g_min, self.lam, self.gamma = g_raw, lam, gamma
         q = all_harvested_powers(alloc, self.ch, self.cfg)
         total = float(alloc.sc_power.sum())
         primal_norm = self._consider_primal(alloc, q, total)
@@ -216,90 +178,44 @@ class _Engine:
             self.best_q = q
         return obj_raw / self.cfg.num_scs
 
-    # -- subgradient phase -------------------------------------------------
+    # -- cutting plane -----------------------------------------------------
 
-    def subgradient_phase(self) -> tuple[bool, int]:
+    def cutting_plane(self) -> bool:
+        """Kelley's cutting plane on the dual in normalized multipliers
+        y = (lambda / lam_scale, gamma / gamma0); True when the bound gap
+        closed to ``convergence_tol`` within ``max_iterations`` evaluations."""
         cfg, opt = self.cfg, self.opt
-        lam = np.zeros(cfg.num_ers)
-        gamma = self.gamma0
-        streak = 0
-        converged = False
-        t = 0
-        for t in range(1, opt.max_iterations + 1):
-            res = self.evaluate(lam, gamma)
-            sg_q = res["q"] - cfg.harvest_target
-            sg_p = cfg.total_power - res["total"]
-            root_t = math.sqrt(t)
-            if cfg.num_ers:
-                xi = (opt.step_xi0 / root_t) * self.lam_scale / np.maximum(
-                    self.q_scale, np.abs(sg_q))
-            else:
-                xi = np.zeros(0)
-            nu = (opt.step_nu0 / root_t) * self.gamma0 / max(
-                cfg.total_power, abs(sg_p))
-            lam_new = np.maximum(lam - xi * sg_q, 0.0)
-            gamma_new = max(gamma - nu * sg_p, 0.0)
-            prev = np.concatenate([lam, [gamma]])
-            new = np.concatenate([lam_new, [gamma_new]])
-            denom = max(float(np.linalg.norm(prev)), 1e-300)
-            rel = float(np.linalg.norm(new - prev)) / denom
-            streak = streak + 1 if rel < opt.convergence_tol else 0
-            lam, gamma = lam_new, gamma_new
-            if streak >= opt.convergence_window:
-                converged = True
-                break
-        self.lam, self.gamma = lam, gamma
-        return converged, t
-
-    # -- coordinate bisection polish ----------------------------------------
-
-    def _bisect(self, f, lo, hi, iters):
-        """Root bracket refinement for a nondecreasing f with f(lo)<0<=f(hi)."""
-        for _ in range(iters):
-            mid = 0.5 * (lo + hi)
-            if f(mid) < 0.0:
-                lo = mid
-            else:
-                hi = mid
-        return hi
-
-    def polish_phase(self):
-        cfg, opt = self.cfg, self.opt
-        lam, gamma = self.lam.copy(), self.gamma
-
-        for _ in range(opt.polish_rounds):
-            for l in range(cfg.num_ers):
-                def qgap(v, l=l):
-                    trial = lam.copy()
-                    trial[l] = v
-                    return float(self.evaluate(trial, gamma)["q"][l]
-                                 - cfg.harvest_target[l])
-                if qgap(0.0) >= 0.0:
-                    lam[l] = 0.0
-                    continue
-                hi = max(lam[l], self.lam_scale[l], 1e-300)
-                ok = False
-                for _ in range(80):
-                    if qgap(hi) >= 0.0:
-                        ok = True
-                        break
-                    hi *= 2.0
-                if ok:
-                    lam[l] = self._bisect(qgap, 0.0, hi, opt.bisect_iters)
-                else:
-                    lam[l] = hi
-
-            def pgap(g):
-                return float(cfg.total_power - self.evaluate(lam, g)["total"])
-            if pgap(0.0) >= 0.0:
-                gamma = 0.0
-            else:
-                hi = max(gamma, self.gamma0, 1e-300)
-                while pgap(hi) < 0.0:
-                    hi *= 2.0
-                gamma = self._bisect(pgap, 0.0, hi, opt.bisect_iters)
-        self.lam, self.gamma = lam, gamma
-        self.evaluate(lam, gamma)
+        unit = np.append(self.lam_scale, self.gamma0)
+        y = np.append(np.zeros(cfg.num_ers), 1.0)
+        upper = np.full(y.size, 4.0)
+        points, slopes, values = [], [], []
+        for _ in range(opt.max_iterations):
+            res = self.evaluate(y[:-1] * unit[:-1], y[-1] * unit[-1])
+            points.append(y)
+            values.append(res["g_raw"])
+            slopes.append(unit * np.append(res["q"] - cfg.harvest_target,
+                                           cfg.total_power - res["total"]))
+            # cut i in units of g at the start point (>= gamma0 * P_max > 0):
+            # t >= (g_i - g_min) / scale + s_i . (y - y_i)
+            scale = values[0]
+            s = np.array(slopes) / scale
+            offset = (np.array(values) - self.g_min) / scale
+            master = linprog(
+                c=np.append(np.zeros(y.size), 1.0),
+                A_ub=np.hstack([s, -np.ones((len(values), 1))]),
+                b_ub=np.einsum("ij,ij->i", s, np.array(points)) - offset,
+                bounds=[(0.0, u) for u in upper] + [(None, None)],
+                method="highs",
+                options={"primal_feasibility_tolerance": 1e-10,
+                         "dual_feasibility_tolerance": 1e-10})
+            if master.status != 0:
+                return False
+            y = np.asarray(master.x[:-1])
+            on_face = y >= upper * (1.0 - 1e-9)
+            if not on_face.any() and -master.fun <= opt.convergence_tol:
+                return True
+            upper[on_face] *= 4.0
+        return False
 
     # -- feasible fallback ---------------------------------------------------
 
@@ -355,8 +271,7 @@ def solve_dual(config: SystemConfig, channels: ChannelRealization,
         raise InfeasibleProblemError("harvesting targets unreachable under the power budget")
     eng = _Engine(config, channels, options, alpha_fixed=alpha_fixed,
                   fixed_assign=fixed_assign)
-    converged, iters = eng.subgradient_phase()
-    eng.polish_phase()
+    converged = eng.cutting_plane()
     if eng.best_alloc is None:
         eng.fallback_primal()
     if eng.best_alloc is None:
@@ -368,17 +283,15 @@ def solve_dual(config: SystemConfig, channels: ChannelRealization,
         harvested=eng.best_q,
         duality_gap=gap,
         iterations=eng.n_evals,
-        feasible=True,
         allocation=eng.best_alloc,
         trace=eng.trace,
         metadata={
             "scheme": scheme,
-            "converged": bool(converged),
-            "subgradient_iterations": iters,
+            "converged": converged,
             "normalization": "band-average: objective and gap divided by num_scs",
             "gamma_init": eng.gamma0,
             "lambda": eng.lam.tolist(),
-            "gamma": eng.gamma,
+            "gamma": float(eng.gamma),
             "stationarity_coefficients": "rederived closed forms",
             "assignment_tiebreak": "lowest IR index",
         },

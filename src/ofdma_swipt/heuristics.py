@@ -71,7 +71,6 @@ def solve_suboptimal(config: SystemConfig,
         harvested=q,
         duality_gap=None,
         iterations=1,
-        feasible=True,
         allocation=alloc,
         trace=[],
         metadata={

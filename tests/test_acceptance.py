@@ -265,7 +265,7 @@ def test_objective_nonincreasing_in_energy_receiver_count():
 def test_infeasibility_rate_increasing_in_energy_receiver_count():
     """With a stressed harvest target the fraction of channel draws where the
     fixed-assignment scheme is infeasible rises with the number of ERs."""
-    opts = SolverOptions(max_iterations=12, polish_rounds=0, keep_trace=False)
+    opts = SolverOptions(keep_trace=False)
     rates = []
     for k2 in (1, 2, 4, 8):
         cfg = paper_system(n_sc=16, k2=k2, qbar_uw=700.0)

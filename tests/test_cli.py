@@ -33,7 +33,6 @@ class TestSolveCommand:
         assert main(["solve", "--config", cfg, "--seed", "1",
                      "--out", str(out)]) == EXIT_OK
         report = json.loads(out.read_text())
-        assert report["feasible"] is True
         assert report["duality_gap_bps_hz"] >= -1e-9
         assert len(report["harvested_w"]) == 2
         assert all(q >= 100e-6 - 1e-9 for q in report["harvested_w"])
@@ -50,6 +49,10 @@ class TestSolveCommand:
     def test_domain_error_exit_code(self, tmp_path):
         # parses, but one receiver leaves no eavesdropper to secure against
         cfg = write_config(tmp_path, system={"K1": 1, "K2": 0})
+        assert main(["solve", "--config", cfg]) == EXIT_CONFIG
+
+    def test_removed_solver_key_exit_code(self, tmp_path):
+        cfg = write_config(tmp_path, solver={"polish_rounds": 2})
         assert main(["solve", "--config", cfg]) == EXIT_CONFIG
 
     def test_not_converged_exit_code(self, tmp_path):
@@ -70,10 +73,21 @@ class TestSweepCommand:
         lines = out1.read_text().strip().splitlines()
         header = [l for l in lines if not l.startswith("#")][0]
         assert header == ("axis_value,trial,scheme,objective,gap,"
-                          "feasible,iterations,wallclock")
+                          "feasible,iterations,wallclock,converged")
         rows = [l.split(",") for l in lines if not l.startswith("#")][1:]
         assert len(rows) == 4
         assert all(r[7] == "0" for r in rows)  # no timing by default
+        assert all(r[8] == "1" for r in rows)
+
+    def test_capped_rows_flagged_not_converged(self, tmp_path):
+        cfg = write_config(tmp_path, solver={"max_iter": 2})
+        out = tmp_path / "e.csv"
+        assert main(["sweep", "--config", cfg, "--axis", "Qbar",
+                     "--values", "100,1e12", "--trials", "1",
+                     "--out", str(out)]) == EXIT_OK
+        rows = [l.split(",") for l in out.read_text().splitlines()
+                if not l.startswith("#")][1:]
+        assert [(r[5], r[8]) for r in rows] == [("1", "0"), ("0", "0")]
 
     def test_infeasible_rows_recorded_not_fatal(self, tmp_path):
         cfg = write_config(tmp_path)

@@ -56,6 +56,13 @@ class TestParseConfig:
         with pytest.raises(ConfigError):
             parse_config(data)
 
+    @pytest.mark.parametrize("key", ["xi0", "nu0", "polish_rounds"])
+    def test_removed_solver_keys_rejected(self, key):
+        data = base_config()
+        data["solver"] = {key: 1}
+        with pytest.raises(ConfigError):
+            parse_config(data)
+
     def test_missing_system_section(self):
         with pytest.raises(ConfigError):
             parse_config({"scheme": "optimal"})

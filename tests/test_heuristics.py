@@ -104,6 +104,14 @@ class TestNoAn:
         rep = solve_noan(cfg, paper_channels(cfg, seed=2))
         assert rep.objective <= 1e-6
 
+    def test_paper_draw_1_certified(self):
+        # a zero optimum used to leave a step-size stop rule at the cap
+        cfg = paper_system()
+        rep = solve_noan(cfg, paper_channels(cfg, 1))
+        assert rep.metadata["converged"] is True
+        assert rep.iterations <= 200
+        assert rep.objective == 0.0
+
     def test_positive_when_intended_channels_dominate(self, rng):
         k1, n = 2, 8
         ir = 10.0 ** rng.uniform(0.5, 1.0, size=(k1, n))

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from ofdma_swipt import DomainError
+from ofdma_swipt import DomainError, optimal_split, secrecy_rate
 from ofdma_swipt.persc import (PerScContext, UnboundedSubproblemError,
                                cubic_candidates, lagrangian_dp,
                                lagrangian_value, optimal_alpha_given_p,
@@ -115,9 +115,9 @@ class TestQuadraticCandidates:
                                weight=ctx.weight, omega=0.0, p_peak=ctx.p_peak)
             cands = quadratic_candidates(ctx)
             ps = np.linspace(ctx.p_peak / 5000, ctx.p_peak, 5000)
-            als = np.array([optimal_alpha_given_p(p, ctx) for p in ps])
-            vals = np.array([lagrangian_value(p, a, ctx)
-                             for p, a in zip(ps, als)])
+            als = optimal_split(ps, ctx.h2, ctx.b2, ctx.sigma2)
+            vals = (ctx.weight * secrecy_rate(ps, als, ctx.h2, ctx.b2, ctx.sigma2)
+                    + ps * ctx.omega)
             best = float(vals.max())
             got = max(lagrangian_value(p, a, ctx) for p, a in cands)
             assert got >= best - 1e-6 * (1.0 + abs(best))
