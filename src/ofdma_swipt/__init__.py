@@ -3,12 +3,9 @@ downlinks: closed-form rate model, dual-decomposition solver, benchmark
 heuristics and a seeded Monte-Carlo experiment harness."""
 
 from .model import (Allocation, ChannelRealization, DomainError, SystemConfig,
-                    eavesdropper_gains, harvested_power, optimal_split,
-                    rate_eve, rate_ir, secrecy_rate, threshold_x,
-                    weighted_sum_secrecy)
-from .persc import (PerScContext, UnboundedSubproblemError, cubic_candidates,
-                    optimal_alpha_given_p, price_omega, quadratic_candidates,
-                    solve_per_sc)
+                    eavesdropper_gains, optimal_split, rate_eve, rate_ir,
+                    secrecy_rate, threshold_x, weighted_sum_secrecy)
+from .vector import UnboundedSubproblemError
 from .dual import (InfeasibleProblemError, SolveReport, SolverOptions,
                    assign_subcarriers, solve_optimal)
 from .heuristics import (HeuristicReport, noncancel_secrecy_rate,

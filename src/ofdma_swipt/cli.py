@@ -57,6 +57,13 @@ def run_scheme(exp: ExperimentConfig, seed: int):
     raise ConfigError(f"unknown scheme {exp.scheme}")
 
 
+def _count(value: float, axis: str) -> int:
+    try:
+        return int(value)
+    except (ValueError, OverflowError) as exc:
+        raise ConfigError(f"{axis}: bad value {value!r}") from exc
+
+
 def apply_axis(exp: ExperimentConfig, axis: str, value: float) -> ExperimentConfig:
     """Rebuild the config with one swept parameter replaced."""
     s = exp.system
@@ -69,9 +76,9 @@ def apply_axis(exp: ExperimentConfig, axis: str, value: float) -> ExperimentConf
     elif axis == "Pmax":
         kw["total_power"] = 10.0 ** ((value - 30.0) / 10.0)
     elif axis == "N":
-        kw["num_scs"] = int(value)
+        kw["num_scs"] = _count(value, axis)
     elif axis == "K2":
-        k2 = int(value)
+        k2 = _count(value, axis)
         kw["num_ers"] = k2
         kw["harvest_eff"] = np.full(k2, s.harvest_eff[0] if s.num_ers else 0.6)
         kw["harvest_target"] = np.full(k2, s.harvest_target[0] if s.num_ers else 0.0)
@@ -122,7 +129,10 @@ def cmd_sweep(args) -> int:
     exp = load_config(args.config)
     if args.axis not in AXES:
         raise ConfigError(f"axis must be one of {AXES}")
-    values = [float(v) for v in args.values.split(",")]
+    try:
+        values = [float(v) for v in args.values.split(",")]
+    except ValueError as exc:
+        raise ConfigError(f"--values: {exc}") from exc
     lines = [
         f"# ofdma-swipt sweep axis={args.axis} scheme={exp.scheme} "
         f"trials={args.trials} seed={args.seed}",

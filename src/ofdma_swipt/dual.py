@@ -40,7 +40,6 @@ class SolverOptions:
     max_iterations: int = 5000  # dual evaluations
     convergence_tol: float = 1e-9  # bound gap, relative to |g| at the start
     feasibility_tol: float = 1e-9  # watts
-    keep_trace: bool = True
 
     def __post_init__(self):
         if self.max_iterations < 1:
@@ -73,21 +72,23 @@ def assign_subcarriers(values: np.ndarray) -> np.ndarray:
     return x
 
 
+def _harvest_lp(config: SystemConfig, channels: ChannelRealization, c):
+    """min c . p over per-SC powers p in [0, min(P_peak, P_max)] under the
+    power budget and every ER's harvest target."""
+    n = config.num_scs
+    a_ub = np.vstack([np.ones(n), -config.harvest_eff[:, None] * channels.er_gains])
+    b_ub = np.append(config.total_power, -config.harvest_target)
+    cap = min(config.peak_power, config.total_power)
+    return linprog(c=c, A_ub=a_ub, b_ub=b_ub, bounds=[(0.0, cap)] * n,
+                   method="highs")
+
+
 def check_harvest_feasibility(config: SystemConfig,
                               channels: ChannelRealization) -> bool:
     """LP feasibility of the harvesting targets under the power budget."""
     if config.num_ers == 0 or np.all(config.harvest_target == 0):
         return True
-    n = config.num_scs
-    cap = min(config.peak_power, config.total_power)
-    a_ub = [np.ones(n)]
-    b_ub = [config.total_power]
-    for l in range(config.num_ers):
-        a_ub.append(-config.harvest_eff[l] * channels.er_gains[l])
-        b_ub.append(-config.harvest_target[l])
-    res = linprog(c=np.zeros(n), A_ub=np.array(a_ub), b_ub=np.array(b_ub),
-                  bounds=[(0.0, cap)] * n, method="highs")
-    return res.status == 0
+    return _harvest_lp(config, channels, np.zeros(config.num_scs)).status == 0
 
 
 class _Engine:
@@ -111,6 +112,7 @@ class _Engine:
         self.best_obj = -math.inf  # unnormalized weighted sum rate
         self.best_alloc: Allocation | None = None
         self.best_q: np.ndarray | None = None
+        self.best_source: int | str | None = None  # evaluation index or "harvest LP"
         self.trace: list = []
         self.lam: np.ndarray | None = None  # argmin of the visited dual values
         self.gamma: float | None = None
@@ -147,15 +149,14 @@ class _Engine:
             self.g_min, self.lam, self.gamma = g_raw, lam, gamma
         q = all_harvested_powers(alloc, self.ch, self.cfg)
         total = float(alloc.sc_power.sum())
-        primal_norm = self._consider_primal(alloc, q, total)
-        if self.opt.keep_trace:
-            qv = float(np.max(self.cfg.harvest_target - q)) if self.cfg.num_ers else 0.0
-            self.trace.append((g_raw / self.cfg.num_scs, primal_norm,
-                               total - self.cfg.total_power, qv))
+        primal_norm = self._consider_primal(alloc, q, total, self.n_evals)
+        qv = float(np.max(self.cfg.harvest_target - q)) if self.cfg.num_ers else 0.0
+        self.trace.append((g_raw / self.cfg.num_scs, primal_norm,
+                           total - self.cfg.total_power, qv))
         return {"alloc": alloc, "q": q, "total": total, "g_raw": g_raw}
 
     def _consider_primal(self, alloc: Allocation, q: np.ndarray,
-                         total: float) -> float:
+                         total: float, source: int | str) -> float:
         tol = self.opt.feasibility_tol
         pmax = self.cfg.total_power
         if total > pmax + tol and total > 1.01 * pmax:
@@ -176,6 +177,7 @@ class _Engine:
             self.best_obj = obj_raw
             self.best_alloc = alloc
             self.best_q = q
+            self.best_source = source
         return obj_raw / self.cfg.num_scs
 
     # -- cutting plane -----------------------------------------------------
@@ -224,16 +226,8 @@ class _Engine:
         iterates never produced one (harvesting-dominated instances)."""
         cfg = self.cfg
         n = cfg.num_scs
-        cap = self.p_eff
         if cfg.num_ers and np.any(cfg.harvest_target > 0):
-            a_ub = [np.ones(n)]
-            b_ub = [cfg.total_power]
-            for l in range(cfg.num_ers):
-                a_ub.append(-cfg.harvest_eff[l] * self.ch.er_gains[l])
-                b_ub.append(-cfg.harvest_target[l])
-            res = linprog(c=-(self.H.max(axis=0)), A_ub=np.array(a_ub),
-                          b_ub=np.array(b_ub), bounds=[(0.0, cap)] * n,
-                          method="highs")
+            res = _harvest_lp(cfg, self.ch, -(self.H.max(axis=0)))
             if res.status != 0:
                 raise InfeasibleProblemError("harvesting targets unreachable")
             p_sc = np.asarray(res.x)
@@ -257,7 +251,7 @@ class _Engine:
                                           self.B[rows, cols], cfg.noise_power)
         alloc = Allocation(assign=x, power=p, split=a)
         q = all_harvested_powers(alloc, self.ch, cfg)
-        self._consider_primal(alloc, q, float(p_sc.sum()))
+        self._consider_primal(alloc, q, float(p_sc.sum()), "harvest LP")
 
 
 def solve_dual(config: SystemConfig, channels: ChannelRealization,
@@ -288,12 +282,10 @@ def solve_dual(config: SystemConfig, channels: ChannelRealization,
         metadata={
             "scheme": scheme,
             "converged": converged,
-            "normalization": "band-average: objective and gap divided by num_scs",
             "gamma_init": eng.gamma0,
             "lambda": eng.lam.tolist(),
             "gamma": float(eng.gamma),
-            "stationarity_coefficients": "rederived closed forms",
-            "assignment_tiebreak": "lowest IR index",
+            "primal_source": eng.best_source,
         },
     )
     return report

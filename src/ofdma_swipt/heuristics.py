@@ -76,8 +76,6 @@ def solve_suboptimal(config: SystemConfig,
         metadata={
             "scheme": "suboptimal",
             "equal_power": p_eq,
-            "er_order": "ascending index",
-            "normalization": "band-average: objective divided by num_scs",
         },
         n1=n1,
         n2=n2,
@@ -90,7 +88,8 @@ def solve_fixed_alpha(config: SystemConfig, channels: ChannelRealization,
     """Dual-optimal power and assignment with the split ratio pinned."""
     if not 0.0 <= alpha0 <= 1.0:
         raise DomainError("split ratio must lie in [0, 1]")
-    name = "noan" if alpha0 == 0.0 else f"alpha{alpha0:g}"
+    # named as configs name it: alpha 0.5 is scheme "alpha05"
+    name = "noan" if alpha0 == 0.0 else "alpha" + f"{alpha0:g}".replace(".", "")
     return solve_dual(config, channels, options, alpha_fixed=alpha0,
                       scheme=name)
 

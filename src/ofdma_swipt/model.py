@@ -59,17 +59,21 @@ class SystemConfig:
         _check(self.num_irs >= 1, "need at least one IR")
         _check(self.num_ers >= 0, "num_ers must be nonnegative")
         _check(self.num_scs >= 1, "need at least one subcarrier")
-        _check(self.total_power > 0, "total_power must be positive")
+        _check(0 < self.total_power < np.inf,
+               "total_power must be positive and finite")
         _check(self.peak_power > 0, "peak_power must be positive")
-        _check(self.noise_power > 0, "noise_power must be positive")
+        _check(0 < self.noise_power < np.inf,
+               "noise_power must be positive and finite")
         _check(self.weights.shape == (self.num_irs,), "weights shape mismatch")
-        _check(np.all(self.weights > 0), "weights must be positive")
+        _check(np.all((self.weights > 0) & (self.weights < np.inf)),
+               "weights must be positive and finite")
         _check(self.harvest_eff.shape == (self.num_ers,), "harvest_eff shape mismatch")
         _check(self.harvest_target.shape == (self.num_ers,), "harvest_target shape mismatch")
         if self.num_ers:
             _check(np.all((self.harvest_eff > 0) & (self.harvest_eff < 1)),
                    "harvest efficiencies must lie in (0, 1)")
-            _check(np.all(self.harvest_target >= 0), "harvest targets must be nonnegative")
+            _check(np.all((self.harvest_target >= 0) & (self.harvest_target < np.inf)),
+                   "harvest targets must be nonnegative and finite")
 
     @property
     def num_receivers(self) -> int:
@@ -251,15 +255,6 @@ def optimal_split(p, h2, b2, sigma2):
     with np.errstate(divide="ignore", invalid="ignore"):
         a = 0.5 + (sigma2 / (2.0 * p)) * (1.0 / h2 - 1.0 / b2)
     return np.clip(a, 0.0, 1.0)
-
-
-def harvested_power(alloc: Allocation, channels: ChannelRealization,
-                    zeta_l: float, l: int) -> float:
-    """Power harvested by ER l from all assigned subcarriers (AN included)."""
-    row = channels.num_irs + l
-    if not (0 <= l < channels.gains.shape[0] - channels.num_irs):
-        raise IndexError(f"no ER with index {l}")
-    return float(zeta_l * (alloc.sc_power * channels.gains[row]).sum())
 
 
 def all_harvested_powers(alloc: Allocation, channels: ChannelRealization,

@@ -6,7 +6,10 @@ finite set of candidates: the closed-form real roots of the stationarity
 quadratic with the split eliminated (a = optimal_split(p)), the roots of the
 fixed-split stationarity cubic, and boundary points; the (0, 0) skip is the
 fallback. The dual loop calls :func:`solve_all` on all K1*N pairs at once;
-:mod:`ofdma_swipt.persc` is its one-pair view.
+one pair is the call with 1x1 gain arrays. A root is a candidate when its
+power lies in (0, P_peak]. Below the zero-rate threshold a root scores
+p * omega, which the cap (omega > 0) or the skip (omega <= 0) matches or
+beats, so no second window on the threshold is needed.
 
 All computations run in normalized units per element: power scaled by
 sigma^2/sqrt(h2*b2), so the effective gains are sqrt(h2/b2) and its inverse

@@ -1,11 +1,12 @@
 """Shared fixtures and oracle helpers for the test suite."""
 
+from typing import NamedTuple
+
 import numpy as np
 import pytest
 
 from ofdma_swipt import (ChannelRealization, ScenarioSpec, SystemConfig,
                          dbm_to_watts, generate_scenario)
-from ofdma_swipt.persc import PerScContext
 from ofdma_swipt import vector
 
 NOISE_DBM = -83.0
@@ -27,6 +28,25 @@ def paper_channels(config, seed=0):
     return generate_scenario(config, ScenarioSpec(seed=seed))
 
 
+class Ctx(NamedTuple):
+    """Inputs of one (IR, SC) subproblem: maximize w*secrecy_rate + p*omega
+    over p in [0, p_peak] and the split in [0, 1]."""
+
+    h2: float  # IR channel power gain
+    b2: float  # worst-case eavesdropper power gain
+    sigma2: float  # noise power, watts
+    weight: float  # IR weight
+    omega: float  # dual price of transmit power
+    p_peak: float  # per-SC power cap, may be np.inf
+
+
+def solve_one(ctx):
+    """(p*, alpha*, value) of the per-SC kernel on one pair."""
+    p, a, v = vector.solve_all([[ctx.h2]], [[ctx.b2]], ctx.sigma2, [ctx.weight],
+                               [ctx.omega], ctx.p_peak)
+    return float(p[0, 0]), float(a[0, 0]), float(v[0, 0])
+
+
 def random_context(rng, finite_peak=True):
     """Randomized per-subcarrier context spanning the numeric range seen in
     practice: unit noise and the thermal floor, gains over several decades."""
@@ -37,8 +57,8 @@ def random_context(rng, finite_peak=True):
     p_scale = sigma2 / np.sqrt(h2 * b2)
     p_peak = rng.uniform(0.5, 50.0) * p_scale if finite_peak else np.inf
     omega = rng.uniform(-1.0, 1.0) * w / p_scale
-    return PerScContext(h2=h2, b2=b2, sigma2=sigma2, weight=w,
-                        omega=omega, p_peak=p_peak)
+    return Ctx(h2=h2, b2=b2, sigma2=sigma2, weight=w, omega=omega,
+               p_peak=p_peak)
 
 
 def grid_best(ctx, num_p=1001, num_a=501):

@@ -13,14 +13,14 @@ import pytest
 import yaml
 
 from conftest import (grid_best, paper_channels, paper_system, random_context,
-                      synthetic_channels)
+                      solve_one, synthetic_channels)
 from ofdma_swipt.cli import main as cli_main
 from ofdma_swipt.dual import (InfeasibleProblemError, SolverOptions,
                               solve_optimal)
 from ofdma_swipt.heuristics import (noncancel_secrecy_rate, solve_fixed_alpha,
                                     solve_fsa, solve_noan, solve_suboptimal)
-from ofdma_swipt.model import SystemConfig, secrecy_rate, threshold_x
-from ofdma_swipt.persc import optimal_alpha_given_p, solve_per_sc
+from ofdma_swipt.model import (SystemConfig, optimal_split, secrecy_rate,
+                               threshold_x)
 
 
 def _refined_grid_best(ctx, p, a, num_p=2001, num_a=1001):
@@ -47,7 +47,7 @@ def test_per_sc_solver_matches_grid_brute_force():
     rng = np.random.default_rng(20260826)
     for i in range(1000):
         ctx = random_context(rng, finite_peak=True)
-        p, a, got = solve_per_sc(ctx)
+        p, a, got = solve_one(ctx)
         ref = grid_best(ctx, num_p=2001, num_a=1001)
         tol = 1e-4 * (1.0 + abs(ref))
         assert got >= ref - tol, f"context {i}: solver {got!r} vs grid {ref!r}"
@@ -81,7 +81,7 @@ def test_closed_form_split_beats_grid_at_fixed_power():
     for _ in range(500):
         ctx = random_context(rng, finite_peak=True)
         p = rng.uniform(1e-3, 1.0) * ctx.p_peak
-        a_star = optimal_alpha_given_p(p, ctx)
+        a_star = optimal_split(p, ctx.h2, ctx.b2, ctx.sigma2)
         got = secrecy_rate(p, a_star, ctx.h2, ctx.b2, ctx.sigma2)
         ref = np.max(secrecy_rate(np.full_like(als, p), als,
                                   ctx.h2, ctx.b2, ctx.sigma2))
@@ -265,7 +265,7 @@ def test_objective_nonincreasing_in_energy_receiver_count():
 def test_infeasibility_rate_increasing_in_energy_receiver_count():
     """With a stressed harvest target the fraction of channel draws where the
     fixed-assignment scheme is infeasible rises with the number of ERs."""
-    opts = SolverOptions(keep_trace=False)
+    opts = SolverOptions()
     rates = []
     for k2 in (1, 2, 4, 8):
         cfg = paper_system(n_sc=16, k2=k2, qbar_uw=700.0)

@@ -1,6 +1,7 @@
 """Command-line harness: exit codes, output formats, determinism."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import yaml
 
 from ofdma_swipt.cli import (EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_NOT_CONVERGED,
                              EXIT_OK, main)
+from ofdma_swipt.config import SCHEMES
 
 
 def write_config(tmp_path, name="cfg.yaml", **overrides):
@@ -59,6 +61,30 @@ class TestSolveCommand:
         cfg = write_config(tmp_path, solver={"max_iter": 2})
         assert main(["solve", "--config", cfg,
                      "--out", str(tmp_path / "r.json")]) == EXIT_NOT_CONVERGED
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_report_names_configured_scheme(self, tmp_path, scheme):
+        cfg = write_config(tmp_path, scheme=scheme)
+        out = tmp_path / "r.json"
+        assert main(["solve", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        assert json.loads(out.read_text())["metadata"]["scheme"] == scheme
+
+
+@pytest.mark.parametrize("system, argv", [
+    ({}, ["sweep", "--axis", "Qbar", "--values", "abc"]),
+    ({}, ["sweep", "--axis", "N", "--values", "1e400"]),
+    ({}, ["sweep", "--axis", "K2", "--values", "nan"]),
+    ({}, ["sweep", "--axis", "Pmax", "--values", "inf"]),
+    ({}, ["sweep", "--axis", "Qbar", "--values", "inf"]),
+    ({"P_max_dBm": math.inf}, ["solve"]),
+    ({"sigma2_dBm": math.inf}, ["solve"]),
+    ({"weights": math.inf}, ["solve"]),
+], ids=["values-abc", "N-1e400", "K2-nan", "Pmax-inf", "Qbar-inf",
+        "P_max_dBm-inf", "sigma2_dBm-inf", "weights-inf"])
+def test_bad_numbers_exit_config(tmp_path, capsys, system, argv):
+    cfg = write_config(tmp_path, system=system)
+    assert main(argv[:1] + ["--config", cfg] + argv[1:]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error:")
 
 
 class TestSweepCommand:

@@ -139,6 +139,21 @@ class TestCuttingPlane:
             assert rep.metadata["gamma"] >= 0.0
 
 
+class TestPrimalSource:
+    def test_harvest_lp_fallback_named(self):
+        # no dual iterate of this draw meets the targets
+        cfg = paper_system(qbar_uw=400.0)
+        rep = solve_optimal(cfg, paper_channels(cfg, 10))
+        assert rep.metadata["primal_source"] == "harvest LP"
+
+    def test_dual_iterate_named_by_index(self):
+        cfg = paper_system()
+        rep = solve_optimal(cfg, paper_channels(cfg, 0))
+        source = rep.metadata["primal_source"]
+        assert isinstance(source, int) and 1 <= source <= rep.iterations
+        assert rep.trace[source - 1][1] == rep.objective
+
+
 class TestHarvestFeasibilityCheck:
     def test_zero_targets_always_feasible(self):
         cfg = paper_system(n_sc=8, qbar_uw=0.0)

@@ -8,9 +8,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ofdma_swipt import (Allocation, ChannelRealization, DomainError,
-                         SystemConfig, eavesdropper_gains, harvested_power,
-                         rate_eve, rate_ir, secrecy_rate, threshold_x,
-                         weighted_sum_secrecy)
+                         SystemConfig, eavesdropper_gains, rate_eve, rate_ir,
+                         secrecy_rate, threshold_x, weighted_sum_secrecy)
 from ofdma_swipt.model import all_harvested_powers
 
 log_gain = st.floats(min_value=-4.0, max_value=4.0).map(lambda e: 10.0 ** e)
@@ -160,7 +159,7 @@ class TestHarvestedPower:
                                 num_irs=1)
         alloc = Allocation(assign=np.zeros((1, 2), dtype=int),
                            power=np.zeros((1, 2)), split=np.zeros((1, 2)))
-        assert harvested_power(alloc, ch, 0.6, 0) == 0.0
+        assert all_harvested_powers(alloc, ch, _toy()).tolist() == [0.0]
 
     def test_single_sc_hand_value(self):
         ch = ChannelRealization(gains=np.array([[1.0, 1.0], [0.01, 0.02]]),
@@ -168,7 +167,7 @@ class TestHarvestedPower:
         alloc = Allocation(assign=np.array([[1, 0]]),
                            power=np.array([[1.0, 0.0]]),
                            split=np.array([[0.3, 0.0]]))
-        assert harvested_power(alloc, ch, 0.6, 0) == pytest.approx(6.0e-3)
+        assert all_harvested_powers(alloc, ch, _toy()) == pytest.approx([6.0e-3])
 
     def test_two_sc_hand_value(self):
         ch = ChannelRealization(gains=np.array([[1.0, 1.0], [0.01, 0.005]]),
@@ -176,14 +175,7 @@ class TestHarvestedPower:
         alloc = Allocation(assign=np.array([[1, 1]]),
                            power=np.array([[1.0, 2.0]]),
                            split=np.array([[0.0, 0.0]]))
-        assert harvested_power(alloc, ch, 0.5, 0) == pytest.approx(0.01)
-
-    def test_bad_er_index(self):
-        ch = ChannelRealization(gains=np.array([[1.0], [0.01]]), num_irs=1)
-        alloc = Allocation(assign=np.array([[1]]), power=np.array([[1.0]]),
-                           split=np.array([[0.0]]))
-        with pytest.raises(IndexError):
-            harvested_power(alloc, ch, 0.6, 5)
+        assert all_harvested_powers(alloc, ch, _toy(zeta=0.5)) == pytest.approx([0.01])
 
     def test_linear_in_power_and_split_invariant(self, rng):
         cfg = _toy(k1=2, k2=2, n_sc=4)

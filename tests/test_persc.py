@@ -1,52 +1,76 @@
-"""Per-subcarrier joint (power, split) optimizer: candidate construction,
-stationarity of returned roots and the grid oracle."""
+"""The per-subcarrier kernel on one (IR, SC) pair: the split at fixed power,
+stationarity of the closed-form roots, and the grid oracle.
+
+Every pair is solved by ``vector.solve_all`` on 1x1 arrays (``solve_one``);
+the roots are the kernel's own, kept where the kernel keeps them: powers in
+(0, P_peak].
+"""
 
 import math
 
 import numpy as np
 import pytest
 
-from ofdma_swipt import DomainError, optimal_split, secrecy_rate
-from ofdma_swipt.persc import (PerScContext, UnboundedSubproblemError,
-                               cubic_candidates, lagrangian_dp,
-                               lagrangian_value, optimal_alpha_given_p,
-                               price_omega, quadratic_candidates, solve_per_sc)
+from ofdma_swipt import (UnboundedSubproblemError, optimal_split, rate_eve,
+                         rate_ir, secrecy_rate, threshold_x, vector)
+from ofdma_swipt.model import LN2
 
-from conftest import grid_best, random_context
+from conftest import Ctx, grid_best, random_context, solve_one
 
 
 def ctx_of(h2=1.0, b2=1.0, sigma2=1.0, weight=1.0, omega=0.0, p_peak=np.inf):
-    return PerScContext(h2=h2, b2=b2, sigma2=sigma2, weight=weight,
-                        omega=omega, p_peak=p_peak)
+    return Ctx(h2=h2, b2=b2, sigma2=sigma2, weight=weight, omega=omega,
+               p_peak=p_peak)
 
 
-class TestPriceOmega:
-    def test_all_zero(self):
-        assert price_omega(np.zeros(2), 0.0, np.full(2, 0.5), np.ones(2)) == 0.0
+def kernel_value(p, alpha, ctx):
+    """The kernel's w * secrecy_rate + p * omega at powers ``p`` in watts."""
+    p0, h, b = vector.normalized(ctx.h2, ctx.b2, ctx.sigma2)
+    return vector._value(np.asarray(p) / p0, alpha, h, b, ctx.weight,
+                         ctx.omega * p0)
 
-    def test_single_er(self):
-        got = price_omega(np.array([1.0]), 0.05, np.array([0.5]), np.array([0.2]))
-        assert got == pytest.approx(0.05)
 
-    def test_two_ers_negative(self):
-        got = price_omega(np.array([1.0, 1.0]), 1.0, np.array([0.6, 0.6]),
-                          np.array([0.1, 0.2]))
-        assert got == pytest.approx(-0.82)
+def smooth_value(p, alpha, ctx):
+    """w * (rate_ir - rate_eve) + p * omega without the [.]^+ gate: the
+    function whose stationary points the closed-form roots are."""
+    rs = (rate_ir(p, alpha, ctx.h2, ctx.sigma2)
+          - rate_eve(p, alpha, ctx.b2, ctx.sigma2))
+    return ctx.weight * rs + p * ctx.omega
+
+
+def lagrangian_dp(p, alpha, ctx):
+    """Analytic d/dp of :func:`smooth_value` at a fixed split."""
+    h2, b2, s = ctx.h2, ctx.b2, ctx.sigma2
+    term = ((1.0 - alpha) * h2 / (s + (1.0 - alpha) * h2 * p)
+            - b2 / (s + b2 * p)
+            + alpha * b2 / (s + alpha * b2 * p))
+    return ctx.weight * term / LN2 + ctx.omega
+
+
+def fixed_roots(alpha, ctx):
+    """Fixed-split stationary powers the kernel keeps, in watts."""
+    p0, h, b = vector.normalized(ctx.h2, ctx.b2, ctx.sigma2)
+    roots = vector.fixed_alpha_roots(alpha, h, b, ctx.weight, ctx.omega * p0)
+    return sorted(float(r * p0) for r in roots if 0.0 < r <= ctx.p_peak / p0)
+
+
+def joint_roots(ctx):
+    """(p, optimal_split(p)) stationary pairs the kernel keeps, p in watts."""
+    p0, h, b = vector.normalized(ctx.h2, ctx.b2, ctx.sigma2)
+    roots = vector.joint_roots(h, b, ctx.weight, ctx.omega * p0)
+    return [(float(r * p0), float(optimal_split(r, h, b, 1.0)))
+            for r in roots if 0.0 < r <= ctx.p_peak / p0]
 
 
 class TestOptimalAlpha:
     def test_symmetric_gains(self):
-        assert optimal_alpha_given_p(3.7, ctx_of(h2=2.0, b2=2.0)) == 0.5
+        assert optimal_split(3.7, 2.0, 2.0, 1.0) == 0.5
 
     def test_hand_value(self):
-        assert optimal_alpha_given_p(1.0, ctx_of(h2=1.0, b2=2.0)) == pytest.approx(0.75)
+        assert optimal_split(1.0, 1.0, 2.0, 1.0) == pytest.approx(0.75)
 
     def test_clamped_to_zero(self):
-        assert optimal_alpha_given_p(0.5, ctx_of(h2=10.0, b2=1.0)) == 0.0
-
-    def test_rejects_nonpositive_power(self):
-        with pytest.raises(DomainError):
-            optimal_alpha_given_p(0.0, ctx_of())
+        assert optimal_split(0.5, 10.0, 1.0, 1.0) == 0.0
 
     def test_always_below_one_in_valid_region(self, rng):
         # whenever the chosen power clears the zero-rate threshold, the
@@ -54,8 +78,7 @@ class TestOptimalAlpha:
         for _ in range(200):
             ctx = random_context(rng)
             p = rng.uniform(0.1, 10.0) * ctx.sigma2 / math.sqrt(ctx.h2 * ctx.b2)
-            a = optimal_alpha_given_p(p, ctx)
-            from ofdma_swipt import threshold_x
+            a = optimal_split(p, ctx.h2, ctx.b2, ctx.sigma2)
             x_plus = max(threshold_x(a, ctx.h2, ctx.b2, ctx.sigma2), 0.0)
             if p > x_plus:
                 assert a < 1.0
@@ -68,7 +91,7 @@ class TestCubicCandidates:
         found = 0
         for _ in range(100):
             ctx = random_context(rng)
-            roots = cubic_candidates(0.0, ctx)
+            roots = fixed_roots(0.0, ctx)
             for p in roots:
                 assert 0.0 < p <= ctx.p_peak
                 scale = ctx.weight / p
@@ -81,10 +104,10 @@ class TestCubicCandidates:
         for _ in range(200):
             ctx = random_context(rng)
             alpha = rng.uniform(0.0, 0.95)
-            for p in cubic_candidates(alpha, ctx):
+            for p in fixed_roots(alpha, ctx):
                 eps = 1e-6 * p
-                fd = (lagrangian_value(p + eps, alpha, ctx)
-                      - lagrangian_value(p - eps, alpha, ctx)) / (2 * eps)
+                fd = (smooth_value(p + eps, alpha, ctx)
+                      - smooth_value(p - eps, alpha, ctx)) / (2 * eps)
                 scale = max(abs(lagrangian_dp(p * 1.5, alpha, ctx)),
                             ctx.weight / p)
                 assert abs(fd) <= 1e-4 * scale
@@ -95,61 +118,61 @@ class TestCubicCandidates:
         # strongly negative price with a small weight: the objective is
         # monotone decreasing in p, so no interior stationary point exists
         ctx = ctx_of(h2=2.0, b2=1.0, omega=-100.0, weight=0.01, p_peak=10.0)
-        assert cubic_candidates(0.3, ctx) == []
-        ps = np.linspace(1e-4, 10.0, 500)
-        vals = [lagrangian_value(p, 0.3, ctx) for p in ps]
-        assert all(b < a for a, b in zip(vals, vals[1:]))
+        assert fixed_roots(0.3, ctx) == []
+        vals = kernel_value(np.linspace(1e-4, 10.0, 500), 0.3, ctx)
+        assert np.all(np.diff(vals) < 0)
 
 
 class TestQuadraticCandidates:
     def test_symmetric_gains_carry_half_split(self):
         ctx = ctx_of(h2=2.0, b2=2.0, omega=-0.05, p_peak=50.0)
-        cands = quadratic_candidates(ctx)
+        cands = joint_roots(ctx)
         assert cands
         assert all(a == 0.5 for _, a in cands)
 
     def test_zero_price_matches_line_search(self, rng):
+        # along p -> (p, optimal_split(p)) the joint roots and the cap hold
+        # the best point
         for _ in range(50):
-            ctx = random_context(rng)
-            ctx = PerScContext(h2=ctx.h2, b2=ctx.b2, sigma2=ctx.sigma2,
-                               weight=ctx.weight, omega=0.0, p_peak=ctx.p_peak)
-            cands = quadratic_candidates(ctx)
+            ctx = random_context(rng)._replace(omega=0.0)
+            cap_split = optimal_split(ctx.p_peak, ctx.h2, ctx.b2, ctx.sigma2)
+            cands = joint_roots(ctx) + [(ctx.p_peak, cap_split)]
             ps = np.linspace(ctx.p_peak / 5000, ctx.p_peak, 5000)
             als = optimal_split(ps, ctx.h2, ctx.b2, ctx.sigma2)
             vals = (ctx.weight * secrecy_rate(ps, als, ctx.h2, ctx.b2, ctx.sigma2)
                     + ps * ctx.omega)
             best = float(vals.max())
-            got = max(lagrangian_value(p, a, ctx) for p, a in cands)
+            got = max(float(kernel_value(p, a, ctx)) for p, a in cands)
             assert got >= best - 1e-6 * (1.0 + abs(best))
 
     def test_boundary_only_when_no_interior_roots(self):
         # deep in the zero-rate region with a positive price the objective
         # is linear and the cap is the only candidate
         ctx = ctx_of(h2=1.0, b2=2.0, omega=1e-3, p_peak=0.2)
-        cands = quadratic_candidates(ctx)
-        assert (ctx.p_peak, optimal_alpha_given_p(ctx.p_peak, ctx)) in cands
+        assert joint_roots(ctx) == []
+        assert solve_one(ctx)[0] == ctx.p_peak
 
     def test_unbounded_with_infinite_cap_and_positive_price(self):
         ctx = ctx_of(h2=2.0, b2=1.0, omega=0.5, p_peak=np.inf)
         with pytest.raises(UnboundedSubproblemError):
-            quadratic_candidates(ctx)
+            solve_one(ctx)
 
 
 class TestSolvePerSc:
     def test_zero_region_with_nonpositive_price_skips(self):
         ctx = ctx_of(h2=1.0, b2=2.0, omega=-0.3, p_peak=0.4)
-        assert solve_per_sc(ctx) == (0.0, 0.0, 0.0)
+        assert solve_one(ctx) == (0.0, 0.0, 0.0)
 
     def test_symmetric_gains_exact_half_split(self):
         ctx = ctx_of(h2=2.0, b2=2.0, omega=-0.05, p_peak=np.inf)
-        p, a, v = solve_per_sc(ctx)
+        p, a, v = solve_one(ctx)
         assert a == 0.5
         assert v > 0.0
 
     def test_matches_grid_oracle(self, rng):
         for _ in range(100):
             ctx = random_context(rng)
-            _, _, v = solve_per_sc(ctx)
+            _, _, v = solve_one(ctx)
             v_grid = grid_best(ctx)
             assert abs(v - v_grid) <= 1e-3 * (1.0 + abs(v_grid))
 
@@ -157,20 +180,23 @@ class TestSolvePerSc:
         # the winner's value must never fall below any brute-force point
         for _ in range(30):
             ctx = random_context(rng)
-            _, _, v = solve_per_sc(ctx)
+            _, _, v = solve_one(ctx)
             assert v >= grid_best(ctx) - 1e-6 * (1.0 + abs(v))
 
     def test_split_strictly_below_one(self, rng):
         for _ in range(200):
             ctx = random_context(rng)
-            p, a, _ = solve_per_sc(ctx)
+            p, a, _ = solve_one(ctx)
             if p > 0.0:
                 assert a < 1.0
 
     def test_value_is_exact_objective_at_winner(self, rng):
+        # the kernel's value, computed in normalized units, against the
+        # model's secrecy rate in watts
         for _ in range(100):
             ctx = random_context(rng)
-            p, a, v = solve_per_sc(ctx)
+            p, a, v = solve_one(ctx)
             if p > 0.0:
-                assert v == pytest.approx(lagrangian_value(p, a, ctx),
-                                          rel=1e-9, abs=1e-12)
+                ref = (ctx.weight * secrecy_rate(p, a, ctx.h2, ctx.b2, ctx.sigma2)
+                       + p * ctx.omega)
+                assert v == pytest.approx(ref, rel=1e-9, abs=1e-12)

@@ -7,9 +7,8 @@ import pytest
 
 from ofdma_swipt import vector
 from ofdma_swipt.model import secrecy_rate
-from ofdma_swipt.persc import PerScContext, solve_per_sc
 
-from conftest import random_context
+from conftest import Ctx, random_context, solve_one
 
 
 def test_fixed_alpha_path_matches_power_grid(rng):
@@ -41,9 +40,9 @@ def test_batch_shapes_and_consistency(rng):
     assert p.shape == a.shape == v.shape == (k1, n)
     for k in range(k1):
         for j in range(n):
-            ctx = PerScContext(h2=h[k, j], b2=b[k, j], sigma2=1.0,
-                               weight=w[k], omega=om[j], p_peak=10.0)
-            _, _, v_ref = solve_per_sc(ctx)
+            ctx = Ctx(h2=h[k, j], b2=b[k, j], sigma2=1.0, weight=w[k],
+                      omega=om[j], p_peak=10.0)
+            _, _, v_ref = solve_one(ctx)
             assert v[k, j] == pytest.approx(v_ref, rel=1e-6,
                                             abs=1e-9 * (1 + abs(v_ref)))
 
