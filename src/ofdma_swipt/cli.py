@@ -1,6 +1,6 @@
 """Command-line harness: single solves, Monte-Carlo sweeps, power profiles.
 
-Subcommands: solve | sweep | profile | gap. Outputs are CSV or JSON written
+Subcommands: solve | sweep | profile. Outputs are JSON (solve) or CSV written
 to --out (stdout by default). Reruns with identical arguments are
 byte-identical; wallclock columns are zero unless --timing is passed.
 
@@ -23,7 +23,7 @@ from .channel import generate_scenario
 from .config import ConfigError, ExperimentConfig, load_config
 from .dual import InfeasibleProblemError, solve_optimal
 from .heuristics import solve_fixed_alpha, solve_fsa, solve_noan, solve_suboptimal
-from .model import DomainError, SystemConfig
+from .model import DomainError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -58,19 +58,15 @@ def run_scheme(exp: ExperimentConfig, seed: int):
 
 
 def _count(value: float, axis: str) -> int:
-    try:
-        return int(value)
-    except (ValueError, OverflowError) as exc:
-        raise ConfigError(f"{axis}: bad value {value!r}") from exc
+    if not float(value).is_integer():
+        raise ConfigError(f"{axis}: bad value {value!r}, expected a count")
+    return int(value)
 
 
 def apply_axis(exp: ExperimentConfig, axis: str, value: float) -> ExperimentConfig:
     """Rebuild the config with one swept parameter replaced."""
     s = exp.system
-    kw = dict(num_irs=s.num_irs, num_ers=s.num_ers, num_scs=s.num_scs,
-              total_power=s.total_power, peak_power=s.peak_power,
-              noise_power=s.noise_power, weights=s.weights,
-              harvest_eff=s.harvest_eff, harvest_target=s.harvest_target)
+    kw = {}
     if axis == "Qbar":
         kw["harvest_target"] = np.full(s.num_ers, value * 1e-6)
     elif axis == "Pmax":
@@ -84,8 +80,7 @@ def apply_axis(exp: ExperimentConfig, axis: str, value: float) -> ExperimentConf
         kw["harvest_target"] = np.full(k2, s.harvest_target[0] if s.num_ers else 0.0)
     else:
         raise ConfigError(f"axis must be one of {AXES}")
-    return ExperimentConfig(system=SystemConfig(**kw), scenario=exp.scenario,
-                            solver=exp.solver, scheme=exp.scheme)
+    return dataclasses.replace(exp, system=dataclasses.replace(s, **kw))
 
 
 def _report_dict(report, seed: int) -> dict:
@@ -181,21 +176,6 @@ def cmd_profile(args) -> int:
     return EXIT_OK
 
 
-def cmd_gap(args) -> int:
-    exp = load_config(args.config)
-    report = run_scheme(exp, args.seed)
-    lines = [
-        "num_scs,seed,objective,duality_gap,iterations",
-        ",".join(_fmt(v) for v in (exp.system.num_scs, args.seed,
-                                   report.objective, report.duality_gap,
-                                   report.iterations)),
-    ]
-    _emit("\n".join(lines) + "\n", args.out)
-    if not report.metadata.get("converged", True):
-        return EXIT_NOT_CONVERGED
-    return EXIT_OK
-
-
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="ofdma-swipt",
                                  description=__doc__.splitlines()[0])
@@ -223,10 +203,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_prof = sub.add_parser("profile", help="per-SC power/split of one solve")
     common(p_prof)
     p_prof.set_defaults(func=cmd_profile)
-
-    p_gap = sub.add_parser("gap", help="duality gap of one optimal solve")
-    common(p_gap)
-    p_gap.set_defaults(func=cmd_gap)
     return ap
 
 

@@ -25,7 +25,8 @@ solver:
   feasibility_tol: 1e-9   # watts
 scheme: optimal    # optimal | suboptimal | fsa | alpha05 | noan
 
-Powers are dBm in files and watts internally.
+Powers are dBm in files and watts internally. Unknown keys are rejected at
+every level; the channel seed is not a config key but the CLI's --seed.
 """
 
 from __future__ import annotations
@@ -75,6 +76,9 @@ def _power_dbm(value, name):
 def parse_config(data: dict) -> ExperimentConfig:
     if not isinstance(data, dict) or "system" not in data:
         raise ConfigError("config must be a mapping with a 'system' section")
+    unknown = set(data) - {"system", "scenario", "solver", "scheme"}
+    if unknown:
+        raise ConfigError(f"unknown top-level keys: {sorted(unknown, key=str)}")
     try:
         sys_d = dict(data["system"])
         k1 = int(sys_d.pop("K1"))
@@ -101,7 +105,6 @@ def parse_config(data: dict) -> ExperimentConfig:
             bandwidth=float(sc_d.pop("bandwidth", 1e6)),
             pathloss_exp=float(sc_d.pop("pathloss_exp", 3.0)),
             num_taps=int(sc_d.pop("num_taps", 8)),
-            seed=int(sc_d.pop("seed", 0)),
         )
         if sc_d:
             raise ConfigError(f"unknown scenario keys: {sorted(sc_d)}")

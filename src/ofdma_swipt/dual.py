@@ -13,8 +13,15 @@ grows whenever the minimizer lands on its upper face. When the minimizer is
 inside the box the model's minimum is, by convexity, a lower bound on g over
 the whole orthant; the loop stops once the best dual value is within
 ``convergence_tol`` of that bound, relative to |g| at the start point. Every
-dual point visited tightens the reported bound; every primal iterate is
-screened for feasibility and the best feasible one is returned.
+dual point visited tightens the reported bound.
+
+Primal recovery is one screen. Budget and harvest are linear in per-SC power,
+so an iterate that overspends is scaled onto P_max, its harvest with it; the
+screen then rejects it only if some ER falls short of its target by more than
+``feasibility_tol``. When a harvest target is positive, one LP over per-SC
+powers runs before the loop: its infeasibility means no allocation can meet
+the targets, and its allocation is the first primal screened. The best
+screened primal is returned.
 """
 
 from __future__ import annotations
@@ -70,25 +77,6 @@ def assign_subcarriers(values: np.ndarray) -> np.ndarray:
     win = values[k_star, cols] > 0.0
     x[k_star[win], cols[win]] = 1
     return x
-
-
-def _harvest_lp(config: SystemConfig, channels: ChannelRealization, c):
-    """min c . p over per-SC powers p in [0, min(P_peak, P_max)] under the
-    power budget and every ER's harvest target."""
-    n = config.num_scs
-    a_ub = np.vstack([np.ones(n), -config.harvest_eff[:, None] * channels.er_gains])
-    b_ub = np.append(config.total_power, -config.harvest_target)
-    cap = min(config.peak_power, config.total_power)
-    return linprog(c=c, A_ub=a_ub, b_ub=b_ub, bounds=[(0.0, cap)] * n,
-                   method="highs")
-
-
-def check_harvest_feasibility(config: SystemConfig,
-                              channels: ChannelRealization) -> bool:
-    """LP feasibility of the harvesting targets under the power budget."""
-    if config.num_ers == 0 or np.all(config.harvest_target == 0):
-        return True
-    return _harvest_lp(config, channels, np.zeros(config.num_scs)).status == 0
 
 
 class _Engine:
@@ -159,11 +147,9 @@ class _Engine:
                          total: float, source: int | str) -> float:
         tol = self.opt.feasibility_tol
         pmax = self.cfg.total_power
-        if total > pmax + tol and total > 1.01 * pmax:
-            return math.nan
         if total > pmax:
-            # scaled back even within the tolerance: an overspend would let
-            # the primal exceed the dual bound and the gap go negative
+            # scaled even within the tolerance: an overspend would let the
+            # primal exceed the dual bound and the gap go negative
             scale = pmax / total
             alloc = Allocation(assign=alloc.assign,
                                power=alloc.power * scale,
@@ -212,34 +198,36 @@ class _Engine:
                          "dual_feasibility_tolerance": 1e-10})
             if master.status != 0:
                 return False
-            y = np.asarray(master.x[:-1])
+            # HiGHS may return y a hair below its 0 bound
+            y = np.maximum(master.x[:-1], 0.0)
             on_face = y >= upper * (1.0 - 1e-9)
             if not on_face.any() and -master.fun <= opt.convergence_tol:
                 return True
             upper[on_face] *= 4.0
         return False
 
-    # -- feasible fallback ---------------------------------------------------
+    # -- harvest LP ----------------------------------------------------------
 
-    def fallback_primal(self):
-        """Build a feasible allocation from the harvesting LP when the dual
-        iterates never produced one (harvesting-dominated instances)."""
-        cfg = self.cfg
-        n = cfg.num_scs
-        if cfg.num_ers and np.any(cfg.harvest_target > 0):
-            res = _harvest_lp(cfg, self.ch, -(self.H.max(axis=0)))
-            if res.status != 0:
-                raise InfeasibleProblemError("harvesting targets unreachable")
-            p_sc = np.asarray(res.x)
-        else:
-            p_sc = np.zeros(n)
+    def harvest_lp_primal(self):
+        """Raise if no per-SC powers meet the harvest targets within the
+        budget; else screen the LP's powers, which maximize sum_n max_k
+        H[k, n] p_n, each SC given to its fixed or best weighted IR."""
+        cfg, n = self.cfg, self.cfg.num_scs
+        res = linprog(c=-(self.H.max(axis=0)),
+                      A_ub=np.vstack([np.ones(n), -self.zg]),
+                      b_ub=np.append(cfg.total_power, -cfg.harvest_target),
+                      bounds=[(0.0, self.p_eff)] * n, method="highs")
+        if res.status != 0:
+            raise InfeasibleProblemError(
+                "harvesting targets unreachable under the power budget")
+        p_sc = np.asarray(res.x)
         x = np.zeros((cfg.num_irs, n), dtype=int)
         p = np.zeros((cfg.num_irs, n))
         a = np.zeros((cfg.num_irs, n))
         if self.fixed_assign is not None:
             owners = np.argmax(self.fixed_assign, axis=0)
         else:
-            owners = np.argmax(self.cfg.weights[:, None] * self.H, axis=0)
+            owners = np.argmax(cfg.weights[:, None] * self.H, axis=0)
         cols = np.nonzero(p_sc > 0)[0]
         rows = owners[cols]
         x[rows, cols] = 1
@@ -261,13 +249,11 @@ def solve_dual(config: SystemConfig, channels: ChannelRealization,
                scheme: str = "optimal") -> SolveReport:
     """Run the full dual loop for one scheme and recover the best primal."""
     options = options or SolverOptions()
-    if not check_harvest_feasibility(config, channels):
-        raise InfeasibleProblemError("harvesting targets unreachable under the power budget")
     eng = _Engine(config, channels, options, alpha_fixed=alpha_fixed,
                   fixed_assign=fixed_assign)
+    if config.num_ers and np.any(config.harvest_target > 0):
+        eng.harvest_lp_primal()
     converged = eng.cutting_plane()
-    if eng.best_alloc is None:
-        eng.fallback_primal()
     if eng.best_alloc is None:
         raise InfeasibleProblemError("no feasible allocation found")
     n = config.num_scs

@@ -290,8 +290,7 @@ def test_cli_runs_are_byte_identical(tmp_path):
             (["solve", "--seed", "1"], "solve"),
             (["sweep", "--axis", "Qbar", "--values", "50,100",
               "--trials", "2", "--seed", "3"], "sweep"),
-            (["profile", "--seed", "1"], "profile"),
-            (["gap", "--seed", "1"], "gap")]:
+            (["profile", "--seed", "1"], "profile")]:
         outs = []
         for rep in (1, 2):
             out = tmp_path / f"{name}{rep}.out"

@@ -35,6 +35,8 @@ class TestSolveCommand:
         assert main(["solve", "--config", cfg, "--seed", "1",
                      "--out", str(out)]) == EXIT_OK
         report = json.loads(out.read_text())
+        assert report["seed"] == 1
+        assert len(report["allocation"]["assign"][0]) == 8  # N
         assert report["duality_gap_bps_hz"] >= -1e-9
         assert len(report["harvested_w"]) == 2
         assert all(q >= 100e-6 - 1e-9 for q in report["harvested_w"])
@@ -73,13 +75,15 @@ class TestSolveCommand:
 @pytest.mark.parametrize("system, argv", [
     ({}, ["sweep", "--axis", "Qbar", "--values", "abc"]),
     ({}, ["sweep", "--axis", "N", "--values", "1e400"]),
+    ({}, ["sweep", "--axis", "N", "--values", "8.5"]),
+    ({}, ["sweep", "--axis", "K2", "--values", "2.5"]),
     ({}, ["sweep", "--axis", "K2", "--values", "nan"]),
     ({}, ["sweep", "--axis", "Pmax", "--values", "inf"]),
     ({}, ["sweep", "--axis", "Qbar", "--values", "inf"]),
     ({"P_max_dBm": math.inf}, ["solve"]),
     ({"sigma2_dBm": math.inf}, ["solve"]),
     ({"weights": math.inf}, ["solve"]),
-], ids=["values-abc", "N-1e400", "K2-nan", "Pmax-inf", "Qbar-inf",
+], ids=["values-abc", "N-1e400", "N-8.5", "K2-2.5", "K2-nan", "Pmax-inf", "Qbar-inf",
         "P_max_dBm-inf", "sigma2_dBm-inf", "weights-inf"])
 def test_bad_numbers_exit_config(tmp_path, capsys, system, argv):
     cfg = write_config(tmp_path, system=system)
@@ -171,15 +175,3 @@ class TestProfileCommand:
         assert assigned
         assert all(float(r[3]) == 0.5 for r in assigned)
 
-
-class TestGapCommand:
-    def test_two_line_csv(self, tmp_path):
-        cfg = write_config(tmp_path)
-        out = tmp_path / "g.csv"
-        assert main(["gap", "--config", cfg, "--seed", "5",
-                     "--out", str(out)]) == EXIT_OK
-        lines = out.read_text().strip().splitlines()
-        assert lines[0] == "num_scs,seed,objective,duality_gap,iterations"
-        vals = lines[1].split(",")
-        assert vals[0] == "8" and vals[1] == "5"
-        assert float(vals[3]) >= -1e-9

@@ -56,6 +56,20 @@ class TestParseConfig:
         with pytest.raises(ConfigError):
             parse_config(data)
 
+    def test_unknown_top_level_key_rejected(self):
+        # a misspelt "scheme" must not fall back to the default scheme
+        data = base_config()
+        data["schme"] = "noan"
+        with pytest.raises(ConfigError, match="schme"):
+            parse_config(data)
+
+    def test_scenario_seed_rejected(self):
+        # the channel seed comes from --seed, never from the file
+        data = base_config()
+        data["scenario"] = {"seed": 3}
+        with pytest.raises(ConfigError, match="seed"):
+            parse_config(data)
+
     @pytest.mark.parametrize("key", ["xi0", "nu0", "polish_rounds"])
     def test_removed_solver_keys_rejected(self, key):
         data = base_config()

@@ -1,13 +1,15 @@
 """Outer dual loop: assignment rule, the cutting-plane stop rule, primal
 recovery, duality-gap sanity and small-instance optimality."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from ofdma_swipt import (ChannelRealization, InfeasibleProblemError,
                          SystemConfig, assign_subcarriers, secrecy_rate,
-                         solve_optimal)
-from ofdma_swipt.dual import SolverOptions, check_harvest_feasibility
+                         solve_noan, solve_optimal)
+from ofdma_swipt.dual import SolverOptions
 from ofdma_swipt.model import all_harvested_powers
 
 from conftest import paper_channels, paper_system, synthetic_channels
@@ -130,10 +132,13 @@ class TestCuttingPlane:
         assert rep.iterations <= 200
 
     def test_multipliers_stay_nonnegative(self):
-        # one draw where harvesting binds (large lambda) and one where not
-        for qbar_uw, seed in ((100.0, 0), (400.0, 8)):
+        # one draw where harvesting binds (large lambda) and one where not;
+        # on the noan draws the master LP returns a lambda a hair below 0
+        cases = [(solve_optimal, 100.0, 0), (solve_optimal, 400.0, 8),
+                 (solve_noan, 100.0, 1), (solve_noan, 100.0, 2)]
+        for solve, qbar_uw, seed in cases:
             cfg = paper_system(qbar_uw=qbar_uw)
-            rep = solve_optimal(cfg, paper_channels(cfg, seed))
+            rep = solve(cfg, paper_channels(cfg, seed))
             assert rep.metadata["converged"] is True
             assert np.all(np.asarray(rep.metadata["lambda"]) >= 0.0)
             assert rep.metadata["gamma"] >= 0.0
@@ -141,10 +146,23 @@ class TestCuttingPlane:
 
 class TestPrimalSource:
     def test_harvest_lp_fallback_named(self):
-        # no dual iterate of this draw meets the targets
+        # every noan iterate scores 0, so the first-screened LP primal stays
+        cfg = paper_system()
+        rep = solve_noan(cfg, paper_channels(cfg, 1))
+        assert rep.metadata["primal_source"] == "harvest LP"
+        assert rep.objective == 0.0
+
+    def test_overspending_iterate_scaled_onto_budget(self):
+        # harvest binds hard on this draw; only an iterate that spends more
+        # than P_max, scaled back onto it, meets every target (the harvest
+        # LP's allocation alone scores 1.134 against a bound of 12.28)
         cfg = paper_system(qbar_uw=400.0)
         rep = solve_optimal(cfg, paper_channels(cfg, 10))
-        assert rep.metadata["primal_source"] == "harvest LP"
+        source = rep.metadata["primal_source"]
+        assert isinstance(source, int) and 1 <= source <= rep.iterations
+        assert rep.trace[source - 1][2] > 0.01 * cfg.total_power  # overspend
+        assert rep.objective >= 12.2
+        assert 0.0 <= rep.duality_gap <= 0.07
 
     def test_dual_iterate_named_by_index(self):
         cfg = paper_system()
@@ -157,11 +175,43 @@ class TestPrimalSource:
 class TestHarvestFeasibilityCheck:
     def test_zero_targets_always_feasible(self):
         cfg = paper_system(n_sc=8, qbar_uw=0.0)
-        assert check_harvest_feasibility(cfg, paper_channels(cfg, seed=0))
+        rep = solve_optimal(cfg, paper_channels(cfg, seed=0))
+        assert rep.metadata["primal_source"] != "harvest LP"
 
     def test_unreachable_targets_detected(self):
-        cfg = paper_system(n_sc=8, qbar_uw=1e9)
-        assert not check_harvest_feasibility(cfg, paper_channels(cfg, seed=0))
+        # just above what the whole budget on ER 0's best SC can deliver
+        cfg = paper_system(n_sc=8, qbar_uw=0.0)
+        ch = paper_channels(cfg, seed=0)
+        reach = cfg.harvest_eff[0] * cfg.total_power * ch.er_gains[0].max()
+        target = np.zeros(cfg.num_ers)
+        target[0] = 1.001 * reach
+        with pytest.raises(InfeasibleProblemError, match="unreachable"):
+            solve_optimal(replace(cfg, harvest_target=target), ch)
+        target[0] = 0.999 * reach
+        cfg = replace(cfg, harvest_target=target)
+        rep = solve_optimal(cfg, ch)
+        q = all_harvested_powers(rep.allocation, ch, cfg)
+        assert q[0] >= target[0] - 1e-9
+
+
+def test_binding_harvest_rows_feasible():
+    # Qbar where the harvest targets bind on these draws
+    opts = SolverOptions()
+    solved = 0
+    for qbar_uw in (400.0, 600.0, 800.0, 1000.0):
+        cfg = paper_system(qbar_uw=qbar_uw)
+        for seed in (8, 9, 10, 11):
+            ch = paper_channels(cfg, seed)
+            try:
+                rep = solve_optimal(cfg, ch, opts)
+            except InfeasibleProblemError:
+                continue
+            solved += 1
+            rep.allocation.validate(cfg)
+            q = all_harvested_powers(rep.allocation, ch, cfg)
+            assert np.all(q >= cfg.harvest_target - opts.feasibility_tol)
+            assert rep.duality_gap >= -1e-9
+    assert solved == 11  # the other 5 rows are LP-infeasible
 
 
 class TestSolverOptions:
