@@ -63,6 +63,12 @@ def _count(value: float, axis: str) -> int:
     return int(value)
 
 
+def _resize(v: np.ndarray, k: int, fill: float) -> np.ndarray:
+    """First k entries of v, padded with v[0] (or fill when v is empty)."""
+    pad = np.full(max(k - v.size, 0), v[0] if v.size else fill)
+    return np.concatenate([v[:k], pad])
+
+
 def apply_axis(exp: ExperimentConfig, axis: str, value: float) -> ExperimentConfig:
     """Rebuild the config with one swept parameter replaced."""
     s = exp.system
@@ -76,8 +82,10 @@ def apply_axis(exp: ExperimentConfig, axis: str, value: float) -> ExperimentConf
     elif axis == "K2":
         k2 = _count(value, axis)
         kw["num_ers"] = k2
-        kw["harvest_eff"] = np.full(k2, s.harvest_eff[0] if s.num_ers else 0.6)
-        kw["harvest_target"] = np.full(k2, s.harvest_target[0] if s.num_ers else 0.0)
+        # configured ERs keep their values, as they keep their channel
+        # streams; appended ERs copy ER 0
+        kw["harvest_eff"] = _resize(s.harvest_eff, k2, 0.6)
+        kw["harvest_target"] = _resize(s.harvest_target, k2, 0.0)
     else:
         raise ConfigError(f"axis must be one of {AXES}")
     return dataclasses.replace(exp, system=dataclasses.replace(s, **kw))

@@ -9,7 +9,8 @@ The dual g(lambda, gamma) is convex on the nonnegative orthant, and each
 evaluation yields a cut: its value and the subgradient (Q - Qbar, P_max -
 sum p). Kelley's method (J. SIAM 8(4), 1960) evaluates next at the minimizer
 of the piecewise-linear model of all cuts, found by an LP over a box that
-grows whenever the minimizer lands on its upper face. When the minimizer is
+grows whenever the minimizer lands on its upper face. That master LP is one
+warm HiGHS model per solve, one row per cut. When the minimizer is
 inside the box the model's minimum is, by convexity, a lower bound on g over
 the whole orthant; the loop stops once the best dual value is within
 ``convergence_tol`` of that bound, relative to |g| at the start point. Every
@@ -31,6 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import linprog
+from scipy.optimize._highspy._core import HighsModelStatus, HighsStatus, _Highs
 
 from .model import (Allocation, ChannelRealization, SystemConfig, LN2,
                     all_harvested_powers, optimal_split, secrecy_rate,
@@ -176,6 +178,7 @@ class _Engine:
         unit = np.append(self.lam_scale, self.gamma0)
         y = np.append(np.zeros(cfg.num_ers), 1.0)
         upper = np.full(y.size, 4.0)
+        master = _MasterLP(upper)
         points, slopes, values = [], [], []
         for _ in range(opt.max_iterations):
             res = self.evaluate(y[:-1] * unit[:-1], y[-1] * unit[-1])
@@ -188,20 +191,15 @@ class _Engine:
             scale = values[0]
             s = np.array(slopes) / scale
             offset = (np.array(values) - self.g_min) / scale
-            master = linprog(
-                c=np.append(np.zeros(y.size), 1.0),
-                A_ub=np.hstack([s, -np.ones((len(values), 1))]),
-                b_ub=np.einsum("ij,ij->i", s, np.array(points)) - offset,
-                bounds=[(0.0, u) for u in upper] + [(None, None)],
-                method="highs",
-                options={"primal_feasibility_tolerance": 1e-10,
-                         "dual_feasibility_tolerance": 1e-10})
-            if master.status != 0:
+            solution = master.solve(
+                s, np.einsum("ij,ij->i", s, np.array(points)) - offset, upper)
+            if solution is None:
                 return False
+            x, t = solution
             # HiGHS may return y a hair below its 0 bound
-            y = np.maximum(master.x[:-1], 0.0)
+            y = np.maximum(x, 0.0)
             on_face = y >= upper * (1.0 - 1e-9)
-            if not on_face.any() and -master.fun <= opt.convergence_tol:
+            if not on_face.any() and -t <= opt.convergence_tol:
                 return True
             upper[on_face] *= 4.0
         return False
@@ -240,6 +238,47 @@ class _Engine:
         alloc = Allocation(assign=x, power=p, split=a)
         q = all_harvested_powers(alloc, self.ch, cfg)
         self._consider_primal(alloc, q, float(p_sc.sum()), "harvest LP")
+
+
+class _MasterLP:
+    """Kelley's master LP, min t over 0 <= y <= upper and s_i . y - t <= b_i
+    for every cut i, kept in one HiGHS model for the whole solve. ``solve``
+    takes the full master, as ``linprog`` would, but only sends HiGHS what
+    changed: each new cut is one added row, a moved bound is changed in
+    place, and the simplex restarts from the previous basis. The model goes
+    through scipy's bundled HiGHS bindings, a private API (see the scipy
+    range in pyproject.toml)."""
+
+    def __init__(self, upper: np.ndarray):
+        self._h = _Highs()
+        self._h.setOptionValue("output_flag", False)
+        self._h.setOptionValue("primal_feasibility_tolerance", 1e-10)
+        self._h.setOptionValue("dual_feasibility_tolerance", 1e-10)
+        self._inf = self._h.getInfinity()
+        m = upper.size
+        self._h.addVars(m + 1, np.append(np.zeros(m), -self._inf),
+                        np.append(upper, self._inf))  # y, then a free t
+        self._h.changeColCost(m, 1.0)
+        self._cols = np.arange(m + 1, dtype=np.int32)
+        self._upper = upper.copy()
+        self._b = np.zeros(0)
+
+    def solve(self, s: np.ndarray, b: np.ndarray, upper: np.ndarray):
+        """(y, min t) over the cuts s[i] . y - t <= b[i], or None unless
+        HiGHS reports the master optimal."""
+        h, inf, n_old = self._h, self._inf, self._b.size
+        for i in np.flatnonzero(b[:n_old] != self._b):
+            h.changeRowBounds(int(i), -inf, float(b[i]))
+        for i in range(n_old, b.size):
+            h.addRow(-inf, float(b[i]), self._cols.size, self._cols,
+                     np.append(s[i], -1.0))
+        for j in np.flatnonzero(upper != self._upper):
+            h.changeColBounds(int(j), 0.0, float(upper[j]))
+        self._b, self._upper = b.copy(), upper.copy()
+        if (h.run() == HighsStatus.kError
+                or h.getModelStatus() != HighsModelStatus.kOptimal):
+            return None
+        return np.array(h.getSolution().col_value[:-1]), h.getObjectiveValue()
 
 
 def solve_dual(config: SystemConfig, channels: ChannelRealization,

@@ -8,8 +8,8 @@ import pytest
 import yaml
 
 from ofdma_swipt.cli import (EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_NOT_CONVERGED,
-                             EXIT_OK, main)
-from ofdma_swipt.config import SCHEMES
+                             EXIT_OK, apply_axis, main)
+from ofdma_swipt.config import SCHEMES, load_config
 
 
 def write_config(tmp_path, name="cfg.yaml", **overrides):
@@ -142,6 +142,20 @@ class TestSweepCommand:
         report = json.loads(out_json.read_text())
         assert float(row[3]) == pytest.approx(report["objective_bps_hz"],
                                               rel=1e-8)
+
+    def test_k2_axis_keeps_per_er_values(self, tmp_path):
+        # configured ERs keep their own efficiency and target; an appended
+        # ER copies ER 0's, as its channel stream is appended too
+        exp = load_config(write_config(
+            tmp_path, system={"zeta": [0.5, 0.7], "Qbar_uW": [100, 300]}))
+        swept = apply_axis(exp, "K2", 2).system
+        assert swept.harvest_eff.tolist() == [0.5, 0.7]
+        assert swept.harvest_target.tolist() == pytest.approx([100e-6, 300e-6])
+        swept = apply_axis(exp, "K2", 3).system
+        assert swept.num_ers == 3
+        assert swept.harvest_eff.tolist() == [0.5, 0.7, 0.5]
+        assert swept.harvest_target.tolist() == pytest.approx(
+            [100e-6, 300e-6, 100e-6])
 
     def test_bad_axis_rejected(self, tmp_path):
         cfg = write_config(tmp_path)

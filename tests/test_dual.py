@@ -1,14 +1,18 @@
-"""Outer dual loop: assignment rule, the cutting-plane stop rule, primal
-recovery, duality-gap sanity and small-instance optimality."""
+"""Outer dual loop: assignment rule, the cutting-plane stop rule, the master
+LP against linprog, primal recovery, duality-gap sanity and small-instance
+optimality."""
 
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from ofdma_swipt import (ChannelRealization, InfeasibleProblemError,
-                         SystemConfig, assign_subcarriers, secrecy_rate,
+                         SystemConfig, assign_subcarriers, dual, secrecy_rate,
                          solve_noan, solve_optimal)
+from ofdma_swipt.cli import EXIT_NOT_CONVERGED, main
 from ofdma_swipt.dual import SolverOptions
 from ofdma_swipt.model import all_harvested_powers
 
@@ -142,6 +146,76 @@ class TestCuttingPlane:
             assert rep.metadata["converged"] is True
             assert np.all(np.asarray(rep.metadata["lambda"]) >= 0.0)
             assert rep.metadata["gamma"] >= 0.0
+
+
+class TestMasterLP:
+    """The warm HiGHS master against a cold ``linprog`` on every master of a
+    solve, given the arguments the cutting plane used to pass ``linprog``."""
+
+    @pytest.fixture
+    def pinned(self, monkeypatch):
+        solve = dual._MasterLP.solve
+        uppers = []
+
+        def checked(self, s, b, upper):
+            out = solve(self, s, b, upper)
+            a_ub = np.hstack([s, -np.ones((b.size, 1))])
+            ref = linprog(c=np.append(np.zeros(upper.size), 1.0),
+                          A_ub=a_ub, b_ub=b,
+                          bounds=[(0.0, u) for u in upper] + [(None, None)],
+                          method="highs",
+                          options={"primal_feasibility_tolerance": 1e-10,
+                                   "dual_feasibility_tolerance": 1e-10})
+            assert ref.status == 0 and out is not None
+            y, t = out
+            assert abs(t - ref.fun) <= 1e-9
+            # degenerate masters have several optimal vertices, so the
+            # point is checked against linprog's constraints, not its x
+            assert np.all(a_ub @ np.append(y, t) <= b + 1e-9)
+            assert np.all(y >= -1e-9) and np.all(y <= upper + 1e-9)
+            uppers.append(upper.max())
+            return out
+
+        monkeypatch.setattr(dual._MasterLP, "solve", checked)
+        return uppers
+
+    @pytest.mark.parametrize("qbar_uw, seed", [
+        (100.0, 0), (100.0, 1), (400.0, 10)],
+        ids=["paper-draw-0", "paper-draw-1", "400uW-draw-10-box-grows"])
+    def test_matches_linprog_on_every_master(self, pinned, qbar_uw, seed):
+        cfg = paper_system(qbar_uw=qbar_uw)
+        rep = solve_optimal(cfg, paper_channels(cfg, seed))
+        assert rep.metadata["converged"] is True
+        assert len(pinned) == rep.iterations
+        # the box starts at 4; it grows to 16 on the paper draws and to
+        # 1024 on 400 uW draw 10, where harvest binds
+        assert max(pinned) >= (1024.0 if qbar_uw == 400.0 else 16.0)
+
+
+class TestMasterFailure:
+    """A master that HiGHS does not solve to optimality ends the loop
+    uncertified: the solve returns ``converged`` False and the CLI exits 4."""
+
+    @pytest.fixture(autouse=True)
+    def failing_master(self, monkeypatch):
+        init = dual._MasterLP.__init__
+
+        def out_of_time(self, upper):
+            init(self, upper)
+            self._h.setOptionValue("time_limit", 0.0)  # kTimeLimit at once
+
+        monkeypatch.setattr(dual._MasterLP, "__init__", out_of_time)
+
+    def test_solve_reports_not_converged(self):
+        cfg = paper_system(n_sc=8)
+        rep = solve_optimal(cfg, paper_channels(cfg, 0))
+        assert rep.metadata["converged"] is False
+        assert rep.iterations == 1
+
+    def test_cli_exits_not_converged(self, capsys):
+        cfg = Path(__file__).parents[1] / "configs" / "paper.yaml"
+        assert main(["solve", "--config", str(cfg)]) == EXIT_NOT_CONVERGED
+        assert "Traceback" not in capsys.readouterr().err
 
 
 class TestPrimalSource:
