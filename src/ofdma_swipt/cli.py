@@ -132,6 +132,8 @@ def cmd_sweep(args) -> int:
     exp = load_config(args.config)
     if args.axis not in AXES:
         raise ConfigError(f"axis must be one of {AXES}")
+    if args.trials < 1:
+        raise ConfigError(f"--trials: expected at least 1, got {args.trials}")
     try:
         values = [float(v) for v in args.values.split(",")]
     except ValueError as exc:
@@ -218,6 +220,8 @@ def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
+        if args.seed < 0:
+            raise ConfigError(f"--seed: expected a nonnegative integer, got {args.seed}")
         return args.func(args)
     except (ConfigError, DomainError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

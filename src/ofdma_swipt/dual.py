@@ -3,7 +3,9 @@ minimization of the dual, primal recovery and duality-gap measurement.
 
 The dual function is evaluated with the per-SC power additionally capped at
 min(P_peak, P_max); the cap is implied by the total-power constraint, keeps
-every subproblem bounded, and leaves the dual bound valid.
+every subproblem bounded, and leaves the dual bound valid. One
+:class:`vector.Kernel`, built per solve, holds what does not depend on the
+multipliers; each evaluation calls it.
 
 The dual g(lambda, gamma) is convex on the nonnegative orthant, and each
 evaluation yields a cut: its value and the subgradient (Q - Qbar, P_max -
@@ -22,7 +24,7 @@ screen then rejects it only if some ER falls short of its target by more than
 ``feasibility_tol``. When a harvest target is positive, one LP over per-SC
 powers runs before the loop: its infeasibility means no allocation can meet
 the targets, and its allocation is the first primal screened. The best
-screened primal is returned.
+screened primal is returned. Both LPs run on scipy's bundled HiGHS bindings.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linprog
 from scipy.optimize._highspy._core import HighsModelStatus, HighsStatus, _Highs
 
 from .model import (Allocation, ChannelRealization, SystemConfig, LN2,
@@ -97,6 +98,8 @@ class _Engine:
         self.zg = (config.harvest_eff[:, None] * channels.er_gains
                    if config.num_ers else np.zeros((0, config.num_scs)))
         self.p_eff = min(config.peak_power, config.total_power)
+        self.kernel = vector.Kernel(self.H, self.B, config.noise_power,
+                                    config.weights, self.p_eff, alpha_fixed)
         self.n_evals = 0
         self.g_min = math.inf
         self.best_obj = -math.inf  # unnormalized weighted sum rate
@@ -122,9 +125,7 @@ class _Engine:
         self.n_evals += 1
         omega = -gamma + (lam @ self.zg if self.cfg.num_ers else 0.0)
         omega = np.broadcast_to(np.atleast_1d(omega), (self.cfg.num_scs,))
-        p, a, val = vector.solve_all(self.H, self.B, self.cfg.noise_power,
-                                     self.cfg.weights, omega, self.p_eff,
-                                     alpha_fixed=self.alpha_fixed)
+        p, a, val = self.kernel(omega)
         if self.fixed_assign is None:
             x = assign_subcarriers(val)
         else:
@@ -211,14 +212,20 @@ class _Engine:
         budget; else screen the LP's powers, which maximize sum_n max_k
         H[k, n] p_n, each SC given to its fixed or best weighted IR."""
         cfg, n = self.cfg, self.cfg.num_scs
-        res = linprog(c=-(self.H.max(axis=0)),
-                      A_ub=np.vstack([np.ones(n), -self.zg]),
-                      b_ub=np.append(cfg.total_power, -cfg.harvest_target),
-                      bounds=[(0.0, self.p_eff)] * n, method="highs")
-        if res.status != 0:
+        a_ub = np.vstack([np.ones(n), -self.zg])  # budget, then harvest rows
+        m, cols = a_ub.shape[0], np.arange(n, dtype=np.int32)
+        # presolve and dual simplex, as linprog sets them: both can move the vertex
+        h = _highs(presolve="on", simplex_strategy=1)
+        h.addVars(n, np.zeros(n), np.full(n, self.p_eff))
+        h.changeColsCost(n, cols, -(self.H.max(axis=0)))
+        h.addRows(m, np.full(m, -h.getInfinity()),
+                  np.append(cfg.total_power, -cfg.harvest_target), a_ub.size,
+                  np.arange(0, a_ub.size, n, dtype=np.int32),
+                  np.tile(cols, m), a_ub.ravel())
+        if not _optimal(h):
             raise InfeasibleProblemError(
                 "harvesting targets unreachable under the power budget")
-        p_sc = np.asarray(res.x)
+        p_sc = np.array(h.getSolution().col_value)
         x = np.zeros((cfg.num_irs, n), dtype=int)
         p = np.zeros((cfg.num_irs, n))
         a = np.zeros((cfg.num_irs, n))
@@ -240,20 +247,32 @@ class _Engine:
         self._consider_primal(alloc, q, float(p_sc.sum()), "harvest LP")
 
 
+def _highs(**options) -> _Highs:
+    """An empty, silent HiGHS model with ``options`` set, on scipy's bundled
+    bindings: a private API (see the scipy range in pyproject.toml)."""
+    h = _Highs()
+    h.setOptionValue("output_flag", False)
+    for name, value in options.items():
+        h.setOptionValue(name, value)
+    return h
+
+
+def _optimal(h: _Highs) -> bool:
+    """Run ``h``; True when HiGHS reports the model optimal."""
+    return (h.run() != HighsStatus.kError
+            and h.getModelStatus() == HighsModelStatus.kOptimal)
+
+
 class _MasterLP:
     """Kelley's master LP, min t over 0 <= y <= upper and s_i . y - t <= b_i
     for every cut i, kept in one HiGHS model for the whole solve. ``solve``
     takes the full master, as ``linprog`` would, but only sends HiGHS what
     changed: each new cut is one added row, a moved bound is changed in
-    place, and the simplex restarts from the previous basis. The model goes
-    through scipy's bundled HiGHS bindings, a private API (see the scipy
-    range in pyproject.toml)."""
+    place, and the simplex restarts from the previous basis."""
 
     def __init__(self, upper: np.ndarray):
-        self._h = _Highs()
-        self._h.setOptionValue("output_flag", False)
-        self._h.setOptionValue("primal_feasibility_tolerance", 1e-10)
-        self._h.setOptionValue("dual_feasibility_tolerance", 1e-10)
+        self._h = _highs(primal_feasibility_tolerance=1e-10,
+                         dual_feasibility_tolerance=1e-10)
         self._inf = self._h.getInfinity()
         m = upper.size
         self._h.addVars(m + 1, np.append(np.zeros(m), -self._inf),
@@ -275,8 +294,7 @@ class _MasterLP:
         for j in np.flatnonzero(upper != self._upper):
             h.changeColBounds(int(j), 0.0, float(upper[j]))
         self._b, self._upper = b.copy(), upper.copy()
-        if (h.run() == HighsStatus.kError
-                or h.getModelStatus() != HighsModelStatus.kOptimal):
+        if not _optimal(h):
             return None
         return np.array(h.getSolution().col_value[:-1]), h.getObjectiveValue()
 

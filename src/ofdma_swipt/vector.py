@@ -4,12 +4,15 @@ Given the dual prices, each pair contributes
 ``L(p, a) = w * secrecy_rate(p, a) + p * omega``. Its maximizer is one of a
 finite set of candidates: the closed-form real roots of the stationarity
 quadratic with the split eliminated (a = optimal_split(p)), the roots of the
-fixed-split stationarity cubic, and boundary points; the (0, 0) skip is the
-fallback. The dual loop calls :func:`solve_all` on all K1*N pairs at once;
-one pair is the call with 1x1 gain arrays. A root is a candidate when its
-power lies in (0, P_peak]. Below the zero-rate threshold a root scores
-p * omega, which the cap (omega > 0) or the skip (omega <= 0) matches or
-beats, so no second window on the threshold is needed.
+fixed-split stationarity cubic (a quadratic at split 0), and boundary
+points; the (0, 0) skip is the fallback. The dual loop builds one
+:class:`Kernel` per solve, which holds every price-independent quantity of
+all K1*N pairs, and calls it at each price vector; :func:`solve_all` is one
+build and one call, and one pair is that call with 1x1 gain arrays. A root
+is a candidate when its power lies in (0, P_peak]. Below the zero-rate
+threshold a root scores p * omega, which the cap (omega > 0) or the skip
+(omega <= 0) matches or beats, so no second window on the threshold is
+needed.
 
 All computations run in normalized units per element: power scaled by
 sigma^2/sqrt(h2*b2), so the effective gains are sqrt(h2/b2) and its inverse
@@ -50,9 +53,8 @@ def _quad_roots(a2, b2, c2):
     """Real roots of a2 x^2 + b2 x + c2 elementwise; NaN where absent.
 
     Falls back to the linear root where the leading coefficient vanishes.
-    Returns an array of shape (2,) + a2.shape.
+    Returns an array of shape (2,) + the coefficients' broadcast shape.
     """
-    a2, b2, c2 = np.broadcast_arrays(a2, b2, c2)
     scale = np.maximum(np.maximum(np.abs(a2), np.abs(b2)), np.abs(c2))
     lead_ok = np.abs(a2) > 1e-14 * scale
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -109,22 +111,109 @@ def _cubic_roots(a, b, c, d):
     return out
 
 
-def joint_roots(h, b, w, om):
-    """Real roots of the stationarity quadratic with the split eliminated;
-    NaN-padded (2, ...)."""
-    return _quad_roots(LN2 * b * b * h * om,
-                       b * (b * h * w + LN2 * om * (b + 2.0 * h)),
-                       b * w * (h - b) + LN2 * om * (b + h))
+class Kernel:
+    """The per-SC maximization of one solve, built from the gains, weights,
+    cap and optional pinned split and then called with each price vector.
 
+    Built once and read-only: the normalization, the h2 vs b2 masks, the
+    price-free parts of the root coefficients, and the candidates whose
+    power does not depend on the prices, with their splits and weighted
+    secrecy rates. A call adds the price-dependent roots and every value.
+    Each coefficient keeps the association order of its one-piece formula,
+    so the results are the same to the bit."""
 
-def fixed_alpha_roots(a, h, b, w, om):
-    """Real roots of the stationarity cubic in p at a fixed split ``a``;
-    NaN-padded (3, ...). At a = 0 the cubic term vanishes."""
-    return _cubic_roots(
-        LN2 * h * b * b * om * a * (a - 1.0),
-        b * (b * h * w * a * (a - 1.0) + LN2 * om * (h * a * a - b * a - h)),
-        2.0 * b * h * w * a * (a - 1.0) - LN2 * om * (b * (1.0 + a) + h * (1.0 - a)),
-        (a - 1.0) * (h - b) * w - LN2 * om)
+    def __init__(self, H, B, sigma2, weights, p_peak, alpha_fixed=None):
+        H, B = np.asarray(H, dtype=float), np.asarray(B, dtype=float)
+        self.w = w = np.array(weights, dtype=float)[:, None]
+        self.p_peak = p_peak
+        self.p0, self.h, self.b = p0, h, b = normalized(H, B, sigma2)
+        self.pk = pk = np.broadcast_to(p_peak / p0, H.shape)
+        self.idx = np.indices(H.shape)
+        self.free = alpha_fixed is None
+        self.a = a = 0.0 if self.free else float(alpha_fixed)
+        # the fixed-split cubic in p, ``c0 om a (a-1) p^3 + b (c1 + LN2 om c2)
+        # p^2 + (c3 - LN2 om c4) p + c5 - LN2 om``
+        self.cubic = np.stack([
+            LN2 * h * b * b, b * h * w * a * (a - 1.0), h * a * a - b * a - h,
+            2.0 * b * h * w * a * (a - 1.0), b * (1.0 + a) + h * (1.0 - a),
+            (a - 1.0) * (h - b) * w])
+        if self.free:
+            eq = np.isclose(H, B, rtol=GAIN_RTOL, atol=0.0)
+            self.hgb = (H > B) & ~eq
+            hlb = (H < B) & ~eq
+            # the quadratic with alpha = optimal_split(p) (subregion i),
+            # ``j0 om p^2 + b (j1 + LN2 om j2) p + j3 + LN2 om j4``
+            self.joint = np.stack([LN2 * b * b * h, b * h * w, b + 2.0 * h,
+                                   b * w * (h - b), b + h])
+            # candidates in order: the two joint roots; the zero-rate
+            # boundary (h2 < b2), listed before the peak pair so that an
+            # energy-only pair, where both carry no secrecy rate, reports
+            # split 0 rather than 1; the peak; the alpha = 0 roots of
+            # subregion ii (h2 > b2); and the power where optimal_split
+            # reaches zero, which bounds the two subregions
+            p_fix = [np.where(hlb, pk, np.nan), pk,
+                     np.where(self.hgb, 1.0 / b - 1.0 / h, np.nan)]
+            a_fix = [np.zeros_like(h), optimal_split(pk, h, b, 1.0),
+                     np.zeros_like(h)]
+            self.order = np.array([0, 1, 4, 5, 2, 3, 6])  # roots come first
+        else:
+            # the fixed-split roots, then the peak
+            p_fix, a_fix = [pk], [np.full(H.shape, a)]
+            self.order = slice(None)
+        p_fix = np.stack(p_fix)
+        self.p_fix = np.where(np.isfinite(p_fix) & (p_fix > 0) & (p_fix <= pk),
+                              p_fix, np.nan)
+        self.a_fix = np.stack(a_fix)
+        self.rate_fix = w * _secrecy_rate(self.p_fix, self.a_fix, h, b, 1.0)
+        for v in vars(self).values():
+            if isinstance(v, np.ndarray):
+                v.setflags(write=False)
+
+    def roots(self, om):
+        """Price-dependent candidate powers at normalized prices ``om``, NaN
+        where absent: with a free split the two roots of the quadratic with
+        alpha = optimal_split(p), then the two alpha = 0 roots on h2 > b2
+        pairs; with a pinned split the roots of the fixed-split cubic, a
+        quadratic at split 0."""
+        c0, c1, c2, c3, c4, c5 = self.cubic
+        a, lom = self.a, LN2 * om
+        fixed = (self.b * (c1 + lom * c2), c3 - lom * c4, c5 - lom)
+        if not self.free:
+            if a == 0.0:
+                return _quad_roots(*fixed)
+            return _cubic_roots(c0 * om * a * (a - 1.0), *fixed)
+        j0, j1, j2, j3, j4 = self.joint
+        joint = (j0 * om, self.b * (j1 + lom * j2), j3 + lom * j4)
+        r = _quad_roots(*(np.stack(c) for c in zip(joint, fixed)))
+        return np.concatenate([r[:, 0], np.where(self.hgb, r[:, 1], np.nan)])
+
+    def __call__(self, omega):
+        """Optimal (p, alpha, value) for every pair at the (N,) prices."""
+        om_in = np.broadcast_to(np.asarray(omega, dtype=float), self.pk.shape)
+        if not np.isfinite(self.p_peak) and np.any(om_in >= 0.0):
+            raise UnboundedSubproblemError(
+                "per-SC objective grows without bound at infinite peak power")
+        om = om_in * self.p0
+        p = self.roots(om)
+        if self.free:
+            a = np.concatenate([optimal_split(p[:2], self.h, self.b, 1.0),
+                                np.zeros_like(p[2:])])
+        else:
+            a = np.full_like(p, self.a)
+        p = np.where((p > 0) & (p <= self.pk), p, np.nan)
+        P = np.concatenate([p, self.p_fix])[self.order]
+        A = np.concatenate([a, self.a_fix])[self.order]
+        V = np.concatenate([_value(p, a, self.h, self.b, self.w, om),
+                            self.rate_fix + self.p_fix * om])[self.order]
+        V = np.where(np.isfinite(V), V, -np.inf)
+        best = np.argmax(V, axis=0)
+        p_best, a_best, v_best = (X[(best, *self.idx)] for X in (P, A, V))
+        # the skip fallback (0, 0) has value 0
+        skip = ~(v_best > 0.0)
+        p_best = np.where(skip, 0.0, p_best) * self.p0
+        a_best = np.where(skip, 0.0, a_best)
+        v_best = np.where(skip, 0.0, v_best)
+        return p_best, a_best, v_best
 
 
 def solve_all(H, B, sigma2, weights, omega, p_peak, alpha_fixed=None):
@@ -135,61 +224,9 @@ def solve_all(H, B, sigma2, weights, omega, p_peak, alpha_fixed=None):
     on every pair, otherwise the objective is unbounded (the dual loop caps
     at min(P_peak, P_max), which the total-power constraint implies).
     With ``alpha_fixed`` the split ratio is pinned and only the power is
-    optimized (fixed-alpha benchmark schemes).
+    optimized (fixed-alpha benchmark schemes). A loop over prices builds one
+    :class:`Kernel` and calls it instead.
 
     Returns arrays p (K1, N), alpha (K1, N), value (K1, N).
     """
-    H = np.asarray(H, dtype=float)
-    B = np.asarray(B, dtype=float)
-    w = np.asarray(weights, dtype=float)[:, None]
-    om_in = np.broadcast_to(np.asarray(omega, dtype=float), H.shape)
-    if not np.isfinite(p_peak) and np.any(om_in >= 0.0):
-        raise UnboundedSubproblemError(
-            "per-SC objective grows without bound at infinite peak power")
-
-    p0, h, b = normalized(H, B, sigma2)
-    om = om_in * p0
-    pk = np.broadcast_to(p_peak / p0, H.shape)
-
-    if alpha_fixed is None:
-        eq = np.isclose(H, B, rtol=GAIN_RTOL, atol=0.0)
-        hgb = (H > B) & ~eq
-        hlb = (H < B) & ~eq
-        # subregion i: alpha = optimal_split(p)
-        cands_p = list(joint_roots(h, b, w, om))
-        cands_a = [optimal_split(r, h, b, 1.0) for r in cands_p]
-        # zero-rate boundary (h2 < b2), listed before the peak pair so that
-        # an energy-only pair, where both carry no secrecy rate, reports
-        # split 0 rather than 1
-        cands_p.append(np.where(hlb, pk, np.nan))
-        cands_a.append(np.zeros_like(h))
-        cands_p.append(pk)
-        cands_a.append(optimal_split(pk, h, b, 1.0))
-        # subregion ii (h2 > b2): alpha clamped to zero, and the power where
-        # optimal_split reaches zero, which bounds the two subregions
-        for r in fixed_alpha_roots(0.0, h, b, w, om):
-            cands_p.append(np.where(hgb, r, np.nan))
-            cands_a.append(np.zeros_like(h))
-        cands_p.append(np.where(hgb, 1.0 / b - 1.0 / h, np.nan))
-        cands_a.append(np.zeros_like(h))
-    else:
-        a0 = float(alpha_fixed)
-        cands_p = list(fixed_alpha_roots(a0, h, b, w, om)) + [pk]
-        cands_a = [np.full(H.shape, a0)] * len(cands_p)
-
-    P = np.stack(cands_p)
-    A = np.stack(cands_a)
-    P = np.where((P > 0) & (P <= pk), P, np.nan)
-    V = _value(P, A, h, b, w, om)
-    V = np.where(np.isfinite(V), V, -np.inf)
-    best = np.argmax(V, axis=0)
-    idx = np.indices(H.shape)
-    p_best = P[best, idx[0], idx[1]]
-    a_best = A[best, idx[0], idx[1]]
-    v_best = V[best, idx[0], idx[1]]
-    # the skip fallback (0, 0) has value 0
-    skip = ~(v_best > 0.0)
-    p_best = np.where(skip, 0.0, p_best) * p0
-    a_best = np.where(skip, 0.0, a_best)
-    v_best = np.where(skip, 0.0, v_best)
-    return p_best, a_best, v_best
+    return Kernel(H, B, sigma2, weights, p_peak, alpha_fixed)(omega)

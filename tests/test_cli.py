@@ -83,12 +83,20 @@ class TestSolveCommand:
     ({"P_max_dBm": math.inf}, ["solve"]),
     ({"sigma2_dBm": math.inf}, ["solve"]),
     ({"weights": math.inf}, ["solve"]),
+    ({}, ["solve", "--seed", "-1"]),
+    ({}, ["sweep", "--axis", "Qbar", "--values", "100", "--seed", "-1"]),
+    ({}, ["profile", "--seed", "-1"]),
+    ({}, ["sweep", "--axis", "Qbar", "--values", "100", "--trials", "0"]),
+    ({}, ["sweep", "--axis", "Qbar", "--values", "100", "--trials", "-2"]),
 ], ids=["values-abc", "N-1e400", "N-8.5", "K2-2.5", "K2-nan", "Pmax-inf", "Qbar-inf",
-        "P_max_dBm-inf", "sigma2_dBm-inf", "weights-inf"])
+        "P_max_dBm-inf", "sigma2_dBm-inf", "weights-inf", "solve-seed-neg",
+        "sweep-seed-neg", "profile-seed-neg", "sweep-trials-0", "sweep-trials-neg"])
 def test_bad_numbers_exit_config(tmp_path, capsys, system, argv):
     cfg = write_config(tmp_path, system=system)
     assert main(argv[:1] + ["--config", cfg] + argv[1:]) == EXIT_CONFIG
-    assert capsys.readouterr().err.startswith("config error:")
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error:")
+    assert captured.out == ""  # no report and no header-only CSV
 
 
 class TestSweepCommand:

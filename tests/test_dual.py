@@ -1,6 +1,6 @@
 """Outer dual loop: assignment rule, the cutting-plane stop rule, the master
-LP against linprog, primal recovery, duality-gap sanity and small-instance
-optimality."""
+and harvest LPs against linprog, primal recovery, duality-gap sanity and
+small-instance optimality."""
 
 from dataclasses import replace
 from pathlib import Path
@@ -190,6 +190,42 @@ class TestMasterLP:
         # the box starts at 4; it grows to 16 on the paper draws and to
         # 1024 on 400 uW draw 10, where harvest binds
         assert max(pinned) >= (1024.0 if qbar_uw == 400.0 else 16.0)
+
+
+class TestHarvestLP:
+    """The harvest LP on the HiGHS binding against a cold ``linprog`` of the
+    same LP: the same per-SC powers to the bit, and the same verdict."""
+
+    @pytest.mark.parametrize("qbar_uw, seed", [
+        (100.0, 0), (100.0, 1), (100.0, 2), (100.0, 3),
+        *((q, s) for q in (400.0, 500.0, 900.0) for s in (8, 9, 10, 11))])
+    def test_matches_linprog(self, monkeypatch, qbar_uw, seed):
+        models = []
+        make = dual._highs
+
+        def recording(**options):
+            models.append(make(**options))
+            return models[-1]
+
+        monkeypatch.setattr(dual, "_highs", recording)
+        cfg = paper_system(qbar_uw=qbar_uw)
+        ch = paper_channels(cfg, seed)
+        n = cfg.num_scs
+        ref = linprog(c=-(ch.ir_gains.max(axis=0)),
+                      A_ub=np.vstack([np.ones(n),
+                                      -cfg.harvest_eff[:, None] * ch.er_gains]),
+                      b_ub=np.append(cfg.total_power, -cfg.harvest_target),
+                      bounds=[(0.0, cfg.total_power)] * n, method="highs")
+        eng = dual._Engine(cfg, ch, SolverOptions())
+        if ref.status != 0:
+            # 500 uW draw 10 and 900 uW draws 10-11
+            with pytest.raises(InfeasibleProblemError, match="unreachable"):
+                eng.harvest_lp_primal()
+            return
+        eng.harvest_lp_primal()
+        assert len(models) == 1
+        x = np.array(models[0].getSolution().col_value)
+        assert x.tobytes() == np.asarray(ref.x).tobytes()
 
 
 class TestMasterFailure:

@@ -47,17 +47,24 @@ def lagrangian_dp(p, alpha, ctx):
     return ctx.weight * term / LN2 + ctx.omega
 
 
+def kernel_roots(ctx, alpha=None):
+    """The kernel's price-dependent candidate powers of one pair, normalized."""
+    kern = vector.Kernel([[ctx.h2]], [[ctx.b2]], ctx.sigma2, [ctx.weight],
+                         ctx.p_peak, alpha)
+    return kern.roots(ctx.omega * kern.p0)[:, 0, 0]
+
+
 def fixed_roots(alpha, ctx):
     """Fixed-split stationary powers the kernel keeps, in watts."""
     p0, h, b = vector.normalized(ctx.h2, ctx.b2, ctx.sigma2)
-    roots = vector.fixed_alpha_roots(alpha, h, b, ctx.weight, ctx.omega * p0)
+    roots = kernel_roots(ctx, alpha)
     return sorted(float(r * p0) for r in roots if 0.0 < r <= ctx.p_peak / p0)
 
 
 def joint_roots(ctx):
     """(p, optimal_split(p)) stationary pairs the kernel keeps, p in watts."""
     p0, h, b = vector.normalized(ctx.h2, ctx.b2, ctx.sigma2)
-    roots = vector.joint_roots(h, b, ctx.weight, ctx.omega * p0)
+    roots = kernel_roots(ctx)[:2]  # the two roots with the split eliminated
     return [(float(r * p0), float(optimal_split(r, h, b, 1.0)))
             for r in roots if 0.0 < r <= ctx.p_peak / p0]
 

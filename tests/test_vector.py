@@ -1,14 +1,15 @@
 """Batched per-subcarrier kernel: shapes, batch consistency, domain and
-boundary cases, and an independent power-grid oracle for the fixed-split
-path."""
+boundary cases, reuse of one kernel across prices, and an independent
+power-grid oracle for the fixed-split path."""
 
 import numpy as np
 import pytest
 
-from ofdma_swipt import vector
+from ofdma_swipt import UnboundedSubproblemError, solve_optimal, vector
 from ofdma_swipt.model import secrecy_rate
 
-from conftest import Ctx, random_context, solve_one
+from conftest import (Ctx, paper_channels, paper_system, random_context,
+                      solve_one)
 
 
 def test_fixed_alpha_path_matches_power_grid(rng):
@@ -66,3 +67,47 @@ def test_energy_only_pair_sends_no_noise():
     p, a, v = vector.solve_all(np.array([[1.0]]), np.array([[4.0]]), 1.0,
                                np.ones(1), np.array([1.0]), 0.5)
     assert (p[0, 0], a[0, 0], v[0, 0]) == (0.5, 0.0, 0.5)
+
+
+@pytest.mark.parametrize("alpha", [None, 0.0, 0.5], ids=["free", "noan", "alpha05"])
+@pytest.mark.parametrize("qbar_uw, seed", [(100.0, 0), (400.0, 10)],
+                         ids=["paper-draw-0", "400uW-draw-10"])
+def test_kernel_reuse_matches_fresh_solve_all(monkeypatch, alpha, qbar_uw, seed):
+    # the prices of a real solve, recorded at the kernel's door
+    prices = []
+    call = vector.Kernel.__call__
+
+    def recording(kern, omega):
+        prices.append(np.array(omega))
+        return call(kern, omega)
+
+    monkeypatch.setattr(vector.Kernel, "__call__", recording)
+    cfg = paper_system(qbar_uw=qbar_uw)
+    ch = paper_channels(cfg, seed)
+    solve_optimal(cfg, ch)
+    monkeypatch.undo()
+    n = cfg.num_scs
+    negative = -np.abs(prices[0]) * np.linspace(0.5, 2.0, n)
+    seq = prices + [negative, np.zeros(n)] + prices[:3]
+    args = (ch.ir_gains, ch.eve_gains, cfg.noise_power, cfg.weights)
+
+    def same(got, om, cap):
+        ref = vector.solve_all(*args, om, cap, alpha_fixed=alpha)
+        for x, y in zip(got, ref):
+            assert x.tobytes() == y.tobytes()  # sign bits and NaNs included
+
+    kern = vector.Kernel(*args, cfg.total_power, alpha)
+    for om in seq:
+        same(kern(om), om, cfg.total_power)
+    # an infinite cap is bounded only where every price is negative; the
+    # first evaluation's prices, -gamma0, are
+    uncapped = vector.Kernel(*args, np.inf, alpha)
+    for om in (prices[0], negative):
+        same(uncapped(om), om, np.inf)
+    with pytest.raises(UnboundedSubproblemError):
+        uncapped(np.zeros(n))
+    same(uncapped(negative), negative, np.inf)
+    cached = [v for v in vars(kern).values() if isinstance(v, np.ndarray)]
+    assert len(cached) >= 8 and not any(v.flags.writeable for v in cached)
+    with pytest.raises(ValueError):
+        kern.p_fix[0] = 0.0
