@@ -20,7 +20,7 @@ import time
 import numpy as np
 
 from .channel import generate_scenario
-from .config import ConfigError, ExperimentConfig, load_config
+from .config import ConfigError, ExperimentConfig, load_config, parse_count
 from .dual import InfeasibleProblemError, solve_optimal
 from .heuristics import solve_fixed_alpha, solve_fsa, solve_noan, solve_suboptimal
 from .model import DomainError
@@ -57,12 +57,6 @@ def run_scheme(exp: ExperimentConfig, seed: int):
     raise ConfigError(f"unknown scheme {exp.scheme}")
 
 
-def _count(value: float, axis: str) -> int:
-    if not float(value).is_integer():
-        raise ConfigError(f"{axis}: bad value {value!r}, expected a count")
-    return int(value)
-
-
 def _resize(v: np.ndarray, k: int, fill: float) -> np.ndarray:
     """First k entries of v, padded with v[0] (or fill when v is empty)."""
     pad = np.full(max(k - v.size, 0), v[0] if v.size else fill)
@@ -78,9 +72,9 @@ def apply_axis(exp: ExperimentConfig, axis: str, value: float) -> ExperimentConf
     elif axis == "Pmax":
         kw["total_power"] = 10.0 ** ((value - 30.0) / 10.0)
     elif axis == "N":
-        kw["num_scs"] = _count(value, axis)
+        kw["num_scs"] = parse_count(value, axis)
     elif axis == "K2":
-        k2 = _count(value, axis)
+        k2 = parse_count(value, axis)
         kw["num_ers"] = k2
         # configured ERs keep their values, as they keep their channel
         # streams; appended ERs copy ER 0

@@ -25,8 +25,10 @@ solver:
   feasibility_tol: 1e-9   # watts
 scheme: optimal    # optimal | suboptimal | fsa | alpha05 | noan
 
-Powers are dBm in files and watts internally. Unknown keys are rejected at
-every level; the channel seed is not a config key but the CLI's --seed.
+Powers are dBm in files and watts internally. Counts (K1, K2, N, num_taps,
+max_iter) must be whole numbers: 2.7 or .inf is rejected, not truncated.
+Tolerances must be positive and finite. Unknown keys are rejected at every
+level; the channel seed is not a config key but the CLI's --seed.
 """
 
 from __future__ import annotations
@@ -65,6 +67,17 @@ def _as_vector(value, count, name):
     return vec
 
 
+def parse_count(value, name: str) -> int:
+    """``value`` as an int; ConfigError unless it is a finite whole number."""
+    try:
+        number = float(value)
+        if number.is_integer():
+            return int(number)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ConfigError(f"{name}: bad value {value!r}, expected a count")
+
+
 def _power_dbm(value, name):
     if isinstance(value, str):
         if value.strip().lower() in ("inf", "+inf", "infinity"):
@@ -81,9 +94,9 @@ def parse_config(data: dict) -> ExperimentConfig:
         raise ConfigError(f"unknown top-level keys: {sorted(unknown, key=str)}")
     try:
         sys_d = dict(data["system"])
-        k1 = int(sys_d.pop("K1"))
-        k2 = int(sys_d.pop("K2"))
-        n = int(sys_d.pop("N"))
+        k1 = parse_count(sys_d.pop("K1"), "K1")
+        k2 = parse_count(sys_d.pop("K2"), "K2")
+        n = parse_count(sys_d.pop("N"), "N")
         p_max = _power_dbm(sys_d.pop("P_max_dBm"), "P_max_dBm")
         p_peak_raw = sys_d.pop("P_peak_dBm", "inf")
         p_peak = math.inf if p_peak_raw is None else _power_dbm(p_peak_raw, "P_peak_dBm")
@@ -104,14 +117,15 @@ def parse_config(data: dict) -> ExperimentConfig:
             carrier=float(sc_d.pop("carrier", 900e6)),
             bandwidth=float(sc_d.pop("bandwidth", 1e6)),
             pathloss_exp=float(sc_d.pop("pathloss_exp", 3.0)),
-            num_taps=int(sc_d.pop("num_taps", 8)),
+            num_taps=parse_count(sc_d.pop("num_taps", 8), "num_taps"),
         )
         if sc_d:
             raise ConfigError(f"unknown scenario keys: {sorted(sc_d)}")
         so_d = dict(data.get("solver", {}))
         default = SolverOptions()
         solver = SolverOptions(
-            max_iterations=int(so_d.pop("max_iter", default.max_iterations)),
+            max_iterations=parse_count(so_d.pop("max_iter", default.max_iterations),
+                                       "max_iter"),
             convergence_tol=float(so_d.pop("convergence_tol",
                                            default.convergence_tol)),
             feasibility_tol=float(so_d.pop("feasibility_tol",

@@ -12,7 +12,8 @@ evaluation yields a cut: its value and the subgradient (Q - Qbar, P_max -
 sum p). Kelley's method (J. SIAM 8(4), 1960) evaluates next at the minimizer
 of the piecewise-linear model of all cuts, found by an LP over a box that
 grows whenever the minimizer lands on its upper face. That master LP is one
-warm HiGHS model per solve, one row per cut. When the minimizer is
+warm HiGHS model per solve. Each cut is written in units of g at the start
+point and added once as a row that never changes. When the minimizer is
 inside the box the model's minimum is, by convexity, a lower bound on g over
 the whole orthant; the loop stops once the best dual value is within
 ``convergence_tol`` of that bound, relative to |g| at the start point. Every
@@ -55,8 +56,8 @@ class SolverOptions:
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
         for name in ("convergence_tol", "feasibility_tol"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            if not 0 < getattr(self, name) < math.inf:  # False for NaN too
+                raise ValueError(f"{name} must be positive and finite")
 
 
 @dataclass
@@ -120,11 +121,11 @@ class _Engine:
         else:
             self.lam_scale = np.zeros(0)
 
-    def evaluate(self, lam: np.ndarray, gamma: float) -> dict:
-        """Inner maximization at one dual point; updates bound and primal."""
+    def evaluate(self, lam: np.ndarray, gamma: float):
+        """Inner maximization at one dual point; updates bound and primal.
+        Returns the cut there: g and its subgradient (Q - Qbar, P_max - sum p)."""
         self.n_evals += 1
         omega = -gamma + (lam @ self.zg if self.cfg.num_ers else 0.0)
-        omega = np.broadcast_to(np.atleast_1d(omega), (self.cfg.num_scs,))
         p, a, val = self.kernel(omega)
         if self.fixed_assign is None:
             x = assign_subcarriers(val)
@@ -144,7 +145,8 @@ class _Engine:
         qv = float(np.max(self.cfg.harvest_target - q)) if self.cfg.num_ers else 0.0
         self.trace.append((g_raw / self.cfg.num_scs, primal_norm,
                            total - self.cfg.total_power, qv))
-        return {"alloc": alloc, "q": q, "total": total, "g_raw": g_raw}
+        return g_raw, np.append(q - self.cfg.harvest_target,
+                                self.cfg.total_power - total)
 
     def _consider_primal(self, alloc: Allocation, q: np.ndarray,
                          total: float, source: int | str) -> float:
@@ -178,31 +180,23 @@ class _Engine:
         cfg, opt = self.cfg, self.opt
         unit = np.append(self.lam_scale, self.gamma0)
         y = np.append(np.zeros(cfg.num_ers), 1.0)
-        upper = np.full(y.size, 4.0)
-        master = _MasterLP(upper)
-        points, slopes, values = [], [], []
+        master = _MasterLP(np.full(y.size, 4.0))
+        scale = None
         for _ in range(opt.max_iterations):
-            res = self.evaluate(y[:-1] * unit[:-1], y[-1] * unit[-1])
-            points.append(y)
-            values.append(res["g_raw"])
-            slopes.append(unit * np.append(res["q"] - cfg.harvest_target,
-                                           cfg.total_power - res["total"]))
-            # cut i in units of g at the start point (>= gamma0 * P_max > 0):
-            # t >= (g_i - g_min) / scale + s_i . (y - y_i)
-            scale = values[0]
-            s = np.array(slopes) / scale
-            offset = (np.array(values) - self.g_min) / scale
-            solution = master.solve(
-                s, np.einsum("ij,ij->i", s, np.array(points)) - offset, upper)
+            g, sub = self.evaluate(y[:-1] * unit[:-1], y[-1] * unit[-1])
+            # cut in units of g at the start point (>= gamma0 * P_max > 0):
+            # t >= g / scale + s . (y' - y)
+            scale = scale or g
+            s = unit * sub / scale
+            master.cut(s, s @ y - g / scale)
+            solution = master.solve()
             if solution is None:
                 return False
-            x, t = solution
-            # HiGHS may return y a hair below its 0 bound
-            y = np.maximum(x, 0.0)
-            on_face = y >= upper * (1.0 - 1e-9)
-            if not on_face.any() and -t <= opt.convergence_tol:
+            y, t = solution
+            on_face = y >= master.upper * (1.0 - 1e-9)
+            if not on_face.any() and self.g_min / scale - t <= opt.convergence_tol:
                 return True
-            upper[on_face] *= 4.0
+            master.grow(on_face)
         return False
 
     # -- harvest LP ----------------------------------------------------------
@@ -265,38 +259,40 @@ def _optimal(h: _Highs) -> bool:
 
 class _MasterLP:
     """Kelley's master LP, min t over 0 <= y <= upper and s_i . y - t <= b_i
-    for every cut i, kept in one HiGHS model for the whole solve. ``solve``
-    takes the full master, as ``linprog`` would, but only sends HiGHS what
-    changed: each new cut is one added row, a moved bound is changed in
-    place, and the simplex restarts from the previous basis."""
+    for every cut i, kept in one HiGHS model for the whole solve. A cut is
+    one added row that never changes; growing the box changes the bounds of
+    the grown columns only; the simplex restarts from the previous basis."""
 
     def __init__(self, upper: np.ndarray):
         self._h = _highs(primal_feasibility_tolerance=1e-10,
                          dual_feasibility_tolerance=1e-10)
         self._inf = self._h.getInfinity()
-        m = upper.size
+        self.upper = np.array(upper, dtype=float)
+        m = self.upper.size
         self._h.addVars(m + 1, np.append(np.zeros(m), -self._inf),
-                        np.append(upper, self._inf))  # y, then a free t
+                        np.append(self.upper, self._inf))  # y, then a free t
         self._h.changeColCost(m, 1.0)
         self._cols = np.arange(m + 1, dtype=np.int32)
-        self._upper = upper.copy()
-        self._b = np.zeros(0)
 
-    def solve(self, s: np.ndarray, b: np.ndarray, upper: np.ndarray):
-        """(y, min t) over the cuts s[i] . y - t <= b[i], or None unless
-        HiGHS reports the master optimal."""
-        h, inf, n_old = self._h, self._inf, self._b.size
-        for i in np.flatnonzero(b[:n_old] != self._b):
-            h.changeRowBounds(int(i), -inf, float(b[i]))
-        for i in range(n_old, b.size):
-            h.addRow(-inf, float(b[i]), self._cols.size, self._cols,
-                     np.append(s[i], -1.0))
-        for j in np.flatnonzero(upper != self._upper):
-            h.changeColBounds(int(j), 0.0, float(upper[j]))
-        self._b, self._upper = b.copy(), upper.copy()
-        if not _optimal(h):
+    def cut(self, s: np.ndarray, b: float):
+        """Add the cut s . y - t <= b."""
+        self._h.addRow(-self._inf, float(b), self._cols.size, self._cols,
+                       np.append(s, -1.0))
+
+    def grow(self, on_face: np.ndarray):
+        """Quadruple the box on the faces ``on_face`` marks."""
+        self.upper[on_face] *= 4.0
+        for j in np.flatnonzero(on_face):
+            self._h.changeColBounds(int(j), 0.0, float(self.upper[j]))
+
+    def solve(self):
+        """(y, min t) over the cuts so far, or None unless HiGHS reports the
+        master optimal."""
+        if not _optimal(self._h):
             return None
-        return np.array(h.getSolution().col_value[:-1]), h.getObjectiveValue()
+        # HiGHS may return y a hair below its 0 bound
+        y = np.maximum(self._h.getSolution().col_value[:-1], 0.0)
+        return y, self._h.getObjectiveValue()
 
 
 def solve_dual(config: SystemConfig, channels: ChannelRealization,

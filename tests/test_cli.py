@@ -72,7 +72,7 @@ class TestSolveCommand:
         assert json.loads(out.read_text())["metadata"]["scheme"] == scheme
 
 
-@pytest.mark.parametrize("system, argv", [
+@pytest.mark.parametrize("overrides, argv", [
     ({}, ["sweep", "--axis", "Qbar", "--values", "abc"]),
     ({}, ["sweep", "--axis", "N", "--values", "1e400"]),
     ({}, ["sweep", "--axis", "N", "--values", "8.5"]),
@@ -80,22 +80,37 @@ class TestSolveCommand:
     ({}, ["sweep", "--axis", "K2", "--values", "nan"]),
     ({}, ["sweep", "--axis", "Pmax", "--values", "inf"]),
     ({}, ["sweep", "--axis", "Qbar", "--values", "inf"]),
-    ({"P_max_dBm": math.inf}, ["solve"]),
-    ({"sigma2_dBm": math.inf}, ["solve"]),
-    ({"weights": math.inf}, ["solve"]),
+    ({"system": {"P_max_dBm": math.inf}}, ["solve"]),
+    ({"system": {"sigma2_dBm": math.inf}}, ["solve"]),
+    ({"system": {"weights": math.inf}}, ["solve"]),
     ({}, ["solve", "--seed", "-1"]),
     ({}, ["sweep", "--axis", "Qbar", "--values", "100", "--seed", "-1"]),
     ({}, ["profile", "--seed", "-1"]),
     ({}, ["sweep", "--axis", "Qbar", "--values", "100", "--trials", "0"]),
     ({}, ["sweep", "--axis", "Qbar", "--values", "100", "--trials", "-2"]),
+    ({"system": {"K1": 2.7}}, ["solve"]),
+    ({"system": {"K1": math.inf}}, ["solve"]),
+    ({"system": {"K2": 1.5}}, ["solve"]),
+    ({"system": {"N": 8.5}}, ["solve"]),
+    ({"scenario": {"num_taps": 2.5}}, ["solve"]),
+    ({"solver": {"max_iter": 2.5}}, ["solve"]),
+    ({"solver": {"max_iter": math.inf}}, ["solve"]),
+    ({"solver": {"convergence_tol": math.nan}}, ["solve"]),
+    ({"solver": {"convergence_tol": math.inf}}, ["solve"]),
+    ({"solver": {"feasibility_tol": math.nan}}, ["solve"]),
+    ({"solver": {"feasibility_tol": math.inf}}, ["solve"]),
 ], ids=["values-abc", "N-1e400", "N-8.5", "K2-2.5", "K2-nan", "Pmax-inf", "Qbar-inf",
         "P_max_dBm-inf", "sigma2_dBm-inf", "weights-inf", "solve-seed-neg",
-        "sweep-seed-neg", "profile-seed-neg", "sweep-trials-0", "sweep-trials-neg"])
-def test_bad_numbers_exit_config(tmp_path, capsys, system, argv):
-    cfg = write_config(tmp_path, system=system)
+        "sweep-seed-neg", "profile-seed-neg", "sweep-trials-0", "sweep-trials-neg",
+        "K1-2.7", "K1-inf", "K2-1.5", "N-8.5-config", "num_taps-2.5",
+        "max_iter-2.5", "max_iter-inf", "convergence_tol-nan",
+        "convergence_tol-inf", "feasibility_tol-nan", "feasibility_tol-inf"])
+def test_bad_numbers_exit_config(tmp_path, capsys, overrides, argv):
+    cfg = write_config(tmp_path, **overrides)
     assert main(argv[:1] + ["--config", cfg] + argv[1:]) == EXIT_CONFIG
     captured = capsys.readouterr()
     assert captured.err.startswith("config error:")
+    assert "Traceback" not in captured.err
     assert captured.out == ""  # no report and no header-only CSV
 
 

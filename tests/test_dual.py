@@ -150,16 +150,22 @@ class TestCuttingPlane:
 
 class TestMasterLP:
     """The warm HiGHS master against a cold ``linprog`` on every master of a
-    solve, given the arguments the cutting plane used to pass ``linprog``."""
+    solve, built from the rows the cutting plane added and the current box."""
 
     @pytest.fixture
     def pinned(self, monkeypatch):
-        solve = dual._MasterLP.solve
+        cut, solve = dual._MasterLP.cut, dual._MasterLP.solve
         uppers = []
 
-        def checked(self, s, b, upper):
-            out = solve(self, s, b, upper)
-            a_ub = np.hstack([s, -np.ones((b.size, 1))])
+        def recording(self, s, b):
+            self.__dict__.setdefault("rows", []).append((np.array(s), b))
+            cut(self, s, b)
+
+        def checked(self):
+            out = solve(self)
+            upper = self.upper
+            a_ub = np.array([np.append(s, -1.0) for s, _ in self.rows])
+            b = np.array([b for _, b in self.rows])
             ref = linprog(c=np.append(np.zeros(upper.size), 1.0),
                           A_ub=a_ub, b_ub=b,
                           bounds=[(0.0, u) for u in upper] + [(None, None)],
@@ -176,6 +182,7 @@ class TestMasterLP:
             uppers.append(upper.max())
             return out
 
+        monkeypatch.setattr(dual._MasterLP, "cut", recording)
         monkeypatch.setattr(dual._MasterLP, "solve", checked)
         return uppers
 
@@ -330,3 +337,7 @@ class TestSolverOptions:
             SolverOptions(max_iterations=0)
         with pytest.raises(ValueError):
             SolverOptions(convergence_tol=-1.0)
+        for name in ("convergence_tol", "feasibility_tol"):
+            for bad in (0.0, np.nan, np.inf):
+                with pytest.raises(ValueError, match="positive and finite"):
+                    SolverOptions(**{name: bad})
