@@ -7,9 +7,8 @@ from .model import (Allocation, ChannelRealization, DomainError, SystemConfig,
                     secrecy_rate, threshold_x, weighted_sum_secrecy)
 from .vector import UnboundedSubproblemError
 from .dual import (InfeasibleProblemError, SolveReport, SolverOptions,
-                   assign_subcarriers, solve_optimal)
-from .heuristics import (HeuristicReport, noncancel_secrecy_rate,
-                         solve_fixed_alpha, solve_fsa, solve_noan,
+                   assign_subcarriers, solve_dual)
+from .heuristics import (SCHEMES, noncancel_secrecy_rate, solve,
                          solve_suboptimal)
 from .channel import (ScenarioSpec, dbm_to_watts, generate_scenario,
                       path_loss, watts_to_dbm)

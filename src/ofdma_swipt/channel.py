@@ -29,18 +29,16 @@ class ScenarioSpec:
     cell_radius: float = 200.0
     er_radius: float = 2.0
     carrier: float = 900e6
-    bandwidth: float = 1e6
     pathloss_exp: float = 3.0
     num_taps: int = 8
     seed: int = 0
 
     def __post_init__(self):
-        if self.cell_radius <= 0 or self.er_radius <= 0:
-            raise DomainError("radii must be positive")
+        for name in ("cell_radius", "er_radius", "carrier", "pathloss_exp"):
+            if not 0 < getattr(self, name) < np.inf:  # False for NaN too
+                raise DomainError(f"{name} must be positive and finite")
         if self.num_taps < 1:
             raise DomainError("need at least one fading tap")
-        if self.pathloss_exp <= 0:
-            raise DomainError("path loss exponent must be positive")
 
 
 def dbm_to_watts(x: float) -> float:

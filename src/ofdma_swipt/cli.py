@@ -19,10 +19,10 @@ import time
 
 import numpy as np
 
-from .channel import generate_scenario
+from .channel import dbm_to_watts, generate_scenario
 from .config import ConfigError, ExperimentConfig, load_config, parse_count
-from .dual import InfeasibleProblemError, solve_optimal
-from .heuristics import solve_fixed_alpha, solve_fsa, solve_noan, solve_suboptimal
+from .dual import InfeasibleProblemError
+from .heuristics import solve
 from .model import DomainError
 
 EXIT_OK = 0
@@ -44,17 +44,7 @@ def _fmt(x) -> str:
 def run_scheme(exp: ExperimentConfig, seed: int):
     spec = dataclasses.replace(exp.scenario, seed=seed)
     channels = generate_scenario(exp.system, spec)
-    if exp.scheme == "optimal":
-        return solve_optimal(exp.system, channels, exp.solver)
-    if exp.scheme == "suboptimal":
-        return solve_suboptimal(exp.system, channels)
-    if exp.scheme == "fsa":
-        return solve_fsa(exp.system, channels, exp.solver)
-    if exp.scheme == "alpha05":
-        return solve_fixed_alpha(exp.system, channels, 0.5, exp.solver)
-    if exp.scheme == "noan":
-        return solve_noan(exp.system, channels, exp.solver)
-    raise ConfigError(f"unknown scheme {exp.scheme}")
+    return solve(exp.system, channels, exp.scheme, exp.solver)
 
 
 def _resize(v: np.ndarray, k: int, fill: float) -> np.ndarray:
@@ -70,7 +60,7 @@ def apply_axis(exp: ExperimentConfig, axis: str, value: float) -> ExperimentConf
     if axis == "Qbar":
         kw["harvest_target"] = np.full(s.num_ers, value * 1e-6)
     elif axis == "Pmax":
-        kw["total_power"] = 10.0 ** ((value - 30.0) / 10.0)
+        kw["total_power"] = dbm_to_watts(value)
     elif axis == "N":
         kw["num_scs"] = parse_count(value, axis)
     elif axis == "K2":

@@ -16,19 +16,19 @@ scenario:
   cell_radius: 200
   er_radius: 2
   carrier: 900e6
-  bandwidth: 1e6
   pathloss_exp: 3
   num_taps: 8
 solver:
   max_iter: 5000          # cap on dual evaluations
   convergence_tol: 1e-9   # certified dual bound gap, relative
   feasibility_tol: 1e-9   # watts
-scheme: optimal    # optimal | suboptimal | fsa | alpha05 | noan
+scheme: optimal    # a name in heuristics.SCHEMES
 
 Powers are dBm in files and watts internally. Counts (K1, K2, N, num_taps,
 max_iter) must be whole numbers: 2.7 or .inf is rejected, not truncated.
-Tolerances must be positive and finite. Unknown keys are rejected at every
-level; the channel seed is not a config key but the CLI's --seed.
+Tolerances, radii, the carrier and the path-loss exponent must be positive
+and finite. Unknown keys are rejected at every level; the channel seed is not
+a config key but the CLI's --seed.
 """
 
 from __future__ import annotations
@@ -41,9 +41,8 @@ import yaml
 
 from .channel import ScenarioSpec, dbm_to_watts
 from .dual import SolverOptions
+from .heuristics import DEFAULT_SCHEME, SCHEMES
 from .model import SystemConfig
-
-SCHEMES = ("optimal", "suboptimal", "fsa", "alpha05", "noan")
 
 
 class ConfigError(ValueError):
@@ -115,7 +114,6 @@ def parse_config(data: dict) -> ExperimentConfig:
             cell_radius=float(sc_d.pop("cell_radius", 200.0)),
             er_radius=float(sc_d.pop("er_radius", 2.0)),
             carrier=float(sc_d.pop("carrier", 900e6)),
-            bandwidth=float(sc_d.pop("bandwidth", 1e6)),
             pathloss_exp=float(sc_d.pop("pathloss_exp", 3.0)),
             num_taps=parse_count(sc_d.pop("num_taps", 8), "num_taps"),
         )
@@ -133,9 +131,9 @@ def parse_config(data: dict) -> ExperimentConfig:
         )
         if so_d:
             raise ConfigError(f"unknown solver keys: {sorted(so_d)}")
-        scheme = str(data.get("scheme", "optimal"))
+        scheme = str(data.get("scheme", DEFAULT_SCHEME))
         if scheme not in SCHEMES:
-            raise ConfigError(f"scheme must be one of {SCHEMES}")
+            raise ConfigError(f"scheme must be one of {tuple(SCHEMES)}")
     except ConfigError:
         raise
     except (KeyError, TypeError, ValueError) as exc:

@@ -1,6 +1,9 @@
 """Outer Lagrange-dual loop: per-SC optimization, assignment, a cutting-plane
 minimization of the dual, primal recovery and duality-gap measurement.
 
+:func:`solve_dual` can pin the split (``alpha_fixed``) or the assignment
+(``fixed_assign``); ``heuristics.SCHEMES`` names these variants.
+
 The dual function is evaluated with the per-SC power additionally capped at
 min(P_peak, P_max); the cap is implied by the total-power constraint, keeps
 every subproblem bounded, and leaves the dual bound valid. One
@@ -36,9 +39,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize._highspy._core import HighsModelStatus, HighsStatus, _Highs
 
-from .model import (Allocation, ChannelRealization, SystemConfig, LN2,
-                    all_harvested_powers, optimal_split, secrecy_rate,
-                    weighted_sum_secrecy)
+from .model import (LN2, Allocation, ChannelRealization, DomainError,
+                    SystemConfig, all_harvested_powers, optimal_split,
+                    secrecy_rate, weighted_sum_secrecy)
 from . import vector
 
 
@@ -84,7 +87,7 @@ def assign_subcarriers(values: np.ndarray) -> np.ndarray:
 
 
 class _Engine:
-    """Shared machinery for the optimal and benchmark dual solvers."""
+    """One dual solve: the kernel, the best dual point and the best primal."""
 
     def __init__(self, config: SystemConfig, channels: ChannelRealization,
                  options: SolverOptions, alpha_fixed: float | None = None,
@@ -298,9 +301,11 @@ class _MasterLP:
 def solve_dual(config: SystemConfig, channels: ChannelRealization,
                options: SolverOptions | None = None,
                alpha_fixed: float | None = None,
-               fixed_assign: np.ndarray | None = None,
-               scheme: str = "optimal") -> SolveReport:
-    """Run the full dual loop for one scheme and recover the best primal."""
+               fixed_assign: np.ndarray | None = None) -> SolveReport:
+    """Run the full dual loop and recover the best primal; ``alpha_fixed``
+    pins the split ratio, ``fixed_assign`` the (K1, N) assignment."""
+    if alpha_fixed is not None and not 0.0 <= alpha_fixed <= 1.0:
+        raise DomainError("split ratio must lie in [0, 1]")
     options = options or SolverOptions()
     eng = _Engine(config, channels, options, alpha_fixed=alpha_fixed,
                   fixed_assign=fixed_assign)
@@ -311,7 +316,7 @@ def solve_dual(config: SystemConfig, channels: ChannelRealization,
         raise InfeasibleProblemError("no feasible allocation found")
     n = config.num_scs
     gap = (eng.g_min - eng.best_obj) / n
-    report = SolveReport(
+    return SolveReport(
         objective=eng.best_obj / n,
         harvested=eng.best_q,
         duality_gap=gap,
@@ -319,7 +324,6 @@ def solve_dual(config: SystemConfig, channels: ChannelRealization,
         allocation=eng.best_alloc,
         trace=eng.trace,
         metadata={
-            "scheme": scheme,
             "converged": converged,
             "gamma_init": eng.gamma0,
             "lambda": eng.lam.tolist(),
@@ -327,10 +331,3 @@ def solve_dual(config: SystemConfig, channels: ChannelRealization,
             "primal_source": eng.best_source,
         },
     )
-    return report
-
-
-def solve_optimal(config: SystemConfig, channels: ChannelRealization,
-                  options: SolverOptions | None = None) -> SolveReport:
-    """Jointly optimal power, split and assignment via the dual method."""
-    return solve_dual(config, channels, options, scheme="optimal")

@@ -1,32 +1,66 @@
-"""Two-stage suboptimal allocator and the benchmark schemes.
+"""The scheme table and one ``solve`` that runs any scheme; the two-stage
+suboptimal allocator and the non-cancelable-AN secrecy rate.
 
-Benchmarks: fixed split ratio (alpha pinned, power/assignment still dual
-optimized), fixed subcarrier assignment (FSA, round-robin map), and NoAN
-(alpha pinned to zero). The non-cancelable-AN secrecy rate backs the claim
-that AN without receiver-side cancellation never beats plain transmission.
+Besides the jointly optimal dual method, the benchmarks are the staged
+equal-power heuristic, a fixed round-robin assignment (FSA), the split pinned
+at one half, and no AN (the split pinned at zero); a pinned scheme still
+dual-optimizes what it does not pin. The non-cancelable-AN rate backs the
+claim that AN without receiver-side cancellation never beats plain
+transmission.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .model import (Allocation, ChannelRealization, DomainError, SystemConfig,
-                    all_harvested_powers, optimal_split, secrecy_rate,
-                    weighted_sum_secrecy)
+from .model import (Allocation, ChannelRealization, SystemConfig,
+                    _validate_rate_inputs, all_harvested_powers,
+                    optimal_split, secrecy_rate, weighted_sum_secrecy)
 from .dual import (InfeasibleProblemError, SolveReport, SolverOptions,
                    solve_dual)
 
 
-@dataclass
-class HeuristicReport(SolveReport):
-    n1: int = 0  # SCs consumed by the harvesting stage
-    n2: int = 0  # SCs assigned greedily for secrecy rate
+class Scheme(NamedTuple):
+    """How a scheme runs: the dual method, with the split or the
+    assignment optionally pinned, or the equal-power heuristic."""
+    alpha: float | None = None  # the pinned split ratio
+    round_robin: bool = False  # the pinned round-robin assignment
+    equal_power: bool = False  # the dual-free staged heuristic
+
+
+SCHEMES = {
+    "optimal": Scheme(),
+    "suboptimal": Scheme(equal_power=True),
+    "fsa": Scheme(round_robin=True),
+    "alpha05": Scheme(alpha=0.5),
+    "noan": Scheme(alpha=0.0),
+}
+
+DEFAULT_SCHEME = "optimal"
+
+
+def solve(config: SystemConfig, channels: ChannelRealization,
+          scheme: str = DEFAULT_SCHEME,
+          options: SolverOptions | None = None) -> SolveReport:
+    """Run the scheme named ``scheme``; its name goes into the metadata."""
+    if scheme not in SCHEMES:
+        raise ValueError(f"unknown scheme {scheme!r}; "
+                         f"choose one of {tuple(SCHEMES)}")
+    how = SCHEMES[scheme]
+    if how.equal_power:
+        report = solve_suboptimal(config, channels)
+    else:
+        assign = round_robin_assignment(config) if how.round_robin else None
+        report = solve_dual(config, channels, options, alpha_fixed=how.alpha,
+                            fixed_assign=assign)
+    report.metadata["scheme"] = scheme
+    return report
 
 
 def solve_suboptimal(config: SystemConfig,
-                     channels: ChannelRealization) -> HeuristicReport:
+                     channels: ChannelRealization) -> SolveReport:
     """Equal power on every SC; stage 1 feeds each ER its best SCs until the
     harvest target is met, stage 2 assigns the rest by weighted secrecy rate."""
     n = config.num_scs
@@ -66,38 +100,15 @@ def solve_suboptimal(config: SystemConfig,
                  0.0)
     alloc = Allocation(assign=x, power=p, split=a)
     q = all_harvested_powers(alloc, channels, config)
-    return HeuristicReport(
+    return SolveReport(
         objective=weighted_sum_secrecy(alloc, channels, config),
         harvested=q,
         duality_gap=None,
         iterations=1,
         allocation=alloc,
         trace=[],
-        metadata={
-            "scheme": "suboptimal",
-            "equal_power": p_eq,
-        },
-        n1=n1,
-        n2=n2,
+        metadata={"n1": n1, "n2": n2, "equal_power": p_eq},
     )
-
-
-def solve_fixed_alpha(config: SystemConfig, channels: ChannelRealization,
-                      alpha0: float = 0.5,
-                      options: SolverOptions | None = None) -> SolveReport:
-    """Dual-optimal power and assignment with the split ratio pinned."""
-    if not 0.0 <= alpha0 <= 1.0:
-        raise DomainError("split ratio must lie in [0, 1]")
-    # named as configs name it: alpha 0.5 is scheme "alpha05"
-    name = "noan" if alpha0 == 0.0 else "alpha" + f"{alpha0:g}".replace(".", "")
-    return solve_dual(config, channels, options, alpha_fixed=alpha0,
-                      scheme=name)
-
-
-def solve_noan(config: SystemConfig, channels: ChannelRealization,
-               options: SolverOptions | None = None) -> SolveReport:
-    """No artificial noise: identical to the fixed-alpha scheme at zero."""
-    return solve_fixed_alpha(config, channels, 0.0, options)
 
 
 def round_robin_assignment(config: SystemConfig) -> np.ndarray:
@@ -106,29 +117,13 @@ def round_robin_assignment(config: SystemConfig) -> np.ndarray:
     return x
 
 
-def solve_fsa(config: SystemConfig, channels: ChannelRealization,
-              options: SolverOptions | None = None) -> SolveReport:
-    """Fixed round-robin SC-to-IR map; (p, alpha) still jointly optimized."""
-    return solve_dual(config, channels, options,
-                      fixed_assign=round_robin_assignment(config),
-                      scheme="fsa")
-
-
 def noncancel_secrecy_rate(p, alpha, h2, b2, sigma2):
     """Secrecy rate when the intended receiver cannot cancel the AN.
 
     Nonincreasing in alpha, so its maximum over alpha is the alpha=0 (NoAN)
     value; AN without cancellation never helps here.
     """
-    p = np.asarray(p, dtype=float)
-    alpha = np.asarray(alpha, dtype=float)
-    if np.any(p < 0):
-        raise DomainError("power must be nonnegative")
-    if np.any((alpha < 0) | (alpha > 1)):
-        raise DomainError("split ratio must lie in [0, 1]")
-    if np.any(np.asarray(h2) <= 0) or np.any(np.asarray(b2) <= 0) \
-            or np.any(np.asarray(sigma2) <= 0):
-        raise DomainError("gains and noise power must be positive")
+    p, alpha = _validate_rate_inputs(p, alpha, sigma2, h2, b2)
     r_ir = np.log2(sigma2 + h2 * p) - np.log2(sigma2 + alpha * h2 * p)
     r_ev = np.log2(sigma2 + b2 * p) - np.log2(sigma2 + alpha * b2 * p)
     out = np.maximum(r_ir - r_ev, 0.0)

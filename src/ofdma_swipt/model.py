@@ -161,7 +161,8 @@ class Allocation:
         return (self.assign * self.power).sum(axis=0)
 
 
-def _validate_rate_inputs(p, alpha, sigma2):
+def _validate_rate_inputs(p, alpha, sigma2, *gains):
+    """DomainError unless p >= 0, 0 <= alpha <= 1, sigma2 > 0, gains > 0."""
     p = np.asarray(p, dtype=float)
     alpha = np.asarray(alpha, dtype=float)
     if np.any(p < 0):
@@ -170,22 +171,20 @@ def _validate_rate_inputs(p, alpha, sigma2):
         raise DomainError("split ratio must lie in [0, 1]")
     if np.any(np.asarray(sigma2) <= 0):
         raise DomainError("noise power must be positive")
+    if any(np.any(np.asarray(g) <= 0) for g in gains):
+        raise DomainError("channel gain must be positive")
     return p, alpha
 
 
 def rate_ir(p, alpha, h2, sigma2):
     """Information rate of the intended receiver after AN cancellation."""
-    p, alpha = _validate_rate_inputs(p, alpha, sigma2)
-    if np.any(np.asarray(h2) <= 0):
-        raise DomainError("channel gain must be positive")
+    p, alpha = _validate_rate_inputs(p, alpha, sigma2, h2)
     return np.log1p((1.0 - alpha) * h2 * p / sigma2) / LN2
 
 
 def rate_eve(p, alpha, b2, sigma2):
     """Decodable rate of the worst-case eavesdropper (AN not cancellable)."""
-    p, alpha = _validate_rate_inputs(p, alpha, sigma2)
-    if np.any(np.asarray(b2) <= 0):
-        raise DomainError("channel gain must be positive")
+    p, alpha = _validate_rate_inputs(p, alpha, sigma2, b2)
     # 1 + (1-a) b2 p / (s + a b2 p) == (s + b2 p) / (s + a b2 p)
     return (np.log1p(b2 * p / sigma2) - np.log1p(alpha * b2 * p / sigma2)) / LN2
 
@@ -237,9 +236,7 @@ def secrecy_rate(p, alpha, h2, b2, sigma2):
 
     Exactly zero for p <= [threshold_x]^+ and strictly positive beyond it.
     """
-    p, alpha = _validate_rate_inputs(p, alpha, sigma2)
-    if np.any(np.asarray(h2) <= 0) or np.any(np.asarray(b2) <= 0):
-        raise DomainError("channel gain must be positive")
+    p, alpha = _validate_rate_inputs(p, alpha, sigma2, h2, b2)
     out = _secrecy_rate(p, alpha, h2, b2, sigma2)
     return out if out.ndim else float(out)
 

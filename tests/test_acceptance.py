@@ -15,10 +15,8 @@ import yaml
 from conftest import (grid_best, paper_channels, paper_system, random_context,
                       solve_one, synthetic_channels)
 from ofdma_swipt.cli import main as cli_main
-from ofdma_swipt.dual import (InfeasibleProblemError, SolverOptions,
-                              solve_optimal)
-from ofdma_swipt.heuristics import (noncancel_secrecy_rate, solve_fixed_alpha,
-                                    solve_fsa, solve_noan, solve_suboptimal)
+from ofdma_swipt.dual import InfeasibleProblemError, SolverOptions
+from ofdma_swipt.heuristics import noncancel_secrecy_rate, solve
 from ofdma_swipt.model import (SystemConfig, optimal_split, secrecy_rate,
                                threshold_x)
 
@@ -158,7 +156,7 @@ def test_small_instance_global_optimality():
     rng = np.random.default_rng(777)
     for trial in range(24):
         cfg, ch = _small_instance(rng, target_frac=0.02)
-        rep = solve_optimal(cfg, ch)
+        rep = solve(cfg, ch)
         ref = _exhaustive_small_instance(cfg, ch)
         assert rep.objective >= ref - 1e-9, f"trial {trial}"
         assert abs(rep.objective - ref) <= 1e-3 * (1.0 + ref), f"trial {trial}"
@@ -172,7 +170,7 @@ def test_small_instance_dual_bound_valid_when_harvest_binds():
     for trial in range(10):
         cfg, ch = _small_instance(rng, target_frac=0.3)
         try:
-            rep = solve_optimal(cfg, ch)
+            rep = solve(cfg, ch)
         except InfeasibleProblemError:
             continue
         ref = _exhaustive_small_instance(cfg, ch)
@@ -186,7 +184,7 @@ def test_duality_gap_magnitude_at_64_subcarriers():
     """Mean band-averaged duality gap over 50 seeds at N=64 stays below
     1e-4 bps/Hz under the reference downlink setup."""
     cfg = paper_system(n_sc=64)
-    gaps = [max(solve_optimal(cfg, paper_channels(cfg, s)).duality_gap, 0.0)
+    gaps = [max(solve(cfg, paper_channels(cfg, s)).duality_gap, 0.0)
             for s in range(50)]
     assert np.mean(gaps) < 1e-4, f"mean gap {np.mean(gaps):.3e}"
 
@@ -202,7 +200,7 @@ def test_duality_gap_strictly_decreasing_in_subcarrier_count():
     means = []
     for n in (8, 16, 32, 64):
         cfg = paper_system(n_sc=n)
-        gaps = [max(solve_optimal(cfg, paper_channels(cfg, s)).duality_gap, 0.0)
+        gaps = [max(solve(cfg, paper_channels(cfg, s)).duality_gap, 0.0)
                 for s in range(20)]
         means.append(np.mean(gaps))
     assert all(b < a for a, b in zip(means, means[1:])), f"means {means}"
@@ -213,7 +211,7 @@ def test_mean_optimal_split_near_half():
     cfg = paper_system(n_sc=64)
     means = []
     for seed in range(4):
-        al = solve_optimal(cfg, paper_channels(cfg, seed)).allocation
+        al = solve(cfg, paper_channels(cfg, seed)).allocation
         mask = (al.assign == 1) & (al.power > 0)
         means.append(float(al.split[mask].mean()))
     assert 0.45 <= np.mean(means) <= 0.55, f"per-seed means {means}"
@@ -226,12 +224,12 @@ def test_scheme_ordering_on_matched_seeds():
     cfg = paper_system(n_sc=64)
     for seed in range(6):
         ch = paper_channels(cfg, seed)
-        opt = solve_optimal(cfg, ch).objective
+        opt = solve(cfg, ch).objective
         tol = 1e-6 * (1.0 + opt)
-        half = solve_fixed_alpha(cfg, ch, 0.5).objective
-        sub = solve_suboptimal(cfg, ch).objective
-        fsa = solve_fsa(cfg, ch).objective
-        noan = solve_noan(cfg, ch).objective
+        half = solve(cfg, ch, "alpha05").objective
+        sub = solve(cfg, ch, "suboptimal").objective
+        fsa = solve(cfg, ch, "fsa").objective
+        noan = solve(cfg, ch, "noan").objective
         assert half <= opt + tol, f"seed {seed}"
         assert fsa <= sub + tol <= opt + 2 * tol, f"seed {seed}"
         assert sub >= 0.7 * opt, f"seed {seed}: {sub} vs {opt}"
@@ -242,7 +240,7 @@ def test_objective_nondecreasing_in_power_budget():
     prev = None
     for dbm in (31.0, 34.0, 37.0, 40.0):
         cfg = paper_system(n_sc=16, p_max_dbm=dbm, qbar_uw=10.0)
-        objs = np.array([solve_optimal(cfg, paper_channels(cfg, s)).objective
+        objs = np.array([solve(cfg, paper_channels(cfg, s)).objective
                          for s in range(6)])
         if prev is not None:
             assert np.all(objs >= prev - 1e-6), f"P_max {dbm} dBm"
@@ -254,7 +252,7 @@ def test_objective_nonincreasing_in_energy_receiver_count():
     prev = None
     for k2 in (1, 2, 4, 8):
         cfg = paper_system(n_sc=16, k2=k2, qbar_uw=10.0)
-        objs = np.array([solve_optimal(cfg, paper_channels(cfg, s)).objective
+        objs = np.array([solve(cfg, paper_channels(cfg, s)).objective
                          for s in range(6)])
         if prev is not None:
             assert np.all(objs <= prev + 1e-6), f"K2 {k2}"
@@ -272,7 +270,7 @@ def test_infeasibility_rate_increasing_in_energy_receiver_count():
         bad = 0
         for seed in range(40):
             try:
-                solve_fsa(cfg, paper_channels(cfg, seed), opts)
+                solve(cfg, paper_channels(cfg, seed), "fsa", opts)
             except InfeasibleProblemError:
                 bad += 1
         rates.append(bad / 40.0)

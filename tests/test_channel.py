@@ -104,6 +104,13 @@ class TestScenarioSpecValidation:
         with pytest.raises(DomainError):
             ScenarioSpec(cell_radius=-1.0)
 
+    @pytest.mark.parametrize("name", ["cell_radius", "er_radius", "carrier",
+                                      "pathloss_exp"])
+    @pytest.mark.parametrize("value", [0.0, np.nan, np.inf])
+    def test_scalars_positive_and_finite(self, name, value):
+        with pytest.raises(DomainError, match=name):
+            ScenarioSpec(**{name: value})
+
     def test_bad_taps(self):
         with pytest.raises(DomainError):
             ScenarioSpec(num_taps=0)

@@ -9,7 +9,8 @@ import yaml
 
 from ofdma_swipt.cli import (EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_NOT_CONVERGED,
                              EXIT_OK, apply_axis, main)
-from ofdma_swipt.config import SCHEMES, load_config
+from ofdma_swipt.config import load_config
+from ofdma_swipt.heuristics import SCHEMES
 
 
 def write_config(tmp_path, name="cfg.yaml", **overrides):
@@ -71,6 +72,15 @@ class TestSolveCommand:
         assert main(["solve", "--config", cfg, "--out", str(out)]) == EXIT_OK
         assert json.loads(out.read_text())["metadata"]["scheme"] == scheme
 
+    def test_suboptimal_report_shows_stage_counts(self, tmp_path):
+        cfg = write_config(tmp_path, scheme="suboptimal")
+        out = tmp_path / "r.json"
+        assert main(["solve", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        meta = json.loads(out.read_text())["metadata"]
+        assert meta["n1"] >= 1  # the 100 uW targets need stage one
+        assert meta["n1"] + meta["n2"] == 8
+        assert meta["equal_power"] > 0.0
+
 
 @pytest.mark.parametrize("overrides, argv", [
     ({}, ["sweep", "--axis", "Qbar", "--values", "abc"]),
@@ -99,12 +109,17 @@ class TestSolveCommand:
     ({"solver": {"convergence_tol": math.inf}}, ["solve"]),
     ({"solver": {"feasibility_tol": math.nan}}, ["solve"]),
     ({"solver": {"feasibility_tol": math.inf}}, ["solve"]),
+    ({"scenario": {"cell_radius": math.nan}}, ["solve"]),
+    ({"scenario": {"er_radius": math.nan}}, ["solve"]),
+    ({"scenario": {"cell_radius": math.inf}}, ["solve"]),
+    ({"scenario": {"carrier": -1.0}}, ["solve"]),
 ], ids=["values-abc", "N-1e400", "N-8.5", "K2-2.5", "K2-nan", "Pmax-inf", "Qbar-inf",
         "P_max_dBm-inf", "sigma2_dBm-inf", "weights-inf", "solve-seed-neg",
         "sweep-seed-neg", "profile-seed-neg", "sweep-trials-0", "sweep-trials-neg",
         "K1-2.7", "K1-inf", "K2-1.5", "N-8.5-config", "num_taps-2.5",
         "max_iter-2.5", "max_iter-inf", "convergence_tol-nan",
-        "convergence_tol-inf", "feasibility_tol-nan", "feasibility_tol-inf"])
+        "convergence_tol-inf", "feasibility_tol-nan", "feasibility_tol-inf",
+        "cell_radius-nan", "er_radius-nan", "cell_radius-inf", "carrier-neg"])
 def test_bad_numbers_exit_config(tmp_path, capsys, overrides, argv):
     cfg = write_config(tmp_path, **overrides)
     assert main(argv[:1] + ["--config", cfg] + argv[1:]) == EXIT_CONFIG

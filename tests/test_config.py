@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from ofdma_swipt.config import (SCHEMES, ConfigError, load_config,
-                                parse_config)
+from ofdma_swipt.config import ConfigError, load_config, parse_config
+from ofdma_swipt.heuristics import SCHEMES
 
 
 def base_config():
@@ -70,6 +70,13 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="seed"):
             parse_config(data)
 
+    def test_scenario_bandwidth_rejected(self):
+        # nothing reads a bandwidth: the noise power is sigma2_dBm
+        data = base_config()
+        data["scenario"] = {"bandwidth": 1e6}
+        with pytest.raises(ConfigError, match="bandwidth"):
+            parse_config(data)
+
     @pytest.mark.parametrize("key", ["xi0", "nu0", "polish_rounds"])
     def test_removed_solver_keys_rejected(self, key):
         data = base_config()
@@ -84,7 +91,7 @@ class TestParseConfig:
     def test_bad_scheme(self):
         data = base_config()
         data["scheme"] = "magic"
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="noan"):
             parse_config(data)
 
     def test_all_schemes_accepted(self):

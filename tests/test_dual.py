@@ -11,7 +11,7 @@ from scipy.optimize import linprog
 
 from ofdma_swipt import (ChannelRealization, InfeasibleProblemError,
                          SystemConfig, assign_subcarriers, dual, secrecy_rate,
-                         solve_noan, solve_optimal)
+                         solve)
 from ofdma_swipt.cli import EXIT_NOT_CONVERGED, main
 from ofdma_swipt.dual import SolverOptions
 from ofdma_swipt.model import all_harvested_powers
@@ -70,7 +70,7 @@ class TestSolveOptimal:
                            harvest_eff=np.zeros(0), harvest_target=np.zeros(0))
         ch = synthetic_channels(rng, 2, 1, 3, spread=1.0)
         ch = ChannelRealization(gains=ch.gains[:3], num_irs=2)
-        rep = solve_optimal(cfg, ch)
+        rep = solve(cfg, ch)
         brute = _brute_force_no_er(cfg, ch)
         assert rep.objective >= brute - 1e-3
         assert rep.objective <= brute + 0.05 * (1.0 + brute)
@@ -82,18 +82,18 @@ class TestSolveOptimal:
                            harvest_eff=np.array([0.5]),
                            harvest_target=np.array([0.0]))
         ch = ChannelRealization(gains=np.array([[5.0], [1.0]]), num_irs=1)
-        rep = solve_optimal(cfg, ch)
+        rep = solve(cfg, ch)
         assert rep.duality_gap <= 1e-9
 
     def test_zero_targets_price_lambda_to_zero(self):
         cfg = paper_system(n_sc=8, qbar_uw=0.0)
-        rep = solve_optimal(cfg, paper_channels(cfg, seed=1))
+        rep = solve(cfg, paper_channels(cfg, seed=1))
         assert np.all(np.asarray(rep.metadata["lambda"]) == 0.0)
 
     def test_feasibility_and_validation_of_returned_primal(self):
         cfg = paper_system(n_sc=16)
         ch = paper_channels(cfg, seed=2)
-        rep = solve_optimal(cfg, ch)
+        rep = solve(cfg, ch)
         rep.allocation.validate(cfg)
         q = all_harvested_powers(rep.allocation, ch, cfg)
         assert np.all(q >= cfg.harvest_target - 1e-9)
@@ -102,19 +102,19 @@ class TestSolveOptimal:
 
     def test_dual_trace_upper_bounds_primal(self):
         cfg = paper_system(n_sc=8)
-        rep = solve_optimal(cfg, paper_channels(cfg, seed=3))
+        rep = solve(cfg, paper_channels(cfg, seed=3))
         dual_values = [row[0] for row in rep.trace]
         assert min(dual_values) >= rep.objective - 1e-9
 
     def test_infeasible_targets_raise(self):
         cfg = paper_system(n_sc=8, qbar_uw=1e9)
         with pytest.raises(InfeasibleProblemError):
-            solve_optimal(cfg, paper_channels(cfg, seed=0))
+            solve(cfg, paper_channels(cfg, seed=0))
 
     def test_budget_not_overspent_and_gap_nonnegative(self):
         # an allocation above P_max could score above the dual bound
         cfg = paper_system(n_sc=16)
-        rep = solve_optimal(cfg, paper_channels(cfg, seed=2))
+        rep = solve(cfg, paper_channels(cfg, seed=2))
         assert rep.allocation.sc_power.sum() <= cfg.total_power * (1 + 1e-15)
         assert rep.duality_gap >= -1e-12
 
@@ -123,7 +123,7 @@ class TestSolveOptimal:
         # stays nonnegative up to numerical tolerance
         for n in (16, 64):
             cfg = paper_system(n_sc=n)
-            rep = solve_optimal(cfg, paper_channels(cfg, seed=4))
+            rep = solve(cfg, paper_channels(cfg, seed=4))
             assert -1e-9 <= rep.duality_gap < 1e-4
 
 
@@ -131,18 +131,18 @@ class TestCuttingPlane:
     def test_paper_draw_7_certified(self):
         # the step-size rule of a subgradient loop ran this draw to the cap
         cfg = paper_system()
-        rep = solve_optimal(cfg, paper_channels(cfg, 7))
+        rep = solve(cfg, paper_channels(cfg, 7))
         assert rep.metadata["converged"] is True
         assert rep.iterations <= 200
 
     def test_multipliers_stay_nonnegative(self):
         # one draw where harvesting binds (large lambda) and one where not;
         # on the noan draws the master LP returns a lambda a hair below 0
-        cases = [(solve_optimal, 100.0, 0), (solve_optimal, 400.0, 8),
-                 (solve_noan, 100.0, 1), (solve_noan, 100.0, 2)]
-        for solve, qbar_uw, seed in cases:
+        cases = [("optimal", 100.0, 0), ("optimal", 400.0, 8),
+                 ("noan", 100.0, 1), ("noan", 100.0, 2)]
+        for scheme, qbar_uw, seed in cases:
             cfg = paper_system(qbar_uw=qbar_uw)
-            rep = solve(cfg, paper_channels(cfg, seed))
+            rep = solve(cfg, paper_channels(cfg, seed), scheme)
             assert rep.metadata["converged"] is True
             assert np.all(np.asarray(rep.metadata["lambda"]) >= 0.0)
             assert rep.metadata["gamma"] >= 0.0
@@ -191,7 +191,7 @@ class TestMasterLP:
         ids=["paper-draw-0", "paper-draw-1", "400uW-draw-10-box-grows"])
     def test_matches_linprog_on_every_master(self, pinned, qbar_uw, seed):
         cfg = paper_system(qbar_uw=qbar_uw)
-        rep = solve_optimal(cfg, paper_channels(cfg, seed))
+        rep = solve(cfg, paper_channels(cfg, seed))
         assert rep.metadata["converged"] is True
         assert len(pinned) == rep.iterations
         # the box starts at 4; it grows to 16 on the paper draws and to
@@ -251,7 +251,7 @@ class TestMasterFailure:
 
     def test_solve_reports_not_converged(self):
         cfg = paper_system(n_sc=8)
-        rep = solve_optimal(cfg, paper_channels(cfg, 0))
+        rep = solve(cfg, paper_channels(cfg, 0))
         assert rep.metadata["converged"] is False
         assert rep.iterations == 1
 
@@ -265,7 +265,7 @@ class TestPrimalSource:
     def test_harvest_lp_fallback_named(self):
         # every noan iterate scores 0, so the first-screened LP primal stays
         cfg = paper_system()
-        rep = solve_noan(cfg, paper_channels(cfg, 1))
+        rep = solve(cfg, paper_channels(cfg, 1), "noan")
         assert rep.metadata["primal_source"] == "harvest LP"
         assert rep.objective == 0.0
 
@@ -274,7 +274,7 @@ class TestPrimalSource:
         # than P_max, scaled back onto it, meets every target (the harvest
         # LP's allocation alone scores 1.134 against a bound of 12.28)
         cfg = paper_system(qbar_uw=400.0)
-        rep = solve_optimal(cfg, paper_channels(cfg, 10))
+        rep = solve(cfg, paper_channels(cfg, 10))
         source = rep.metadata["primal_source"]
         assert isinstance(source, int) and 1 <= source <= rep.iterations
         assert rep.trace[source - 1][2] > 0.01 * cfg.total_power  # overspend
@@ -283,7 +283,7 @@ class TestPrimalSource:
 
     def test_dual_iterate_named_by_index(self):
         cfg = paper_system()
-        rep = solve_optimal(cfg, paper_channels(cfg, 0))
+        rep = solve(cfg, paper_channels(cfg, 0))
         source = rep.metadata["primal_source"]
         assert isinstance(source, int) and 1 <= source <= rep.iterations
         assert rep.trace[source - 1][1] == rep.objective
@@ -292,7 +292,7 @@ class TestPrimalSource:
 class TestHarvestFeasibilityCheck:
     def test_zero_targets_always_feasible(self):
         cfg = paper_system(n_sc=8, qbar_uw=0.0)
-        rep = solve_optimal(cfg, paper_channels(cfg, seed=0))
+        rep = solve(cfg, paper_channels(cfg, seed=0))
         assert rep.metadata["primal_source"] != "harvest LP"
 
     def test_unreachable_targets_detected(self):
@@ -303,10 +303,10 @@ class TestHarvestFeasibilityCheck:
         target = np.zeros(cfg.num_ers)
         target[0] = 1.001 * reach
         with pytest.raises(InfeasibleProblemError, match="unreachable"):
-            solve_optimal(replace(cfg, harvest_target=target), ch)
+            solve(replace(cfg, harvest_target=target), ch)
         target[0] = 0.999 * reach
         cfg = replace(cfg, harvest_target=target)
-        rep = solve_optimal(cfg, ch)
+        rep = solve(cfg, ch)
         q = all_harvested_powers(rep.allocation, ch, cfg)
         assert q[0] >= target[0] - 1e-9
 
@@ -320,7 +320,7 @@ def test_binding_harvest_rows_feasible():
         for seed in (8, 9, 10, 11):
             ch = paper_channels(cfg, seed)
             try:
-                rep = solve_optimal(cfg, ch, opts)
+                rep = solve(cfg, ch, options=opts)
             except InfeasibleProblemError:
                 continue
             solved += 1

@@ -8,10 +8,9 @@ from hypothesis import strategies as st
 
 from ofdma_swipt import (ChannelRealization, DomainError,
                          InfeasibleProblemError, SystemConfig,
-                         noncancel_secrecy_rate, secrecy_rate,
-                         solve_fixed_alpha, solve_fsa, solve_noan,
-                         solve_optimal, solve_suboptimal)
-from ofdma_swipt.heuristics import round_robin_assignment
+                         noncancel_secrecy_rate, secrecy_rate, solve,
+                         solve_dual, solve_suboptimal)
+from ofdma_swipt.heuristics import SCHEMES, round_robin_assignment
 from ofdma_swipt.model import all_harvested_powers
 
 from conftest import paper_channels, paper_system
@@ -19,12 +18,27 @@ from conftest import paper_channels, paper_system
 log_gain = st.floats(min_value=-3.0, max_value=3.0).map(lambda e: 10.0 ** e)
 
 
+class TestSolve:
+    def test_unknown_scheme_lists_choices(self):
+        cfg = paper_system(n_sc=8)
+        with pytest.raises(ValueError, match="'optimal', 'suboptimal'"):
+            solve(cfg, paper_channels(cfg, seed=0), "magic")
+
+    def test_table_pins_what_each_scheme_names(self):
+        cfg = paper_system(n_sc=8, qbar_uw=0.0)
+        ch = paper_channels(cfg, seed=0)
+        assert solve(cfg, ch, "alpha05").objective == \
+            solve_dual(cfg, ch, alpha_fixed=0.5).objective
+        fsa = solve(cfg, ch, "fsa").allocation.assign
+        assert np.all(fsa <= round_robin_assignment(cfg))
+
+
 class TestSuboptimal:
     def test_zero_targets_skip_stage_one(self):
         cfg = paper_system(n_sc=16, qbar_uw=0.0)
         rep = solve_suboptimal(cfg, paper_channels(cfg, seed=0))
-        assert rep.n1 == 0
-        assert rep.n2 == cfg.num_scs
+        assert rep.metadata["n1"] == 0
+        assert rep.metadata["n2"] == cfg.num_scs
         assert rep.allocation.assign.sum() == cfg.num_scs
 
     def test_single_er_takes_its_best_sc(self):
@@ -37,7 +51,7 @@ class TestSuboptimal:
         ch = ChannelRealization(gains=np.array([[1.0, 3.0], [0.1, 0.9]]),
                                 num_irs=1)
         rep = solve_suboptimal(cfg, ch)
-        assert rep.n1 == 1
+        assert rep.metadata["n1"] == 1
         assert rep.allocation.assign[0, 1] == 1  # SC 1 is the ER's best
 
     def test_stage_one_meets_targets(self):
@@ -46,7 +60,7 @@ class TestSuboptimal:
         rep = solve_suboptimal(cfg, ch)
         q = all_harvested_powers(rep.allocation, ch, cfg)
         assert np.all(q >= cfg.harvest_target)
-        assert rep.n1 + rep.n2 <= cfg.num_scs
+        assert rep.metadata["n1"] + rep.metadata["n2"] <= cfg.num_scs
 
     def test_equal_power_on_used_scs(self):
         cfg = paper_system(n_sc=16)
@@ -68,13 +82,13 @@ class TestSuboptimal:
 class TestFixedAlpha:
     def test_all_noise_split_gives_zero(self):
         cfg = paper_system(n_sc=8, qbar_uw=0.0)
-        rep = solve_fixed_alpha(cfg, paper_channels(cfg, seed=0), 1.0)
+        rep = solve_dual(cfg, paper_channels(cfg, seed=0), alpha_fixed=1.0)
         assert rep.objective == 0.0
 
     def test_rejects_split_outside_unit_interval(self):
         cfg = paper_system(n_sc=8)
         with pytest.raises(DomainError):
-            solve_fixed_alpha(cfg, paper_channels(cfg, seed=0), 1.5)
+            solve_dual(cfg, paper_channels(cfg, seed=0), alpha_fixed=1.5)
 
     def test_symmetric_channels_match_optimal(self, rng):
         # identical gains for every receiver: the jointly optimal split is
@@ -85,8 +99,8 @@ class TestFixedAlpha:
                            peak_power=4.0, noise_power=1.0, weights=np.ones(2),
                            harvest_eff=np.array([0.6]),
                            harvest_target=np.array([0.0]))
-        opt = solve_optimal(cfg, ch)
-        fixed = solve_fixed_alpha(cfg, ch, 0.5)
+        opt = solve(cfg, ch)
+        fixed = solve(cfg, ch, "alpha05")
         assert fixed.objective == pytest.approx(opt.objective, rel=1e-6)
 
 
@@ -94,20 +108,20 @@ class TestNoAn:
     def test_equals_fixed_alpha_zero(self):
         cfg = paper_system(n_sc=8)
         ch = paper_channels(cfg, seed=1)
-        assert solve_noan(cfg, ch).objective == \
-            solve_fixed_alpha(cfg, ch, 0.0).objective
+        assert solve(cfg, ch, "noan").objective == \
+            solve_dual(cfg, ch, alpha_fixed=0.0).objective
 
     def test_near_zero_under_reference_geometry(self):
         # energy receivers sit next to the transmitter and overhear
         # everything, so plain transmission has no secrecy to offer
         cfg = paper_system(n_sc=16)
-        rep = solve_noan(cfg, paper_channels(cfg, seed=2))
+        rep = solve(cfg, paper_channels(cfg, seed=2), "noan")
         assert rep.objective <= 1e-6
 
     def test_paper_draw_1_certified(self):
         # a zero optimum used to leave a step-size stop rule at the cap
         cfg = paper_system()
-        rep = solve_noan(cfg, paper_channels(cfg, 1))
+        rep = solve(cfg, paper_channels(cfg, 1), "noan")
         assert rep.metadata["converged"] is True
         assert rep.iterations <= 200
         assert rep.objective == 0.0
@@ -121,7 +135,7 @@ class TestNoAn:
                            peak_power=4.0, noise_power=1.0, weights=np.ones(k1),
                            harvest_eff=np.array([0.6]),
                            harvest_target=np.array([0.0]))
-        assert solve_noan(cfg, ch).objective > 0.0
+        assert solve(cfg, ch, "noan").objective > 0.0
 
 
 class TestFsa:
@@ -134,8 +148,8 @@ class TestFsa:
     def test_single_ir_equals_optimal(self):
         cfg = paper_system(n_sc=8, k1=1, qbar_uw=0.0)
         ch = paper_channels(cfg, seed=3)
-        opt = solve_optimal(cfg, ch)
-        fsa = solve_fsa(cfg, ch)
+        opt = solve(cfg, ch)
+        fsa = solve(cfg, ch, "fsa")
         assert fsa.objective == pytest.approx(opt.objective, rel=1e-6, abs=1e-12)
 
 
@@ -143,12 +157,10 @@ class TestSchemeOrdering:
     def test_optimal_dominates_benchmarks_on_matched_seed(self):
         cfg = paper_system(n_sc=16)
         ch = paper_channels(cfg, seed=7)
-        opt = solve_optimal(cfg, ch).objective
+        opt = solve(cfg, ch).objective
         tol = 1e-4 * (1.0 + opt)
-        assert solve_fixed_alpha(cfg, ch, 0.5).objective <= opt + tol
-        assert solve_suboptimal(cfg, ch).objective <= opt + tol
-        assert solve_fsa(cfg, ch).objective <= opt + tol
-        assert solve_noan(cfg, ch).objective <= opt + tol
+        for scheme in SCHEMES:
+            assert solve(cfg, ch, scheme).objective <= opt + tol
 
 
 class TestNoncancelRate:

@@ -8,7 +8,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ofdma_swipt import (Allocation, ChannelRealization, DomainError,
-                         SystemConfig, eavesdropper_gains, rate_eve, rate_ir,
+                         SystemConfig, eavesdropper_gains,
+                         noncancel_secrecy_rate, rate_eve, rate_ir,
                          secrecy_rate, threshold_x, weighted_sum_secrecy)
 from ofdma_swipt.model import all_harvested_powers
 
@@ -33,6 +34,18 @@ class TestRateIr:
             rate_ir(1.0, 1.5, 1.0, 1.0)
         with pytest.raises(DomainError):
             rate_ir(1.0, 0.5, -1.0, 1.0)
+
+
+@pytest.mark.parametrize("rate, n_gains", [
+    (rate_ir, 1), (rate_eve, 1), (secrecy_rate, 2), (noncancel_secrecy_rate, 2)])
+def test_rates_share_input_checks(rate, n_gains):
+    ok = [1.0] * n_gains
+    calls = [(-1.0, 0.5, ok, 1.0), (1.0, 1.5, ok, 1.0), (1.0, -0.1, ok, 1.0),
+             (1.0, 0.5, ok, 0.0)]
+    calls += [(1.0, 0.5, ok[:i] + [0.0] + ok[i + 1:], 1.0) for i in range(n_gains)]
+    for p, alpha, gains, sigma2 in calls:
+        with pytest.raises(DomainError):
+            rate(p, alpha, *gains, sigma2)
 
 
 class TestRateEve:

@@ -5,7 +5,7 @@ power-grid oracle for the fixed-split path."""
 import numpy as np
 import pytest
 
-from ofdma_swipt import UnboundedSubproblemError, solve_optimal, vector
+from ofdma_swipt import UnboundedSubproblemError, solve, vector
 from ofdma_swipt.model import secrecy_rate
 
 from conftest import (Ctx, paper_channels, paper_system, random_context,
@@ -84,7 +84,7 @@ def test_kernel_reuse_matches_fresh_solve_all(monkeypatch, alpha, qbar_uw, seed)
     monkeypatch.setattr(vector.Kernel, "__call__", recording)
     cfg = paper_system(qbar_uw=qbar_uw)
     ch = paper_channels(cfg, seed)
-    solve_optimal(cfg, ch)
+    solve(cfg, ch)
     monkeypatch.undo()
     n = cfg.num_scs
     negative = -np.abs(prices[0]) * np.linspace(0.5, 2.0, n)
