@@ -4,7 +4,9 @@ Receivers are dropped uniformly by distance (information receivers across the
 cell, energy receivers in a small disc near the base station). Small-scale
 fading is an N-point frequency response of i.i.d. complex-Gaussian taps with
 unit total average power, so E[|H(n)|^2] = 1 per subcarrier and
-sum_n |H(n)|^2 / N equals the tap energy (numpy FFT convention).
+sum_n |H(n)|^2 / N equals the tap energy (numpy FFT convention) when N is at
+least the number of taps; with fewer subcarriers the taps fold modulo N,
+which keeps E[|H(n)|^2] = 1.
 
 Every receiver draws from its own child of the seed sequence, so adding
 receivers never perturbs the channels of existing ones.
@@ -42,7 +44,10 @@ class ScenarioSpec:
 
 
 def dbm_to_watts(x: float) -> float:
-    return 10.0 ** ((x - 30.0) / 10.0)
+    try:
+        return 10.0 ** ((x - 30.0) / 10.0)
+    except OverflowError:
+        raise DomainError(f"{x} dBm overflows a float in watts") from None
 
 
 def watts_to_dbm(w: float) -> float:
@@ -74,6 +79,8 @@ def generate_scenario(config: SystemConfig, spec: ScenarioSpec) -> ChannelRealiz
         taps = (rng.standard_normal(spec.num_taps)
                 + 1j * rng.standard_normal(spec.num_taps))
         taps *= np.sqrt(1.0 / (2.0 * spec.num_taps))  # unit total mean power
-        freq = np.fft.fft(taps, n)
+        # taps beyond n fold onto tap l mod n: the n-point DFT of the response
+        taps = np.pad(taps, (0, -spec.num_taps % n)).reshape(-1, n).sum(axis=0)
+        freq = np.fft.fft(taps)
         gains[k] = path_loss(d, spec) * np.abs(freq) ** 2
     return ChannelRealization(gains=gains, num_irs=config.num_irs)

@@ -19,16 +19,17 @@ scenario:
   pathloss_exp: 3
   num_taps: 8
 solver:
-  max_iter: 5000          # cap on dual evaluations
-  convergence_tol: 1e-9   # certified dual bound gap, relative
-  feasibility_tol: 1e-9   # watts
+  max_iter: 5000   # cap on dual evaluations
 scheme: optimal    # a name in heuristics.SCHEMES
 
-Powers are dBm in files and watts internally. Counts (K1, K2, N, num_taps,
-max_iter) must be whole numbers: 2.7 or .inf is rejected, not truncated.
-Tolerances, radii, the carrier and the path-loss exponent must be positive
-and finite. Unknown keys are rejected at every level; the channel seed is not
-a config key but the CLI's --seed.
+Powers are dBm in files and watts internally; a dBm value whose watts
+overflow a float is rejected. Counts (K1, K2, N, num_taps, max_iter) must be
+whole numbers: 2.7 or .inf is rejected, not truncated. Radii, the carrier
+and the path-loss exponent must be positive and finite. The solver's
+tolerances are not settings: both are fixed at 1e-9
+(``dual.CONVERGENCE_TOL``, ``dual.FEASIBILITY_TOL``). Unknown keys are
+rejected at every level; the channel seed is not a config key but the CLI's
+--seed.
 """
 
 from __future__ import annotations
@@ -120,15 +121,8 @@ def parse_config(data: dict) -> ExperimentConfig:
         if sc_d:
             raise ConfigError(f"unknown scenario keys: {sorted(sc_d)}")
         so_d = dict(data.get("solver", {}))
-        default = SolverOptions()
-        solver = SolverOptions(
-            max_iterations=parse_count(so_d.pop("max_iter", default.max_iterations),
-                                       "max_iter"),
-            convergence_tol=float(so_d.pop("convergence_tol",
-                                           default.convergence_tol)),
-            feasibility_tol=float(so_d.pop("feasibility_tol",
-                                           default.feasibility_tol)),
-        )
+        solver = SolverOptions(max_iterations=parse_count(
+            so_d.pop("max_iter", SolverOptions.max_iterations), "max_iter"))
         if so_d:
             raise ConfigError(f"unknown solver keys: {sorted(so_d)}")
         scheme = str(data.get("scheme", DEFAULT_SCHEME))

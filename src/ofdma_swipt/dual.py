@@ -19,13 +19,14 @@ warm HiGHS model per solve. Each cut is written in units of g at the start
 point and added once as a row that never changes. When the minimizer is
 inside the box the model's minimum is, by convexity, a lower bound on g over
 the whole orthant; the loop stops once the best dual value is within
-``convergence_tol`` of that bound, relative to |g| at the start point. Every
-dual point visited tightens the reported bound.
+:data:`CONVERGENCE_TOL` of that bound, relative to |g| at the start point.
+Every dual point visited tightens the reported bound; ``max_iterations`` caps
+the evaluations.
 
 Primal recovery is one screen. Budget and harvest are linear in per-SC power,
 so an iterate that overspends is scaled onto P_max, its harvest with it; the
 screen then rejects it only if some ER falls short of its target by more than
-``feasibility_tol``. When a harvest target is positive, one LP over per-SC
+:data:`FEASIBILITY_TOL`. When a harvest target is positive, one LP over per-SC
 powers runs before the loop: its infeasibility means no allocation can meet
 the targets, and its allocation is the first primal screened. The best
 screened primal is returned. Both LPs run on scipy's bundled HiGHS bindings.
@@ -49,18 +50,19 @@ class InfeasibleProblemError(RuntimeError):
     """No power allocation can satisfy the harvesting targets."""
 
 
+#: stop once the dual bound gap is this small, relative to |g| at the start
+CONVERGENCE_TOL = 1e-9
+#: watts an accepted primal may fall short of a harvest target
+FEASIBILITY_TOL = 1e-9
+
+
 @dataclass
 class SolverOptions:
     max_iterations: int = 5000  # dual evaluations
-    convergence_tol: float = 1e-9  # bound gap, relative to |g| at the start
-    feasibility_tol: float = 1e-9  # watts
 
     def __post_init__(self):
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        for name in ("convergence_tol", "feasibility_tol"):
-            if not 0 < getattr(self, name) < math.inf:  # False for NaN too
-                raise ValueError(f"{name} must be positive and finite")
 
 
 @dataclass
@@ -99,8 +101,7 @@ class _Engine:
         self.fixed_assign = fixed_assign
         self.H = channels.ir_gains
         self.B = channels.eve_gains
-        self.zg = (config.harvest_eff[:, None] * channels.er_gains
-                   if config.num_ers else np.zeros((0, config.num_scs)))
+        self.zg = config.harvest_eff[:, None] * channels.er_gains
         self.p_eff = min(config.peak_power, config.total_power)
         self.kernel = vector.Kernel(self.H, self.B, config.noise_power,
                                     config.weights, self.p_eff, alpha_fixed)
@@ -118,17 +119,14 @@ class _Engine:
         slopes = (config.weights[:, None] * self.H
                   / (LN2 * (config.noise_power + self.H * p_eq)))
         self.gamma0 = float(np.mean(slopes))
-        if config.num_ers:
-            gbar = channels.er_gains.mean(axis=1)
-            self.lam_scale = self.gamma0 / (config.harvest_eff * gbar)
-        else:
-            self.lam_scale = np.zeros(0)
+        gbar = channels.er_gains.mean(axis=1)
+        self.lam_scale = self.gamma0 / (config.harvest_eff * gbar)
 
     def evaluate(self, lam: np.ndarray, gamma: float):
         """Inner maximization at one dual point; updates bound and primal.
         Returns the cut there: g and its subgradient (Q - Qbar, P_max - sum p)."""
         self.n_evals += 1
-        omega = -gamma + (lam @ self.zg if self.cfg.num_ers else 0.0)
+        omega = -gamma + lam @ self.zg
         p, a, val = self.kernel(omega)
         if self.fixed_assign is None:
             x = assign_subcarriers(val)
@@ -153,7 +151,6 @@ class _Engine:
 
     def _consider_primal(self, alloc: Allocation, q: np.ndarray,
                          total: float, source: int | str) -> float:
-        tol = self.opt.feasibility_tol
         pmax = self.cfg.total_power
         if total > pmax:
             # scaled even within the tolerance: an overspend would let the
@@ -164,7 +161,7 @@ class _Engine:
                                split=alloc.split)
             q = q * scale
             total = pmax
-        if self.cfg.num_ers and np.any(q < self.cfg.harvest_target - tol):
+        if np.any(q < self.cfg.harvest_target - FEASIBILITY_TOL):
             return math.nan
         obj_raw = weighted_sum_secrecy(alloc, self.ch, self.cfg) * self.cfg.num_scs
         if obj_raw > self.best_obj:
@@ -179,13 +176,13 @@ class _Engine:
     def cutting_plane(self) -> bool:
         """Kelley's cutting plane on the dual in normalized multipliers
         y = (lambda / lam_scale, gamma / gamma0); True when the bound gap
-        closed to ``convergence_tol`` within ``max_iterations`` evaluations."""
-        cfg, opt = self.cfg, self.opt
+        closed to :data:`CONVERGENCE_TOL` within ``max_iterations``
+        evaluations."""
         unit = np.append(self.lam_scale, self.gamma0)
-        y = np.append(np.zeros(cfg.num_ers), 1.0)
+        y = np.append(np.zeros(self.cfg.num_ers), 1.0)
         master = _MasterLP(np.full(y.size, 4.0))
         scale = None
-        for _ in range(opt.max_iterations):
+        for _ in range(self.opt.max_iterations):
             g, sub = self.evaluate(y[:-1] * unit[:-1], y[-1] * unit[-1])
             # cut in units of g at the start point (>= gamma0 * P_max > 0):
             # t >= g / scale + s . (y' - y)
@@ -197,7 +194,7 @@ class _Engine:
                 return False
             y, t = solution
             on_face = y >= master.upper * (1.0 - 1e-9)
-            if not on_face.any() and self.g_min / scale - t <= opt.convergence_tol:
+            if not on_face.any() and self.g_min / scale - t <= CONVERGENCE_TOL:
                 return True
             master.grow(on_face)
         return False
@@ -309,7 +306,7 @@ def solve_dual(config: SystemConfig, channels: ChannelRealization,
     options = options or SolverOptions()
     eng = _Engine(config, channels, options, alpha_fixed=alpha_fixed,
                   fixed_assign=fixed_assign)
-    if config.num_ers and np.any(config.harvest_target > 0):
+    if np.any(config.harvest_target > 0):
         eng.harvest_lp_primal()
     converged = eng.cutting_plane()
     if eng.best_alloc is None:

@@ -69,11 +69,10 @@ class SystemConfig:
                "weights must be positive and finite")
         _check(self.harvest_eff.shape == (self.num_ers,), "harvest_eff shape mismatch")
         _check(self.harvest_target.shape == (self.num_ers,), "harvest_target shape mismatch")
-        if self.num_ers:
-            _check(np.all((self.harvest_eff > 0) & (self.harvest_eff < 1)),
-                   "harvest efficiencies must lie in (0, 1)")
-            _check(np.all((self.harvest_target >= 0) & (self.harvest_target < np.inf)),
-                   "harvest targets must be nonnegative and finite")
+        _check(np.all((self.harvest_eff > 0) & (self.harvest_eff < 1)),
+               "harvest efficiencies must lie in (0, 1)")
+        _check(np.all((self.harvest_target >= 0) & (self.harvest_target < np.inf)),
+               "harvest targets must be nonnegative and finite")
 
     @property
     def num_receivers(self) -> int:
@@ -196,14 +195,9 @@ def threshold_x(alpha, h2, b2, sigma2):
     b2 >= h2 and -inf otherwise (a tie maps to +inf). Callers clamp with
     ``max(., 0)`` before use.
     """
-    alpha = np.asarray(alpha, dtype=float)
-    h2a = np.asarray(h2, dtype=float)
-    b2a = np.asarray(b2, dtype=float)
-    if np.any((alpha < 0) | (alpha > 1)):
-        raise DomainError("split ratio must lie in [0, 1]")
-    if np.any(h2a <= 0) or np.any(b2a <= 0) or np.any(np.asarray(sigma2) <= 0):
-        raise DomainError("gains and noise power must be positive")
-    out = _threshold(alpha, h2a, b2a, sigma2)
+    _, alpha = _validate_rate_inputs(0.0, alpha, sigma2, h2, b2)
+    out = _threshold(alpha, np.asarray(h2, dtype=float),
+                     np.asarray(b2, dtype=float), sigma2)
     return out if out.ndim else float(out)
 
 
@@ -257,8 +251,6 @@ def optimal_split(p, h2, b2, sigma2):
 def all_harvested_powers(alloc: Allocation, channels: ChannelRealization,
                          config: SystemConfig) -> np.ndarray:
     """Harvested power of every ER, as a (K2,) vector."""
-    if config.num_ers == 0:
-        return np.zeros(0)
     return config.harvest_eff * (channels.er_gains @ alloc.sc_power)
 
 

@@ -7,12 +7,11 @@ quadratic with the split eliminated (a = optimal_split(p)), the roots of the
 fixed-split stationarity cubic (a quadratic at split 0), and boundary
 points; the (0, 0) skip is the fallback. The dual loop builds one
 :class:`Kernel` per solve, which holds every price-independent quantity of
-all K1*N pairs, and calls it at each price vector; :func:`solve_all` is one
-build and one call, and one pair is that call with 1x1 gain arrays. A root
-is a candidate when its power lies in (0, P_peak]. Below the zero-rate
-threshold a root scores p * omega, which the cap (omega > 0) or the skip
-(omega <= 0) matches or beats, so no second window on the threshold is
-needed.
+all K1*N pairs, and calls it at each price vector; one pair is a kernel
+built from 1x1 gain arrays. A root is a candidate when its power lies in
+(0, P_peak]. Below the zero-rate threshold a root scores p * omega, which
+the cap (omega > 0) or the skip (omega <= 0) matches or beats, so no second
+window on the threshold is needed.
 
 All computations run in normalized units per element: power scaled by
 sigma^2/sqrt(h2*b2), so the effective gains are sqrt(h2/b2) and its inverse
@@ -52,30 +51,24 @@ def _value(p, a, h, b, w, om):
 def _quad_roots(a2, b2, c2):
     """Real roots of a2 x^2 + b2 x + c2 elementwise; NaN where absent.
 
-    Falls back to the linear root where the leading coefficient vanishes.
-    Returns an array of shape (2,) + the coefficients' broadcast shape.
+    The stable pairing q = -(b2 + sign(b2) sqrt(disc)) / 2 gives the roots
+    q / a2 and c2 / q. Where a2 vanishes the first is absent and the second
+    is the linear root -c2 / b2. Returns an array of shape (2,) + the
+    coefficients' broadcast shape.
     """
-    scale = np.maximum(np.maximum(np.abs(a2), np.abs(b2)), np.abs(c2))
-    lead_ok = np.abs(a2) > 1e-14 * scale
     with np.errstate(divide="ignore", invalid="ignore"):
         disc = b2 * b2 - 4.0 * a2 * c2
         sq = np.sqrt(np.maximum(disc, 0.0))
-        # numerically stable pairing: q = -(b + sign(b) sqrt(disc)) / 2
         q = -0.5 * (b2 + np.where(b2 >= 0, sq, -sq))
         r1 = q / np.where(np.abs(a2) > _TINY, a2, np.nan)
         r2 = c2 / np.where(np.abs(q) > _TINY, q, np.nan)
-        lin = -c2 / np.where(np.abs(b2) > _TINY, b2, np.nan)
-    r1 = np.where(lead_ok, np.where(disc >= 0, r1, np.nan), lin)
-    r2 = np.where(lead_ok, np.where(disc >= 0, r2, np.nan), np.nan)
-    return np.stack([r1, r2])
+    return np.where(disc >= 0, np.stack([r1, r2]), np.nan)
 
 
 def _cubic_roots(a, b, c, d):
     """Real roots of a x^3 + b x^2 + c x + d elementwise; NaN-padded (3, ...)."""
     a, b, c, d = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (a, b, c, d)))
-    scale = np.max(np.stack([np.abs(a), np.abs(b), np.abs(c), np.abs(d)]), axis=0)
-    scale = np.where(scale > 0, scale, 1.0)
-    cubic = np.abs(a) > 1e-14 * scale
+    cubic = np.abs(a) > _TINY
     out = np.full((3,) + a.shape, np.nan)
     # quadratic/linear fallback
     qr = _quad_roots(b, c, d)
@@ -96,8 +89,9 @@ def _cubic_roots(a, b, c, d):
         t_single = u + v
         # three real roots (disc <= 0): trigonometric form
         m = np.sqrt(np.maximum(-pp / 3.0, 0.0))
-        denom = np.where(m > _TINY, 2.0 * m ** 3, np.nan)
-        cosarg = np.clip(np.where(np.isnan(denom), 0.0, -qq / (2.0 * np.where(m > _TINY, m ** 3, 1.0))), -1.0, 1.0)
+        big = m > _TINY
+        cosarg = np.clip(np.where(big, -qq / (2.0 * np.where(big, m ** 3, 1.0)), 0.0),
+                         -1.0, 1.0)
         theta = np.arccos(cosarg) / 3.0
         t0 = 2.0 * m * np.cos(theta)
         t1 = 2.0 * m * np.cos(theta - 2.0 * np.pi / 3.0)
@@ -114,6 +108,11 @@ def _cubic_roots(a, b, c, d):
 class Kernel:
     """The per-SC maximization of one solve, built from the gains, weights,
     cap and optional pinned split and then called with each price vector.
+
+    H, B: (K1, N) IR and eavesdropper gains; weights: (K1,); p_peak: scalar
+    cap; a call takes the (N,) prices. An infinite cap needs a negative price
+    on every pair, otherwise the objective is unbounded (the dual loop caps
+    at min(P_peak, P_max), which the total-power constraint implies).
 
     Built once and read-only: the normalization, the h2 vs b2 masks, the
     price-free parts of the root coefficients, and the candidates whose
@@ -214,19 +213,3 @@ class Kernel:
         a_best = np.where(skip, 0.0, a_best)
         v_best = np.where(skip, 0.0, v_best)
         return p_best, a_best, v_best
-
-
-def solve_all(H, B, sigma2, weights, omega, p_peak, alpha_fixed=None):
-    """Optimal (p, alpha, value) for every (IR, SC) pair.
-
-    H, B: (K1, N) IR and eavesdropper gains; weights: (K1,); omega: (N,)
-    price vector; p_peak: scalar cap. An infinite cap needs a negative price
-    on every pair, otherwise the objective is unbounded (the dual loop caps
-    at min(P_peak, P_max), which the total-power constraint implies).
-    With ``alpha_fixed`` the split ratio is pinned and only the power is
-    optimized (fixed-alpha benchmark schemes). A loop over prices builds one
-    :class:`Kernel` and calls it instead.
-
-    Returns arrays p (K1, N), alpha (K1, N), value (K1, N).
-    """
-    return Kernel(H, B, sigma2, weights, p_peak, alpha_fixed)(omega)

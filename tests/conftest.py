@@ -42,8 +42,9 @@ class Ctx(NamedTuple):
 
 def solve_one(ctx):
     """(p*, alpha*, value) of the per-SC kernel on one pair."""
-    p, a, v = vector.solve_all([[ctx.h2]], [[ctx.b2]], ctx.sigma2, [ctx.weight],
-                               [ctx.omega], ctx.p_peak)
+    kernel = vector.Kernel([[ctx.h2]], [[ctx.b2]], ctx.sigma2, [ctx.weight],
+                           ctx.p_peak)
+    p, a, v = kernel([ctx.omega])
     return float(p[0, 0]), float(a[0, 0]), float(v[0, 0])
 
 

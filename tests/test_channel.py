@@ -24,6 +24,12 @@ class TestDbmConversion:
     def test_round_trip(self):
         assert watts_to_dbm(dbm_to_watts(12.3)) == pytest.approx(12.3)
 
+    @pytest.mark.parametrize("dbm", [3150.0, 4000.0])
+    def test_overflow_rejected(self, dbm):
+        # beyond about 3112 dBm the watts overflow a float
+        with pytest.raises(DomainError, match="overflows"):
+            dbm_to_watts(dbm)
+
     def test_nonpositive_watts_rejected(self):
         with pytest.raises(DomainError):
             watts_to_dbm(0.0)
@@ -82,6 +88,17 @@ class TestGenerateScenario:
             samples.append(ch.gains / g0)
         mean = float(np.mean(samples))
         assert mean == pytest.approx(1.0, abs=0.02)
+
+    @pytest.mark.parametrize("n_sc", [2, 3, 4, 64])
+    def test_unit_mean_at_any_subcarrier_count(self, n_sc):
+        # fewer subcarriers than the 8 taps: the taps fold onto the DFT
+        # instead of being cropped, which would lose their power
+        cfg = paper_system(n_sc=n_sc, k1=2, k2=0, qbar_uw=0.0)
+        g0 = path_loss(1.0, ScenarioSpec())
+        mean = np.mean([generate_scenario(cfg, ScenarioSpec(cell_radius=1.0 + 1e-9,
+                                                            seed=seed)).gains / g0
+                        for seed in range(400)])
+        assert mean == pytest.approx(1.0, abs=0.1)
 
     def test_single_tap_gives_flat_response(self):
         cfg = paper_system(n_sc=16, k1=2, k2=0, qbar_uw=0.0)

@@ -57,8 +57,19 @@ class TestSolveCommand:
         assert main(["solve", "--config", cfg]) == EXIT_CONFIG
 
     def test_removed_solver_key_exit_code(self, tmp_path):
-        cfg = write_config(tmp_path, solver={"polish_rounds": 2})
-        assert main(["solve", "--config", cfg]) == EXIT_CONFIG
+        # the tolerances are fixed constants of the dual loop, not settings
+        for key in ("polish_rounds", "convergence_tol", "feasibility_tol"):
+            cfg = write_config(tmp_path, solver={key: 2})
+            assert main(["solve", "--config", cfg]) == EXIT_CONFIG
+
+    def test_no_energy_receivers(self, tmp_path):
+        cfg = write_config(tmp_path, system={"K2": 0})
+        out = tmp_path / "r.json"
+        assert main(["solve", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        report = json.loads(out.read_text())
+        assert report["harvested_w"] == []
+        assert report["metadata"]["lambda"] == []
+        assert report["metadata"]["converged"] is True
 
     def test_not_converged_exit_code(self, tmp_path):
         cfg = write_config(tmp_path, solver={"max_iter": 2})
@@ -113,13 +124,18 @@ class TestSolveCommand:
     ({"scenario": {"er_radius": math.nan}}, ["solve"]),
     ({"scenario": {"cell_radius": math.inf}}, ["solve"]),
     ({"scenario": {"carrier": -1.0}}, ["solve"]),
+    ({"system": {"P_max_dBm": 4000}}, ["solve"]),
+    ({"system": {"P_peak_dBm": 4000}}, ["solve"]),
+    ({"system": {"sigma2_dBm": 4000}}, ["solve"]),
+    ({}, ["sweep", "--axis", "Pmax", "--values", "4000"]),
 ], ids=["values-abc", "N-1e400", "N-8.5", "K2-2.5", "K2-nan", "Pmax-inf", "Qbar-inf",
         "P_max_dBm-inf", "sigma2_dBm-inf", "weights-inf", "solve-seed-neg",
         "sweep-seed-neg", "profile-seed-neg", "sweep-trials-0", "sweep-trials-neg",
         "K1-2.7", "K1-inf", "K2-1.5", "N-8.5-config", "num_taps-2.5",
         "max_iter-2.5", "max_iter-inf", "convergence_tol-nan",
         "convergence_tol-inf", "feasibility_tol-nan", "feasibility_tol-inf",
-        "cell_radius-nan", "er_radius-nan", "cell_radius-inf", "carrier-neg"])
+        "cell_radius-nan", "er_radius-nan", "cell_radius-inf", "carrier-neg",
+        "P_max_dBm-4000", "P_peak_dBm-4000", "sigma2_dBm-4000", "Pmax-4000"])
 def test_bad_numbers_exit_config(tmp_path, capsys, overrides, argv):
     cfg = write_config(tmp_path, **overrides)
     assert main(argv[:1] + ["--config", cfg] + argv[1:]) == EXIT_CONFIG
@@ -194,6 +210,16 @@ class TestSweepCommand:
         assert swept.harvest_eff.tolist() == [0.5, 0.7, 0.5]
         assert swept.harvest_target.tolist() == pytest.approx(
             [100e-6, 300e-6, 100e-6])
+
+    def test_k2_axis_through_zero(self, tmp_path):
+        cfg = write_config(tmp_path)
+        out = tmp_path / "k2.csv"
+        assert main(["sweep", "--config", cfg, "--axis", "K2", "--values", "0,2",
+                     "--trials", "3", "--out", str(out)]) == EXIT_OK
+        rows = [l.split(",") for l in out.read_text().splitlines()
+                if not l.startswith("#")][1:]
+        assert [r[0] for r in rows] == ["0"] * 3 + ["2"] * 3
+        assert all(r[8] == "1" and float(r[4]) >= -1e-9 for r in rows)
 
     def test_bad_axis_rejected(self, tmp_path):
         cfg = write_config(tmp_path)

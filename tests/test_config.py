@@ -77,7 +77,8 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="bandwidth"):
             parse_config(data)
 
-    @pytest.mark.parametrize("key", ["xi0", "nu0", "polish_rounds"])
+    @pytest.mark.parametrize("key", ["xi0", "nu0", "polish_rounds",
+                                     "convergence_tol", "feasibility_tol"])
     def test_removed_solver_keys_rejected(self, key):
         data = base_config()
         data["solver"] = {key: 1}

@@ -75,6 +75,13 @@ class TestThreshold:
     def test_equal_gains(self):
         assert threshold_x(0.7, 3.0, 3.0, 1.0) == 0.0
 
+    @pytest.mark.parametrize("args", [(1.5, 1.0, 2.0, 1.0), (-0.1, 1.0, 2.0, 1.0),
+                                      (0.5, 0.0, 2.0, 1.0), (0.5, 1.0, -2.0, 1.0),
+                                      (0.5, 1.0, 2.0, 0.0)])
+    def test_domain_errors(self, args):
+        with pytest.raises(DomainError):
+            threshold_x(*args)
+
 
 class TestSecrecyRate:
     def test_hand_value(self):

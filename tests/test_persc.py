@@ -1,7 +1,7 @@
 """The per-subcarrier kernel on one (IR, SC) pair: the split at fixed power,
 stationarity of the closed-form roots, and the grid oracle.
 
-Every pair is solved by ``vector.solve_all`` on 1x1 arrays (``solve_one``);
+Every pair is solved by a ``vector.Kernel`` on 1x1 arrays (``solve_one``);
 the roots are the kernel's own, kept where the kernel keeps them: powers in
 (0, P_peak].
 """

@@ -18,10 +18,10 @@ def test_fixed_alpha_path_matches_power_grid(rng):
     for i in range(200):
         ctx = random_context(rng)
         alpha0 = 0.0 if i % 4 == 0 else float(rng.uniform(0.0, 0.9))
-        _, _, v = vector.solve_all(np.array([[ctx.h2]]), np.array([[ctx.b2]]),
-                                   ctx.sigma2, np.array([ctx.weight]),
-                                   np.array([ctx.omega]), ctx.p_peak,
-                                   alpha_fixed=alpha0)
+        kernel = vector.Kernel(np.array([[ctx.h2]]), np.array([[ctx.b2]]),
+                               ctx.sigma2, np.array([ctx.weight]), ctx.p_peak,
+                               alpha_fixed=alpha0)
+        _, _, v = kernel(np.array([ctx.omega]))
         v = float(v[0, 0])
         p0, h, b = vector.normalized(ctx.h2, ctx.b2, ctx.sigma2)
         ps = np.linspace(0.0, ctx.p_peak / p0, 200_001)
@@ -37,7 +37,7 @@ def test_batch_shapes_and_consistency(rng):
     b = 10.0 ** rng.uniform(-2, 2, size=(k1, n))
     w = rng.uniform(0.5, 2.0, size=k1)
     om = rng.uniform(-0.5, 0.5, size=n)
-    p, a, v = vector.solve_all(h, b, 1.0, w, om, 10.0)
+    p, a, v = vector.Kernel(h, b, 1.0, w, 10.0)(om)
     assert p.shape == a.shape == v.shape == (k1, n)
     for k in range(k1):
         for j in range(n):
@@ -48,24 +48,41 @@ def test_batch_shapes_and_consistency(rng):
                                             abs=1e-9 * (1 + abs(v_ref)))
 
 
+@pytest.mark.parametrize("a2", [1e-20, 1e-14, 1.0])
+def test_quad_roots_keep_the_large_root(a2):
+    # (a2 x - 1)(x - 1): at a tiny a2 the root 1/a2 is still real, and
+    # dropping it lost the best candidate at huge power budgets
+    r = vector._quad_roots(a2, -(1.0 + a2), 1.0)
+    assert sorted(r.tolist()) == pytest.approx(sorted([1.0, 1.0 / a2]), rel=1e-12)
+
+
+def test_quad_roots_slots():
+    # q / a2 first and c2 / q second; at a2 = 0 the linear root is the
+    # second, and a negative discriminant leaves both absent
+    assert vector._quad_roots(1e-20, 1.0, -1.0).tolist() == [-1e20, 1.0]
+    r1, r2 = vector._quad_roots(np.array([0.0, 1.0]), np.array([2.0, 0.0]),
+                                np.array([-1.0, 1.0]))
+    assert np.isnan(r1).all() and r2[0] == 0.5 and np.isnan(r2[1])
+
+
 def test_requires_finite_cap():
     with pytest.raises(ValueError):
-        vector.solve_all(np.ones((1, 1)), np.ones((1, 1)), 1.0,
-                         np.ones(1), np.zeros(1), np.inf)
+        vector.Kernel(np.ones((1, 1)), np.ones((1, 1)), 1.0, np.ones(1),
+                      np.inf)(np.zeros(1))
 
 
 def test_skip_fallback_returns_zeros():
     # eavesdropper dominant, negative price: skipping the SC is optimal
-    p, a, v = vector.solve_all(np.array([[1.0]]), np.array([[4.0]]), 1.0,
-                               np.ones(1), np.array([-1.0]), 0.1)
+    p, a, v = vector.Kernel(np.array([[1.0]]), np.array([[4.0]]), 1.0,
+                            np.ones(1), 0.1)(np.array([-1.0]))
     assert (p[0, 0], a[0, 0], v[0, 0]) == (0.0, 0.0, 0.0)
 
 
 def test_energy_only_pair_sends_no_noise():
     # eavesdropper dominant, positive price: full power for harvesting only;
     # no split carries secrecy rate, and the reported one is 0, not 1
-    p, a, v = vector.solve_all(np.array([[1.0]]), np.array([[4.0]]), 1.0,
-                               np.ones(1), np.array([1.0]), 0.5)
+    p, a, v = vector.Kernel(np.array([[1.0]]), np.array([[4.0]]), 1.0,
+                            np.ones(1), 0.5)(np.array([1.0]))
     assert (p[0, 0], a[0, 0], v[0, 0]) == (0.5, 0.0, 0.5)
 
 
@@ -92,7 +109,7 @@ def test_kernel_reuse_matches_fresh_solve_all(monkeypatch, alpha, qbar_uw, seed)
     args = (ch.ir_gains, ch.eve_gains, cfg.noise_power, cfg.weights)
 
     def same(got, om, cap):
-        ref = vector.solve_all(*args, om, cap, alpha_fixed=alpha)
+        ref = vector.Kernel(*args, cap, alpha)(om)
         for x, y in zip(got, ref):
             assert x.tobytes() == y.tobytes()  # sign bits and NaNs included
 
