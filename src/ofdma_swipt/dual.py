@@ -1,5 +1,6 @@
 """Outer Lagrange-dual loop: per-SC optimization, assignment, a cutting-plane
-minimization of the dual, primal recovery and duality-gap measurement.
+minimization of the dual with Newton steps, primal recovery and duality-gap
+measurement.
 
 :func:`solve_dual` can pin the split (``alpha_fixed``) or the assignment
 (``fixed_assign``); ``heuristics.SCHEMES`` names these variants.
@@ -12,24 +13,40 @@ multipliers; each evaluation calls it.
 
 The dual g(lambda, gamma) is convex on the nonnegative orthant, and each
 evaluation yields a cut: its value and the subgradient (Q - Qbar, P_max -
-sum p). Kelley's method (J. SIAM 8(4), 1960) evaluates next at the minimizer
-of the piecewise-linear model of all cuts, found by an LP over a box that
-grows whenever the minimizer lands on its upper face. That master LP is one
-warm HiGHS model per solve. Each cut is written in units of g at the start
-point and added once as a row that never changes. When the minimizer is
-inside the box the model's minimum is, by convexity, a lower bound on g over
-the whole orthant; the loop stops once the best dual value is within
-:data:`CONVERGENCE_TOL` of that bound, relative to |g| at the start point.
-Every dual point visited tightens the reported bound; ``max_iterations`` caps
-the evaluations.
+sum p). Kelley's method (J. SIAM 8(4), 1960) keeps the piecewise-linear model
+of all cuts and minimizes it by an LP over a box that grows whenever the
+minimizer lands on its upper face. That master LP is one warm HiGHS model
+per solve. Each cut is written in units of g at the start point and added
+once as a row that never changes; the master is solved once per evaluation.
+When the minimizer is inside the box the model's minimum is, by convexity, a
+lower bound on g over the whole orthant; the loop stops once the best dual
+value is within :data:`CONVERGENCE_TOL` of that bound, relative to |g| at
+the start point. Every dual point visited tightens the reported bound;
+``max_iterations`` caps the evaluations.
 
-Primal recovery is one screen. Budget and harvest are linear in per-SC power,
-so an iterate that overspends is scaled onto P_max, its harvest with it; the
-screen then rejects it only if some ER falls short of its target by more than
-:data:`FEASIBILITY_TOL`. When a harvest target is positive, one LP over per-SC
-powers runs before the loop: its infeasibility means no allocation can meet
-the targets, and its allocation is the first primal screened. The best
-screened primal is returned. Both LPs run on scipy's bundled HiGHS bindings.
+The points are picked as in a bundle-Newton method (Luksan & Vlcek, Math.
+Program. 83, 1998). Where the winners of an evaluation do not switch, g is
+smooth with Hessian sum_n p'_n c_n c_n^T, where p'_n is the assigned pair's
+dp/domega from the kernel and c_n = d omega_n / d(lambda, gamma). The next
+point is the projected Newton point from the current one (a step on the
+coordinates that are positive or have a negative subgradient, clipped at
+0) when it lies in the box and the cut model there is below the best dual
+value, else the master's minimizer. Curvature only picks points; the cuts
+certify the bound.
+
+Primal recovery is one screen and one mixture. Budget and harvest are linear
+in per-SC power, so an iterate that overspends is scaled onto P_max, its
+harvest with it; the screen then rejects it only if some ER falls short of
+its target by more than :data:`FEASIBILITY_TOL` of that target. When a
+harvest target is positive, one LP over per-SC powers runs before the loop:
+its infeasibility means no allocation can meet the targets, and its
+allocation is the first primal screened. When the best screened primal's gap
+is still above :data:`CONVERGENCE_TOL` of |g| after the loop, one more LP
+mixes the visited iterates per subcarrier within the budget and the targets
+(Yu & Lui, IEEE Trans. Commun. 54(7), 2006), and the mixture, rounded per SC
+to its heaviest owner at the mean power, is screened too. The best screened
+primal is returned; ``primal_source`` names it. Every LP runs on scipy's
+bundled HiGHS bindings.
 """
 
 from __future__ import annotations
@@ -52,7 +69,7 @@ class InfeasibleProblemError(RuntimeError):
 
 #: stop once the dual bound gap is this small, relative to |g| at the start
 CONVERGENCE_TOL = 1e-9
-#: watts an accepted primal may fall short of a harvest target
+#: share of a harvest target an accepted primal may fall short of it
 FEASIBILITY_TOL = 1e-9
 
 
@@ -82,7 +99,7 @@ def assign_subcarriers(values: np.ndarray) -> np.ndarray:
     values = np.asarray(values, dtype=float)
     k_star = np.argmax(values, axis=0)
     cols = np.arange(values.shape[1])
-    x = np.zeros(values.shape, dtype=int)
+    x = np.zeros(values.shape, dtype=np.int8)
     win = values[k_star, cols] > 0.0
     x[k_star[win], cols[win]] = 1
     return x
@@ -105,12 +122,17 @@ class _Engine:
         self.p_eff = min(config.peak_power, config.total_power)
         self.kernel = vector.Kernel(self.H, self.B, config.noise_power,
                                     config.weights, self.p_eff, alpha_fixed)
+        # d omega_n / d(lambda, gamma): the directions of the dual's curvature
+        self.d_omega = np.vstack([self.zg, -np.ones(config.num_scs)])
         self.n_evals = 0
+        self.newton_steps = 0
+        self.visited: list = []  # per evaluation: per-SC owner, power, rate
         self.g_min = math.inf
         self.best_obj = -math.inf  # unnormalized weighted sum rate
         self.best_alloc: Allocation | None = None
         self.best_q: np.ndarray | None = None
-        self.best_source: int | str | None = None  # evaluation index or "harvest LP"
+        # evaluation index, "harvest LP" or "recovered"
+        self.best_source: int | str | None = None
         self.trace: list = []
         self.lam: np.ndarray | None = None  # argmin of the visited dual values
         self.gamma: float | None = None
@@ -124,10 +146,13 @@ class _Engine:
 
     def evaluate(self, lam: np.ndarray, gamma: float):
         """Inner maximization at one dual point; updates bound and primal.
-        Returns the cut there: g and its subgradient (Q - Qbar, P_max - sum p)."""
+        Returns the cut there, g and its subgradient (Q - Qbar, P_max - sum p),
+        and g's Hessian in (lambda, gamma) where the winners do not switch:
+        sum_n p'_n c_n c_n^T, with p'_n the assigned pair's dp/domega and
+        c_n = d omega_n / d(lambda, gamma)."""
         self.n_evals += 1
         omega = -gamma + lam @ self.zg
-        p, a, val = self.kernel(omega)
+        p, a, val, dp = self.kernel(omega)
         if self.fixed_assign is None:
             x = assign_subcarriers(val)
         else:
@@ -135,19 +160,25 @@ class _Engine:
         p = np.where(x == 1, p, 0.0)
         a = np.where((x == 1) & (p > 0), a, 0.0)
         alloc = Allocation(assign=x, power=p, split=a)
-        sc_val = (x * val).sum()
+        xv = x * val
+        sc_val = xv.sum()
         g_raw = (sc_val - float(lam @ self.cfg.harvest_target)
                  + gamma * self.cfg.total_power)
         if g_raw < self.g_min:
             self.g_min, self.lam, self.gamma = g_raw, lam, gamma
+        sc_p = alloc.sc_power
+        self.visited.append((np.argmax(x, axis=0), sc_p,
+                             xv.sum(axis=0) - sc_p * omega))
         q = all_harvested_powers(alloc, self.ch, self.cfg)
-        total = float(alloc.sc_power.sum())
+        total = float(sc_p.sum())
         primal_norm = self._consider_primal(alloc, q, total, self.n_evals)
         qv = float(np.max(self.cfg.harvest_target - q)) if self.cfg.num_ers else 0.0
         self.trace.append((g_raw / self.cfg.num_scs, primal_norm,
                            total - self.cfg.total_power, qv))
+        c = self.d_omega
+        hess = (c * (x * dp).sum(axis=0)) @ c.T
         return g_raw, np.append(q - self.cfg.harvest_target,
-                                self.cfg.total_power - total)
+                                self.cfg.total_power - total), hess
 
     def _consider_primal(self, alloc: Allocation, q: np.ndarray,
                          total: float, source: int | str) -> float:
@@ -161,7 +192,8 @@ class _Engine:
                                split=alloc.split)
             q = q * scale
             total = pmax
-        if np.any(q < self.cfg.harvest_target - FEASIBILITY_TOL):
+        target = self.cfg.harvest_target
+        if np.any(q < target - FEASIBILITY_TOL * target):
             return math.nan
         obj_raw = weighted_sum_secrecy(alloc, self.ch, self.cfg) * self.cfg.num_scs
         if obj_raw > self.best_obj:
@@ -175,15 +207,15 @@ class _Engine:
 
     def cutting_plane(self) -> bool:
         """Kelley's cutting plane on the dual in normalized multipliers
-        y = (lambda / lam_scale, gamma / gamma0); True when the bound gap
-        closed to :data:`CONVERGENCE_TOL` within ``max_iterations``
-        evaluations."""
+        y = (lambda / lam_scale, gamma / gamma0), with Newton steps choosing
+        the points; True when the bound gap closed to
+        :data:`CONVERGENCE_TOL` within ``max_iterations`` evaluations."""
         unit = np.append(self.lam_scale, self.gamma0)
         y = np.append(np.zeros(self.cfg.num_ers), 1.0)
         master = _MasterLP(np.full(y.size, 4.0))
         scale = None
         for _ in range(self.opt.max_iterations):
-            g, sub = self.evaluate(y[:-1] * unit[:-1], y[-1] * unit[-1])
+            g, sub, hess = self.evaluate(y[:-1] * unit[:-1], y[-1] * unit[-1])
             # cut in units of g at the start point (>= gamma0 * P_max > 0):
             # t >= g / scale + s . (y' - y)
             scale = scale or g
@@ -192,11 +224,18 @@ class _Engine:
             solution = master.solve()
             if solution is None:
                 return False
-            y, t = solution
-            on_face = y >= master.upper * (1.0 - 1e-9)
+            y_master, t = solution
+            on_face = y_master >= master.upper * (1.0 - 1e-9)
             if not on_face.any() and self.g_min / scale - t <= CONVERGENCE_TOL:
                 return True
             master.grow(on_face)
+            y_newton = _newton_point(y, s, unit * hess * unit[:, None] / scale)
+            if (y_newton is not None and np.all(y_newton <= master.upper)
+                    and master.model(y_newton) < self.g_min / scale):
+                self.newton_steps += 1
+                y = y_newton
+            else:
+                y = y_master
         return False
 
     # -- harvest LP ----------------------------------------------------------
@@ -208,8 +247,9 @@ class _Engine:
         cfg, n = self.cfg, self.cfg.num_scs
         a_ub = np.vstack([np.ones(n), -self.zg])  # budget, then harvest rows
         m, cols = a_ub.shape[0], np.arange(n, dtype=np.int32)
-        # presolve and dual simplex, as linprog sets them: both can move the vertex
-        h = _highs(presolve="on", simplex_strategy=1)
+        # presolve and dual simplex, as linprog sets them: both can move the
+        # vertex; no finite budget or cap is an infinite bound
+        h = _highs(presolve="on", simplex_strategy=1, infinite_bound=math.inf)
         h.addVars(n, np.zeros(n), np.full(n, self.p_eff))
         h.changeColsCost(n, cols, -(self.H.max(axis=0)))
         h.addRows(m, np.full(m, -h.getInfinity()),
@@ -220,13 +260,64 @@ class _Engine:
             raise InfeasibleProblemError(
                 "harvesting targets unreachable under the power budget")
         p_sc = np.array(h.getSolution().col_value)
-        x = np.zeros((cfg.num_irs, n), dtype=int)
-        p = np.zeros((cfg.num_irs, n))
-        a = np.zeros((cfg.num_irs, n))
         if self.fixed_assign is not None:
             owners = np.argmax(self.fixed_assign, axis=0)
         else:
             owners = np.argmax(cfg.weights[:, None] * self.H, axis=0)
+        self._screen_per_sc(owners, p_sc, "harvest LP")
+
+    # -- recovery ------------------------------------------------------------
+
+    def recover_primal(self):
+        """Screen one mixture of the visited iterates, rounded per SC. An LP
+        over weights z[n, i] >= 0 with sum_i z[n, i] <= 1 maximizes the
+        weighted rate sum z r within the budget and the harvest targets; SC
+        n then goes to the owner of its largest weight at the mean power
+        sum_i z[n, i] p[n, i]. Budget and harvest are linear in per-SC power,
+        so the rounding keeps both."""
+        cfg, n, m = self.cfg, self.cfg.num_scs, self.cfg.num_ers
+        owner, power, rate = (np.array(v) for v in zip(*self.visited))
+        sc, it = np.nonzero(power.T > 0)  # one column per (SC, iterate), by SC
+        k = sc.size
+        p_col = power[it, sc]
+        # rows: one per SC, the budget, the harvest targets; each in units
+        # of its right-hand side
+        rhs = np.where(cfg.harvest_target > 0, cfg.harvest_target, 1.0)
+        values = np.concatenate([np.ones(k), p_col / cfg.total_power,
+                                 (self.zg[:, sc] * p_col / rhs[:, None]).ravel()])
+        starts = np.append(np.searchsorted(sc, np.arange(n)),
+                           k * np.arange(1, m + 2))
+        # row tolerances well inside the screen's FEASIBILITY_TOL share
+        h = _highs(primal_feasibility_tolerance=1e-10,
+                   dual_feasibility_tolerance=1e-10)
+        inf = h.getInfinity()
+        cols = np.arange(k, dtype=np.int32)
+        h.addVars(k, np.zeros(k), np.ones(k))
+        h.changeColsCost(k, cols, -rate[it, sc])
+        h.addRows(n + 1 + m,
+                  np.append(np.full(n + 1, -inf), cfg.harvest_target / rhs),
+                  np.append(np.ones(n + 1), np.full(m, inf)), values.size,
+                  starts.astype(np.int32), np.tile(cols, m + 2), values)
+        if not _optimal(h):
+            return
+        z = np.array(h.getSolution().col_value)
+        # per SC, the column of the largest weight comes first; ties go to
+        # the earliest iterate
+        order = np.lexsort((-z, sc))
+        lead = order[np.unique(sc, return_index=True)[1]]
+        owners = np.zeros(n, dtype=int)
+        owners[sc[lead]] = owner[it[lead], sc[lead]]
+        self._screen_per_sc(owners, np.bincount(sc, z * p_col, minlength=n),
+                            "recovered")
+
+    def _screen_per_sc(self, owners: np.ndarray, p_sc: np.ndarray,
+                       source: str):
+        """Screen the allocation that gives each SC with p_sc > 0 to its
+        owner at that power, with the optimal or the pinned split."""
+        cfg = self.cfg
+        x = np.zeros((cfg.num_irs, cfg.num_scs), dtype=np.int8)
+        p = np.zeros((cfg.num_irs, cfg.num_scs))
+        a = np.zeros((cfg.num_irs, cfg.num_scs))
         cols = np.nonzero(p_sc > 0)[0]
         rows = owners[cols]
         x[rows, cols] = 1
@@ -238,7 +329,23 @@ class _Engine:
                                           self.B[rows, cols], cfg.noise_power)
         alloc = Allocation(assign=x, power=p, split=a)
         q = all_harvested_powers(alloc, self.ch, cfg)
-        self._consider_primal(alloc, q, float(p_sc.sum()), "harvest LP")
+        self._consider_primal(alloc, q, float(p_sc.sum()), source)
+
+
+def _newton_point(y: np.ndarray, s: np.ndarray, hess: np.ndarray):
+    """The projected Newton point from ``y`` with gradient ``s`` and Hessian
+    ``hess``: a step on the free coordinates (y > 0, or at 0 with s < 0),
+    clipped at 0; None where the free block is singular or not finite."""
+    free = (y > 0) | (s < 0)
+    step = np.zeros_like(y)
+    block = hess[np.ix_(free, free)]
+    if not np.all(np.isfinite(block)):
+        return None
+    try:
+        step[free] = np.linalg.solve(block, -s[free])
+    except np.linalg.LinAlgError:
+        return None
+    return np.maximum(y + step, 0.0)
 
 
 def _highs(**options) -> _Highs:
@@ -261,7 +368,8 @@ class _MasterLP:
     """Kelley's master LP, min t over 0 <= y <= upper and s_i . y - t <= b_i
     for every cut i, kept in one HiGHS model for the whole solve. A cut is
     one added row that never changes; growing the box changes the bounds of
-    the grown columns only; the simplex restarts from the previous basis."""
+    the grown columns only; the simplex restarts from the previous basis.
+    The cuts are also kept as arrays, to evaluate the model at a point."""
 
     def __init__(self, upper: np.ndarray):
         self._h = _highs(primal_feasibility_tolerance=1e-10,
@@ -273,11 +381,19 @@ class _MasterLP:
                         np.append(self.upper, self._inf))  # y, then a free t
         self._h.changeColCost(m, 1.0)
         self._cols = np.arange(m + 1, dtype=np.int32)
+        self._s: list = []
+        self._b: list = []
 
     def cut(self, s: np.ndarray, b: float):
         """Add the cut s . y - t <= b."""
         self._h.addRow(-self._inf, float(b), self._cols.size, self._cols,
                        np.append(s, -1.0))
+        self._s.append(s)
+        self._b.append(b)
+
+    def model(self, y: np.ndarray) -> float:
+        """The cut model at ``y``: max_i s_i . y - b_i."""
+        return float(np.max(np.array(self._s) @ y - np.array(self._b)))
 
     def grow(self, on_face: np.ndarray):
         """Quadruple the box on the faces ``on_face`` marks."""
@@ -309,6 +425,8 @@ def solve_dual(config: SystemConfig, channels: ChannelRealization,
     if np.any(config.harvest_target > 0):
         eng.harvest_lp_primal()
     converged = eng.cutting_plane()
+    if eng.g_min - eng.best_obj > CONVERGENCE_TOL * abs(eng.g_min):
+        eng.recover_primal()
     if eng.best_alloc is None:
         raise InfeasibleProblemError("no feasible allocation found")
     n = config.num_scs
@@ -326,5 +444,6 @@ def solve_dual(config: SystemConfig, channels: ChannelRealization,
             "lambda": eng.lam.tolist(),
             "gamma": float(eng.gamma),
             "primal_source": eng.best_source,
+            "newton_steps": eng.newton_steps,
         },
     )

@@ -133,12 +133,12 @@ class ChannelRealization:
 class Allocation:
     """Subcarrier assignment, per-SC transmit power and AN split ratio."""
 
-    assign: np.ndarray  # (K1, N) in {0,1}
+    assign: np.ndarray  # (K1, N) in {0,1}, int8
     power: np.ndarray  # (K1, N) watts
     split: np.ndarray  # (K1, N) in [0,1]
 
     def __post_init__(self):
-        self.assign = np.asarray(self.assign, dtype=int)
+        self.assign = np.asarray(self.assign, dtype=np.int8)
         self.power = np.asarray(self.power, dtype=float)
         self.split = np.asarray(self.split, dtype=float)
 

@@ -105,6 +105,20 @@ def _cubic_roots(a, b, c, d):
     return out
 
 
+def _root_slopes(x, coef, d_coef):
+    """dx/dom = -(dQ/dom) / (dQ/dx) at roots ``x`` (leading axis) of the
+    polynomials Q with coefficients ``coef``, highest power first, that move
+    with om at the rates ``d_coef``; NaN where a root is absent."""
+    deg = len(coef) - 1
+    num = dq = 0.0
+    with np.errstate(all="ignore"):
+        for i, (c, dc) in enumerate(zip(coef, d_coef)):
+            num = num * x + dc
+            if i < deg:
+                dq = dq * x + (deg - i) * c
+        return -num / dq
+
+
 class Kernel:
     """The per-SC maximization of one solve, built from the gains, weights,
     cap and optional pinned split and then called with each price vector.
@@ -115,11 +129,12 @@ class Kernel:
     at min(P_peak, P_max), which the total-power constraint implies).
 
     Built once and read-only: the normalization, the h2 vs b2 masks, the
-    price-free parts of the root coefficients, and the candidates whose
-    power does not depend on the prices, with their splits and weighted
-    secrecy rates. A call adds the price-dependent roots and every value.
-    Each coefficient keeps the association order of its one-piece formula,
-    so the results are the same to the bit."""
+    price-free parts of the root coefficients and their rates of change in
+    the price, and the candidates whose power does not depend on the
+    prices, with their splits and weighted secrecy rates. A call adds the
+    price-dependent roots, their slopes and every value. Each coefficient
+    keeps the association order of its one-piece formula, so the results
+    are the same to the bit."""
 
     def __init__(self, H, B, sigma2, weights, p_peak, alpha_fixed=None):
         H, B = np.asarray(H, dtype=float), np.asarray(B, dtype=float)
@@ -136,6 +151,11 @@ class Kernel:
             LN2 * h * b * b, b * h * w * a * (a - 1.0), h * a * a - b * a - h,
             2.0 * b * h * w * a * (a - 1.0), b * (1.0 + a) + h * (1.0 - a),
             (a - 1.0) * (h - b) * w])
+        # the root coefficients' rates of change in the price, highest
+        # power first
+        c0, c2, c4 = self.cubic[[0, 2, 4]]
+        d_fixed = [c0 * a * (a - 1.0), b * LN2 * c2, -LN2 * c4,
+                   np.full_like(h, -LN2)]
         if self.free:
             eq = np.isclose(H, B, rtol=GAIN_RTOL, atol=0.0)
             self.hgb = (H > B) & ~eq
@@ -144,6 +164,9 @@ class Kernel:
             # ``j0 om p^2 + b (j1 + LN2 om j2) p + j3 + LN2 om j4``
             self.joint = np.stack([LN2 * b * b * h, b * h * w, b + 2.0 * h,
                                    b * w * (h - b), b + h])
+            j0, j2, j4 = self.joint[[0, 2, 4]]
+            self.d_coef = np.stack([np.stack(c) for c in zip(
+                [j0, b * LN2 * j2, LN2 * j4], d_fixed[1:])])
             # candidates in order: the two joint roots; the zero-rate
             # boundary (h2 < b2), listed before the peak pair so that an
             # energy-only pair, where both carry no secrecy rate, reports
@@ -156,6 +179,7 @@ class Kernel:
                      np.zeros_like(h)]
             self.order = np.array([0, 1, 4, 5, 2, 3, 6])  # roots come first
         else:
+            self.d_coef = np.stack(d_fixed)
             # the fixed-split roots, then the peak
             p_fix, a_fix = [pk], [np.full(H.shape, a)]
             self.order = slice(None)
@@ -169,31 +193,38 @@ class Kernel:
                 v.setflags(write=False)
 
     def roots(self, om):
-        """Price-dependent candidate powers at normalized prices ``om``, NaN
-        where absent: with a free split the two roots of the quadratic with
-        alpha = optimal_split(p), then the two alpha = 0 roots on h2 > b2
-        pairs; with a pinned split the roots of the fixed-split cubic, a
-        quadratic at split 0."""
+        """Price-dependent candidate powers at normalized prices ``om`` and
+        their rates of change in ``om``, NaN where absent: with a free split
+        the two roots of the quadratic with alpha = optimal_split(p), then
+        the two alpha = 0 roots on h2 > b2 pairs; with a pinned split the
+        roots of the fixed-split cubic, a quadratic at split 0. A root x of
+        a stationarity polynomial Q moves at -(dQ/dom) / (dQ/dx)."""
         c0, c1, c2, c3, c4, c5 = self.cubic
         a, lom = self.a, LN2 * om
-        fixed = (self.b * (c1 + lom * c2), c3 - lom * c4, c5 - lom)
+        fixed = (c0 * om * a * (a - 1.0), self.b * (c1 + lom * c2),
+                 c3 - lom * c4, c5 - lom)
         if not self.free:
-            if a == 0.0:
-                return _quad_roots(*fixed)
-            return _cubic_roots(c0 * om * a * (a - 1.0), *fixed)
+            r = _quad_roots(*fixed[1:]) if a == 0.0 else _cubic_roots(*fixed)
+            return r, _root_slopes(r, fixed, self.d_coef)
         j0, j1, j2, j3, j4 = self.joint
         joint = (j0 * om, self.b * (j1 + lom * j2), j3 + lom * j4)
-        r = _quad_roots(*(np.stack(c) for c in zip(joint, fixed)))
-        return np.concatenate([r[:, 0], np.where(self.hgb, r[:, 1], np.nan)])
+        coef = [np.stack(c) for c in zip(joint, fixed[1:])]
+        r = _quad_roots(*coef)
+        d = _root_slopes(r, coef, self.d_coef)
+        return tuple(np.concatenate([x[:, 0], np.where(self.hgb, x[:, 1], np.nan)])
+                     for x in (r, d))
 
     def __call__(self, omega):
-        """Optimal (p, alpha, value) for every pair at the (N,) prices."""
+        """Optimal (p, alpha, value, dp/domega) for every pair at the (N,)
+        prices. The last is the winning power's rate of change in the price,
+        -dQ/domega / dQ/dp of the stationarity polynomial Q its root solves;
+        it is 0 where a boundary candidate or the skip wins."""
         om_in = np.broadcast_to(np.asarray(omega, dtype=float), self.pk.shape)
         if not np.isfinite(self.p_peak) and np.any(om_in >= 0.0):
             raise UnboundedSubproblemError(
                 "per-SC objective grows without bound at infinite peak power")
         om = om_in * self.p0
-        p = self.roots(om)
+        p, slope = self.roots(om)
         if self.free:
             a = np.concatenate([optimal_split(p[:2], self.h, self.b, 1.0),
                                 np.zeros_like(p[2:])])
@@ -204,12 +235,16 @@ class Kernel:
         A = np.concatenate([a, self.a_fix])[self.order]
         V = np.concatenate([_value(p, a, self.h, self.b, self.w, om),
                             self.rate_fix + self.p_fix * om])[self.order]
+        D = np.concatenate([slope, np.zeros_like(self.p_fix)])[self.order]
         V = np.where(np.isfinite(V), V, -np.inf)
         best = np.argmax(V, axis=0)
-        p_best, a_best, v_best = (X[(best, *self.idx)] for X in (P, A, V))
+        p_best, a_best, v_best, d_best = (X[(best, *self.idx)]
+                                          for X in (P, A, V, D))
         # the skip fallback (0, 0) has value 0
         skip = ~(v_best > 0.0)
         p_best = np.where(skip, 0.0, p_best) * self.p0
         a_best = np.where(skip, 0.0, a_best)
         v_best = np.where(skip, 0.0, v_best)
-        return p_best, a_best, v_best
+        # normalized to physical units: p = p0 x and omega = om / p0
+        d_best = np.where(skip, 0.0, d_best) * (self.p0 * self.p0)
+        return p_best, a_best, v_best, d_best

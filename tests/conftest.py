@@ -44,7 +44,7 @@ def solve_one(ctx):
     """(p*, alpha*, value) of the per-SC kernel on one pair."""
     kernel = vector.Kernel([[ctx.h2]], [[ctx.b2]], ctx.sigma2, [ctx.weight],
                            ctx.p_peak)
-    p, a, v = kernel([ctx.omega])
+    p, a, v, _ = kernel([ctx.omega])
     return float(p[0, 0]), float(a[0, 0]), float(v[0, 0])
 
 

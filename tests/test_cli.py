@@ -71,6 +71,16 @@ class TestSolveCommand:
         assert report["metadata"]["lambda"] == []
         assert report["metadata"]["converged"] is True
 
+    def test_huge_budget_exit_ok(self, tmp_path):
+        # at 1e20 W the budget and the per-SC cap reach HiGHS's default
+        # infinite bound; the harvest LP must still find the targets reachable
+        cfg = write_config(tmp_path, system={"P_max_dBm": 230})
+        out = tmp_path / "r.json"
+        assert main(["solve", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        report = json.loads(out.read_text())
+        assert report["metadata"]["converged"] is True
+        assert all(q >= 100e-6 for q in report["harvested_w"])
+
     def test_not_converged_exit_code(self, tmp_path):
         cfg = write_config(tmp_path, solver={"max_iter": 2})
         assert main(["solve", "--config", cfg,

@@ -51,7 +51,7 @@ def kernel_roots(ctx, alpha=None):
     """The kernel's price-dependent candidate powers of one pair, normalized."""
     kern = vector.Kernel([[ctx.h2]], [[ctx.b2]], ctx.sigma2, [ctx.weight],
                          ctx.p_peak, alpha)
-    return kern.roots(ctx.omega * kern.p0)[:, 0, 0]
+    return kern.roots(ctx.omega * kern.p0)[0][:, 0, 0]
 
 
 def fixed_roots(alpha, ctx):

@@ -21,7 +21,7 @@ def test_fixed_alpha_path_matches_power_grid(rng):
         kernel = vector.Kernel(np.array([[ctx.h2]]), np.array([[ctx.b2]]),
                                ctx.sigma2, np.array([ctx.weight]), ctx.p_peak,
                                alpha_fixed=alpha0)
-        _, _, v = kernel(np.array([ctx.omega]))
+        _, _, v, _ = kernel(np.array([ctx.omega]))
         v = float(v[0, 0])
         p0, h, b = vector.normalized(ctx.h2, ctx.b2, ctx.sigma2)
         ps = np.linspace(0.0, ctx.p_peak / p0, 200_001)
@@ -37,8 +37,8 @@ def test_batch_shapes_and_consistency(rng):
     b = 10.0 ** rng.uniform(-2, 2, size=(k1, n))
     w = rng.uniform(0.5, 2.0, size=k1)
     om = rng.uniform(-0.5, 0.5, size=n)
-    p, a, v = vector.Kernel(h, b, 1.0, w, 10.0)(om)
-    assert p.shape == a.shape == v.shape == (k1, n)
+    p, a, v, dp = vector.Kernel(h, b, 1.0, w, 10.0)(om)
+    assert p.shape == a.shape == v.shape == dp.shape == (k1, n)
     for k in range(k1):
         for j in range(n):
             ctx = Ctx(h2=h[k, j], b2=b[k, j], sigma2=1.0, weight=w[k],
@@ -73,17 +73,17 @@ def test_requires_finite_cap():
 
 def test_skip_fallback_returns_zeros():
     # eavesdropper dominant, negative price: skipping the SC is optimal
-    p, a, v = vector.Kernel(np.array([[1.0]]), np.array([[4.0]]), 1.0,
-                            np.ones(1), 0.1)(np.array([-1.0]))
-    assert (p[0, 0], a[0, 0], v[0, 0]) == (0.0, 0.0, 0.0)
+    p, a, v, dp = vector.Kernel(np.array([[1.0]]), np.array([[4.0]]), 1.0,
+                                np.ones(1), 0.1)(np.array([-1.0]))
+    assert (p[0, 0], a[0, 0], v[0, 0], dp[0, 0]) == (0.0, 0.0, 0.0, 0.0)
 
 
 def test_energy_only_pair_sends_no_noise():
     # eavesdropper dominant, positive price: full power for harvesting only;
     # no split carries secrecy rate, and the reported one is 0, not 1
-    p, a, v = vector.Kernel(np.array([[1.0]]), np.array([[4.0]]), 1.0,
-                            np.ones(1), 0.5)(np.array([1.0]))
-    assert (p[0, 0], a[0, 0], v[0, 0]) == (0.5, 0.0, 0.5)
+    p, a, v, dp = vector.Kernel(np.array([[1.0]]), np.array([[4.0]]), 1.0,
+                                np.ones(1), 0.5)(np.array([1.0]))
+    assert (p[0, 0], a[0, 0], v[0, 0], dp[0, 0]) == (0.5, 0.0, 0.5, 0.0)
 
 
 @pytest.mark.parametrize("alpha", [None, 0.0, 0.5], ids=["free", "noan", "alpha05"])
@@ -128,3 +128,62 @@ def test_kernel_reuse_matches_fresh_solve_all(monkeypatch, alpha, qbar_uw, seed)
     assert len(cached) >= 8 and not any(v.flags.writeable for v in cached)
     with pytest.raises(ValueError):
         kern.p_fix[0] = 0.0
+
+
+def _winner(kern, om):
+    """(p, dp/domega, root slot) of a one-pair kernel at price ``om``; the
+    slot is None where a boundary candidate or the skip won."""
+    p, _, _, dp = kern(np.array([om]))
+    p, dp = float(p[0, 0]), float(dp[0, 0])
+    roots = kern.roots(om * kern.p0)[0][:, 0, 0] * kern.p0[0, 0]
+    hit = np.flatnonzero(np.isclose(roots, p, rtol=1e-12, atol=0.0))
+    return p, dp, (int(hit[0]) if p > 0 and hit.size else None)
+
+
+# root slots of each kind: with a free split the joint quadratic's two and
+# the alpha = 0 quadratic's two; with a pinned split the cubic's three (at
+# split 0 a quadratic's two)
+@pytest.mark.parametrize("alpha, slots", [
+    (None, (0, 1)), (None, (2, 3)), (0.5, (0, 1, 2)), (0.0, (0, 1))],
+    ids=["free-joint", "free-alpha0", "alpha05-cubic", "noan-quadratic"])
+def test_power_slope_matches_central_difference(rng, alpha, slots):
+    # where the winner stays the same root at omega +- step, dp/domega is
+    # the slope of the kernel's own p
+    checked = 0
+    for _ in range(3000):
+        ctx = random_context(rng)
+        kern = vector.Kernel([[ctx.h2]], [[ctx.b2]], ctx.sigma2, [ctx.weight],
+                             ctx.p_peak, alpha)
+        p, dp, slot = _winner(kern, ctx.omega)
+        if slot not in slots:
+            continue
+        step = 1e-6 * abs(ctx.omega)
+        p_hi, _, slot_hi = _winner(kern, ctx.omega + step)
+        p_lo, _, slot_lo = _winner(kern, ctx.omega - step)
+        if slot_hi != slot or slot_lo != slot:
+            continue
+        fd = (p_hi - p_lo) / (2.0 * step)
+        assert dp > 0.0
+        assert fd == pytest.approx(dp, rel=1e-5)
+        checked += 1
+        if checked == 40:
+            break
+    assert checked == 40
+
+
+@pytest.mark.parametrize("alpha", [None, 0.0, 0.5], ids=["free", "noan", "alpha05"])
+def test_power_slope_zero_on_boundary_and_skip_winners(rng, alpha):
+    # the peak, the zero-rate boundary, 1/b - 1/h and the skip do not move
+    # with the price
+    seen = {"boundary": 0, "skip": 0}
+    for _ in range(2000):
+        ctx = random_context(rng)
+        kern = vector.Kernel([[ctx.h2]], [[ctx.b2]], ctx.sigma2, [ctx.weight],
+                             ctx.p_peak, alpha)
+        p, dp, slot = _winner(kern, ctx.omega)
+        if slot is None:
+            assert dp == 0.0
+            seen["skip" if p == 0.0 else "boundary"] += 1
+            if min(seen.values()) == 20:
+                break
+    assert min(seen.values()) == 20
