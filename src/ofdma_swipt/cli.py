@@ -4,7 +4,8 @@ Subcommands: solve | sweep | profile. Outputs are JSON (solve) or CSV written
 to --out (stdout by default). Reruns with identical arguments are
 byte-identical; wallclock columns are zero unless --timing is passed.
 
-Exit codes: 0 ok, 2 config error, 3 infeasible, 4 not converged.
+Exit codes: 0 ok, 2 config error or an --out that cannot be written,
+3 infeasible, 4 not converged.
 """
 
 from __future__ import annotations
@@ -93,11 +94,14 @@ def _report_dict(report, seed: int) -> dict:
 
 def _emit(text: str, out: str | None):
     if out:
-        parent = os.path.dirname(out)
-        if parent:
-            os.makedirs(parent, exist_ok=True)
-        with open(out, "w") as fh:
-            fh.write(text)
+        try:
+            parent = os.path.dirname(out)
+            if parent:
+                os.makedirs(parent, exist_ok=True)
+            with open(out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write {out}: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -157,12 +161,8 @@ def cmd_profile(args) -> int:
         f"# ofdma-swipt profile scheme={exp.scheme} seed={args.seed}",
         "sc,assigned_ir,power,alpha,info_power",
     ]
-    owner = np.where(alloc.assign.sum(axis=0) > 0,
-                     np.argmax(alloc.assign, axis=0), -1)
-    for n in range(alloc.assign.shape[1]):
-        k = int(owner[n])
-        p = float(alloc.power[k, n]) if k >= 0 else 0.0
-        a = float(alloc.split[k, n]) if k >= 0 else 0.0
+    for n, (k, p, a) in enumerate(zip(alloc.owner, alloc.sc_power,
+                                      alloc.sc_split)):
         lines.append(",".join(_fmt(v) for v in (n, k, p, a, (1.0 - a) * p)))
     _emit("\n".join(lines) + "\n", args.out)
     if not report.metadata.get("converged", True):

@@ -23,13 +23,14 @@ solver:
 scheme: optimal    # a name in heuristics.SCHEMES
 
 Powers are dBm in files and watts internally; a dBm value whose watts
-overflow a float is rejected. Counts (K1, K2, N, num_taps, max_iter) must be
-whole numbers: 2.7 or .inf is rejected, not truncated. Radii, the carrier
-and the path-loss exponent must be positive and finite. The solver's
-tolerances are not settings: both are fixed at 1e-9
+overflow a float is rejected. Booleans are not numbers: ``true`` is
+rejected wherever a number is expected. Counts (K1, K2, N, num_taps,
+max_iter) must be whole numbers: 2.7 or .inf is rejected, not truncated.
+Radii, the carrier and the path-loss exponent must be positive and
+finite. The solver's tolerances are not settings: both are fixed at 1e-9
 (``dual.CONVERGENCE_TOL``, ``dual.FEASIBILITY_TOL``). Unknown keys are
-rejected at every level; the channel seed is not a config key but the CLI's
---seed.
+rejected at every level; the channel seed is not a config key but the
+CLI's --seed.
 """
 
 from __future__ import annotations
@@ -58,24 +59,30 @@ class ExperimentConfig:
     scheme: str
 
 
+def _number(value, name: str, expected: str = "a number") -> float:
+    """``value`` as a float; ConfigError for a boolean or a non-number."""
+    try:
+        if not isinstance(value, bool):
+            return float(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ConfigError(f"{name}: bad value {value!r}, expected {expected}")
+
+
 def _as_vector(value, count, name):
-    if np.isscalar(value):
-        return np.full(count, float(value))
-    vec = np.asarray(value, dtype=float)
-    if vec.shape != (count,):
+    if not isinstance(value, list):
+        return np.full(count, _number(value, name))
+    if len(value) != count:
         raise ConfigError(f"{name}: expected scalar or list of length {count}")
-    return vec
+    return np.array([_number(v, name) for v in value])
 
 
 def parse_count(value, name: str) -> int:
     """``value`` as an int; ConfigError unless it is a finite whole number."""
-    try:
-        number = float(value)
-        if number.is_integer():
-            return int(number)
-    except (TypeError, ValueError, OverflowError):
-        pass
-    raise ConfigError(f"{name}: bad value {value!r}, expected a count")
+    number = _number(value, name, "a count")
+    if not number.is_integer():
+        raise ConfigError(f"{name}: bad value {value!r}, expected a count")
+    return int(number)
 
 
 def _power_dbm(value, name):
@@ -83,7 +90,7 @@ def _power_dbm(value, name):
         if value.strip().lower() in ("inf", "+inf", "infinity"):
             return math.inf
         raise ConfigError(f"{name}: bad value {value!r}")
-    return dbm_to_watts(float(value))
+    return dbm_to_watts(_number(value, name))
 
 
 def parse_config(data: dict) -> ExperimentConfig:
@@ -112,10 +119,10 @@ def parse_config(data: dict) -> ExperimentConfig:
                               harvest_eff=zeta, harvest_target=qbar)
         sc_d = dict(data.get("scenario", {}))
         scenario = ScenarioSpec(
-            cell_radius=float(sc_d.pop("cell_radius", 200.0)),
-            er_radius=float(sc_d.pop("er_radius", 2.0)),
-            carrier=float(sc_d.pop("carrier", 900e6)),
-            pathloss_exp=float(sc_d.pop("pathloss_exp", 3.0)),
+            cell_radius=_number(sc_d.pop("cell_radius", 200.0), "cell_radius"),
+            er_radius=_number(sc_d.pop("er_radius", 2.0), "er_radius"),
+            carrier=_number(sc_d.pop("carrier", 900e6), "carrier"),
+            pathloss_exp=_number(sc_d.pop("pathloss_exp", 3.0), "pathloss_exp"),
             num_taps=parse_count(sc_d.pop("num_taps", 8), "num_taps"),
         )
         if sc_d:

@@ -3,7 +3,8 @@ minimization of the dual with Newton steps, primal recovery and duality-gap
 measurement.
 
 :func:`solve_dual` can pin the split (``alpha_fixed``) or the assignment
-(``fixed_assign``); ``heuristics.SCHEMES`` names these variants.
+(``fixed_assign``, (N,) owners, not the (K1, N) assignment);
+``heuristics.SCHEMES`` names these variants.
 
 The dual function is evaluated with the per-SC power additionally capped at
 min(P_peak, P_max); the cap is implied by the total-power constraint, keeps
@@ -26,7 +27,7 @@ the start point. Every dual point visited tightens the reported bound;
 
 The points are picked as in a bundle-Newton method (Luksan & Vlcek, Math.
 Program. 83, 1998). Where the winners of an evaluation do not switch, g is
-smooth with Hessian sum_n p'_n c_n c_n^T, where p'_n is the assigned pair's
+smooth with Hessian sum_n p'_n c_n c_n^T, where p'_n is the owner's
 dp/domega from the kernel and c_n = d omega_n / d(lambda, gamma). The next
 point is the projected Newton point from the current one (a step on the
 coordinates that are positive or have a negative subgradient, clipped at
@@ -52,7 +53,7 @@ bundled HiGHS bindings.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.optimize._highspy._core import HighsModelStatus, HighsStatus, _Highs
@@ -94,15 +95,11 @@ class SolveReport:
 
 
 def assign_subcarriers(values: np.ndarray) -> np.ndarray:
-    """Winner-take-all assignment: per SC the IR with the largest per-SC
-    value gets it if that value is positive; ties break to the lowest index."""
+    """Winner-take-all owners: per SC the IR with the largest per-SC value
+    if that value is positive, else -1; ties break to the lowest index."""
     values = np.asarray(values, dtype=float)
-    k_star = np.argmax(values, axis=0)
-    cols = np.arange(values.shape[1])
-    x = np.zeros(values.shape, dtype=np.int8)
-    win = values[k_star, cols] > 0.0
-    x[k_star[win], cols[win]] = 1
-    return x
+    k = np.argmax(values, axis=0)
+    return np.where(values[k, np.arange(values.shape[1])] > 0.0, k, -1)
 
 
 class _Engine:
@@ -124,6 +121,7 @@ class _Engine:
                                     config.weights, self.p_eff, alpha_fixed)
         # d omega_n / d(lambda, gamma): the directions of the dual's curvature
         self.d_omega = np.vstack([self.zg, -np.ones(config.num_scs)])
+        self.cols = np.arange(config.num_scs)
         self.n_evals = 0
         self.newton_steps = 0
         self.visited: list = []  # per evaluation: per-SC owner, power, rate
@@ -148,35 +146,29 @@ class _Engine:
         """Inner maximization at one dual point; updates bound and primal.
         Returns the cut there, g and its subgradient (Q - Qbar, P_max - sum p),
         and g's Hessian in (lambda, gamma) where the winners do not switch:
-        sum_n p'_n c_n c_n^T, with p'_n the assigned pair's dp/domega and
+        sum_n p'_n c_n c_n^T, with p'_n the owner's dp/domega and
         c_n = d omega_n / d(lambda, gamma)."""
         self.n_evals += 1
         omega = -gamma + lam @ self.zg
         p, a, val, dp = self.kernel(omega)
-        if self.fixed_assign is None:
-            x = assign_subcarriers(val)
-        else:
-            x = self.fixed_assign
-        p = np.where(x == 1, p, 0.0)
-        a = np.where((x == 1) & (p > 0), a, 0.0)
-        alloc = Allocation(assign=x, power=p, split=a)
-        xv = x * val
-        sc_val = xv.sum()
-        g_raw = (sc_val - float(lam @ self.cfg.harvest_target)
+        owner = (assign_subcarriers(val) if self.fixed_assign is None
+                 else self.fixed_assign)
+        p, a, val, dp = (np.where(owner >= 0, X[owner, self.cols], 0.0)
+                         for X in (p, a, val, dp))
+        a = np.where(p > 0, a, 0.0)
+        alloc = Allocation(owner, p, a, self.cfg.num_irs)
+        g_raw = (alloc.pair_sum(val) - float(lam @ self.cfg.harvest_target)
                  + gamma * self.cfg.total_power)
         if g_raw < self.g_min:
             self.g_min, self.lam, self.gamma = g_raw, lam, gamma
-        sc_p = alloc.sc_power
-        self.visited.append((np.argmax(x, axis=0), sc_p,
-                             xv.sum(axis=0) - sc_p * omega))
+        self.visited.append((owner, p, val - p * omega))
         q = all_harvested_powers(alloc, self.ch, self.cfg)
-        total = float(sc_p.sum())
+        total = float(p.sum())
         primal_norm = self._consider_primal(alloc, q, total, self.n_evals)
         qv = float(np.max(self.cfg.harvest_target - q)) if self.cfg.num_ers else 0.0
         self.trace.append((g_raw / self.cfg.num_scs, primal_norm,
                            total - self.cfg.total_power, qv))
-        c = self.d_omega
-        hess = (c * (x * dp).sum(axis=0)) @ c.T
+        hess = (self.d_omega * dp) @ self.d_omega.T
         return g_raw, np.append(q - self.cfg.harvest_target,
                                 self.cfg.total_power - total), hess
 
@@ -187,9 +179,7 @@ class _Engine:
             # scaled even within the tolerance: an overspend would let the
             # primal exceed the dual bound and the gap go negative
             scale = pmax / total
-            alloc = Allocation(assign=alloc.assign,
-                               power=alloc.power * scale,
-                               split=alloc.split)
+            alloc = replace(alloc, sc_power=alloc.sc_power * scale)
             q = q * scale
             total = pmax
         target = self.cfg.harvest_target
@@ -260,10 +250,8 @@ class _Engine:
             raise InfeasibleProblemError(
                 "harvesting targets unreachable under the power budget")
         p_sc = np.array(h.getSolution().col_value)
-        if self.fixed_assign is not None:
-            owners = np.argmax(self.fixed_assign, axis=0)
-        else:
-            owners = np.argmax(cfg.weights[:, None] * self.H, axis=0)
+        owners = (np.argmax(cfg.weights[:, None] * self.H, axis=0)
+                  if self.fixed_assign is None else self.fixed_assign)
         self._screen_per_sc(owners, p_sc, "harvest LP")
 
     # -- recovery ------------------------------------------------------------
@@ -305,7 +293,7 @@ class _Engine:
         # the earliest iterate
         order = np.lexsort((-z, sc))
         lead = order[np.unique(sc, return_index=True)[1]]
-        owners = np.zeros(n, dtype=int)
+        owners = np.full(n, -1)
         owners[sc[lead]] = owner[it[lead], sc[lead]]
         self._screen_per_sc(owners, np.bincount(sc, z * p_col, minlength=n),
                             "recovered")
@@ -315,19 +303,13 @@ class _Engine:
         """Screen the allocation that gives each SC with p_sc > 0 to its
         owner at that power, with the optimal or the pinned split."""
         cfg = self.cfg
-        x = np.zeros((cfg.num_irs, cfg.num_scs), dtype=np.int8)
-        p = np.zeros((cfg.num_irs, cfg.num_scs))
-        a = np.zeros((cfg.num_irs, cfg.num_scs))
-        cols = np.nonzero(p_sc > 0)[0]
-        rows = owners[cols]
-        x[rows, cols] = 1
-        p[rows, cols] = p_sc[cols]
-        if self.alpha_fixed is not None:
-            a[rows, cols] = self.alpha_fixed
-        else:
-            a[rows, cols] = optimal_split(p_sc[cols], self.H[rows, cols],
-                                          self.B[rows, cols], cfg.noise_power)
-        alloc = Allocation(assign=x, power=p, split=a)
+        on = p_sc > 0
+        owner = np.where(on, owners, -1)
+        a = (optimal_split(p_sc, self.H[owner, self.cols],
+                           self.B[owner, self.cols], cfg.noise_power)
+             if self.alpha_fixed is None else self.alpha_fixed)
+        alloc = Allocation(owner, np.where(on, p_sc, 0.0),
+                           np.where(on, a, 0.0), cfg.num_irs)
         q = all_harvested_powers(alloc, self.ch, cfg)
         self._consider_primal(alloc, q, float(p_sc.sum()), source)
 
@@ -416,7 +398,8 @@ def solve_dual(config: SystemConfig, channels: ChannelRealization,
                alpha_fixed: float | None = None,
                fixed_assign: np.ndarray | None = None) -> SolveReport:
     """Run the full dual loop and recover the best primal; ``alpha_fixed``
-    pins the split ratio, ``fixed_assign`` the (K1, N) assignment."""
+    pins the split ratio, ``fixed_assign`` the owner of each SC: (N,)
+    owners, not the (K1, N) assignment."""
     if alpha_fixed is not None and not 0.0 <= alpha_fixed <= 1.0:
         raise DomainError("split ratio must lie in [0, 1]")
     options = options or SolverOptions()

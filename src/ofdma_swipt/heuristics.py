@@ -82,23 +82,15 @@ def solve_suboptimal(config: SystemConfig,
             q_l += config.harvest_eff[l] * p_eq * er_g[l, pick]
     n1 = int((owner >= 0).sum())
 
-    rest = np.nonzero(owner < 0)[0]
-    if rest.size:
-        a_star = optimal_split(p_eq, ir_g[:, rest], channels.eve_gains[:, rest],
-                             config.noise_power)
-        rs = secrecy_rate(np.full_like(a_star, p_eq), a_star,
-                          ir_g[:, rest], channels.eve_gains[:, rest],
-                          config.noise_power)
-        owner[rest] = np.argmax(config.weights[:, None] * rs, axis=0)
-    n2 = int(rest.size)
+    rest = owner < 0
+    a_star = optimal_split(p_eq, ir_g, channels.eve_gains, config.noise_power)
+    rs = secrecy_rate(np.full_like(a_star, p_eq), a_star, ir_g,
+                      channels.eve_gains, config.noise_power)
+    owner[rest] = np.argmax(config.weights[:, None] * rs, axis=0)[rest]
+    n2 = int(rest.sum())
 
-    x = np.zeros((config.num_irs, n), dtype=int)
-    x[owner, np.arange(n)] = 1
-    p = np.where(x == 1, p_eq, 0.0)
-    a = np.where(x == 1,
-                 optimal_split(p_eq, ir_g, channels.eve_gains, config.noise_power),
-                 0.0)
-    alloc = Allocation(assign=x, power=p, split=a)
+    alloc = Allocation(owner, np.full(n, p_eq), a_star[owner, np.arange(n)],
+                       config.num_irs)
     q = all_harvested_powers(alloc, channels, config)
     return SolveReport(
         objective=weighted_sum_secrecy(alloc, channels, config),
@@ -112,9 +104,8 @@ def solve_suboptimal(config: SystemConfig,
 
 
 def round_robin_assignment(config: SystemConfig) -> np.ndarray:
-    x = np.zeros((config.num_irs, config.num_scs), dtype=int)
-    x[np.arange(config.num_scs) % config.num_irs, np.arange(config.num_scs)] = 1
-    return x
+    """The FSA owners: SC n goes to IR n mod K1."""
+    return np.arange(config.num_scs) % config.num_irs
 
 
 def noncancel_secrecy_rate(p, alpha, h2, b2, sigma2):

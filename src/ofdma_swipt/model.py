@@ -131,33 +131,49 @@ class ChannelRealization:
 
 @dataclass
 class Allocation:
-    """Subcarrier assignment, per-SC transmit power and AN split ratio."""
+    """Per SC: the owning IR (-1 for none), transmit power and AN split, so
+    no SC can have two owners. ``assign``, ``power`` and ``split`` are
+    read-only (K1, N) views of the same data."""
 
-    assign: np.ndarray  # (K1, N) in {0,1}, int8
-    power: np.ndarray  # (K1, N) watts
-    split: np.ndarray  # (K1, N) in [0,1]
+    owner: np.ndarray  # (N,) int in [-1, K1)
+    sc_power: np.ndarray  # (N,) watts
+    sc_split: np.ndarray  # (N,) in [0,1]
+    num_irs: int
 
     def __post_init__(self):
-        self.assign = np.asarray(self.assign, dtype=np.int8)
-        self.power = np.asarray(self.power, dtype=float)
-        self.split = np.asarray(self.split, dtype=float)
+        self.owner = np.asarray(self.owner, dtype=int)
+        self.sc_power = np.asarray(self.sc_power, dtype=float)
+        self.sc_split = np.asarray(self.sc_split, dtype=float)
 
     def validate(self, config: SystemConfig, tol: float = 1e-9) -> None:
-        _check(np.all(self.assign.sum(axis=0) <= 1), "subcarrier assigned to >1 IR")
-        off = self.assign == 0
-        _check(np.all(self.power[off] == 0) and np.all(self.split[off] == 0),
-               "power/split must be zero on unassigned pairs")
-        _check(np.all(self.power >= 0), "negative power")
-        _check(np.all(self.power <= config.peak_power * (1 + 1e-12) + tol),
+        _check(self.num_irs == config.num_irs
+               and np.all((self.owner >= -1) & (self.owner < config.num_irs)),
+               "owner must lie in [-1, K1)")
+        off = self.owner < 0
+        _check(np.all(self.sc_power[off] == 0) and np.all(self.sc_split[off] == 0),
+               "power/split must be zero on unassigned SCs")
+        _check(np.all(self.sc_power >= 0), "negative power")
+        _check(np.all(self.sc_power <= config.peak_power * (1 + 1e-12) + tol),
                "peak power exceeded")
-        _check((self.assign * self.power).sum() <= config.total_power + tol,
+        _check(self.sc_power.sum() <= config.total_power + tol,
                "total power exceeded")
-        _check(np.all((self.split >= 0) & (self.split <= 1)), "split outside [0,1]")
+        _check(np.all((self.sc_split >= 0) & (self.sc_split <= 1)),
+               "split outside [0,1]")
 
-    @property
-    def sc_power(self) -> np.ndarray:
-        """Total transmit power per subcarrier."""
-        return (self.assign * self.power).sum(axis=0)
+    def pair_sum(self, per_sc) -> float:
+        """sum_k sum_n x[k, n] per_sc[n], added over the (K1, N) pairs so
+        that it rounds as a sum over the views does."""
+        return float(self._on_owner(per_sc).sum())
+
+    def _on_owner(self, per_sc) -> np.ndarray:
+        """Read-only (K1, N): ``per_sc`` at each SC's owner, 0 elsewhere."""
+        out = np.where(self.owner == np.arange(self.num_irs)[:, None], per_sc, 0)
+        out.setflags(write=False)
+        return out
+
+    assign = property(lambda self: self._on_owner(np.int8(1)))  # int8 one-hot
+    power = property(lambda self: self._on_owner(self.sc_power))
+    split = property(lambda self: self._on_owner(self.sc_split))
 
 
 def _validate_rate_inputs(p, alpha, sigma2, *gains):
@@ -257,7 +273,8 @@ def all_harvested_powers(alloc: Allocation, channels: ChannelRealization,
 def weighted_sum_secrecy(alloc: Allocation, channels: ChannelRealization,
                          config: SystemConfig) -> float:
     """Band-averaged weighted sum secrecy rate (bits/s/Hz, divided by N)."""
-    rs = secrecy_rate(alloc.power, alloc.split, channels.ir_gains,
-                      channels.eve_gains, config.noise_power)
-    total = (config.weights[:, None] * alloc.assign * rs).sum()
-    return float(total) / config.num_scs
+    k, n = alloc.owner, np.arange(config.num_scs)
+    # an unassigned SC (k = -1) reads the last IR's entries; pair_sum drops it
+    rs = secrecy_rate(alloc.sc_power, alloc.sc_split, channels.ir_gains[k, n],
+                      channels.eve_gains[k, n], config.noise_power)
+    return alloc.pair_sum(config.weights[k] * rs) / config.num_scs

@@ -8,7 +8,7 @@ import pytest
 import yaml
 
 from ofdma_swipt.cli import (EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_NOT_CONVERGED,
-                             EXIT_OK, apply_axis, main)
+                             EXIT_OK, apply_axis, main, run_scheme)
 from ofdma_swipt.config import load_config
 from ofdma_swipt.heuristics import SCHEMES
 
@@ -138,6 +138,10 @@ class TestSolveCommand:
     ({"system": {"P_peak_dBm": 4000}}, ["solve"]),
     ({"system": {"sigma2_dBm": 4000}}, ["solve"]),
     ({}, ["sweep", "--axis", "Pmax", "--values", "4000"]),
+    ({"system": {"K1": True}}, ["solve"]),
+    ({"system": {"P_max_dBm": True}}, ["solve"]),
+    ({"system": {"weights": True}}, ["solve"]),
+    ({"scenario": {"cell_radius": True}}, ["solve"]),
 ], ids=["values-abc", "N-1e400", "N-8.5", "K2-2.5", "K2-nan", "Pmax-inf", "Qbar-inf",
         "P_max_dBm-inf", "sigma2_dBm-inf", "weights-inf", "solve-seed-neg",
         "sweep-seed-neg", "profile-seed-neg", "sweep-trials-0", "sweep-trials-neg",
@@ -145,7 +149,8 @@ class TestSolveCommand:
         "max_iter-2.5", "max_iter-inf", "convergence_tol-nan",
         "convergence_tol-inf", "feasibility_tol-nan", "feasibility_tol-inf",
         "cell_radius-nan", "er_radius-nan", "cell_radius-inf", "carrier-neg",
-        "P_max_dBm-4000", "P_peak_dBm-4000", "sigma2_dBm-4000", "Pmax-4000"])
+        "P_max_dBm-4000", "P_peak_dBm-4000", "sigma2_dBm-4000", "Pmax-4000",
+        "K1-true", "P_max_dBm-true", "weights-true", "cell_radius-true"])
 def test_bad_numbers_exit_config(tmp_path, capsys, overrides, argv):
     cfg = write_config(tmp_path, **overrides)
     assert main(argv[:1] + ["--config", cfg] + argv[1:]) == EXIT_CONFIG
@@ -153,6 +158,42 @@ def test_bad_numbers_exit_config(tmp_path, capsys, overrides, argv):
     assert captured.err.startswith("config error:")
     assert "Traceback" not in captured.err
     assert captured.out == ""  # no report and no header-only CSV
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve"],
+    ["sweep", "--axis", "Qbar", "--values", "100", "--trials", "1"],
+    ["profile"],
+], ids=["solve", "sweep", "profile"])
+def test_unwritable_out_exits_config(tmp_path, capsys, argv):
+    cfg = write_config(tmp_path)
+    assert main(argv[:1] + ["--config", cfg, "--out", str(tmp_path)]
+                + argv[1:]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"config error: cannot write {tmp_path}")
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_outputs_show_one_owner_per_sc(tmp_path, scheme):
+    # the JSON's (K1, N) allocation and the profile's per-SC columns are
+    # two views of the same owner, power and split per SC
+    cfg = write_config(tmp_path, scheme=scheme)
+    out_json, out_csv = tmp_path / "r.json", tmp_path / "p.csv"
+    assert main(["solve", "--config", cfg, "--out", str(out_json)]) == EXIT_OK
+    assert main(["profile", "--config", cfg, "--out", str(out_csv)]) == EXIT_OK
+    alloc = run_scheme(load_config(cfg), 0).allocation
+    x = np.array(json.loads(out_json.read_text())["allocation"]["assign"])
+    assert x.shape == (2, 8)
+    assert np.all((x == 0) | (x == 1)) and np.all(x.sum(axis=0) <= 1)
+    assert x.tolist() == alloc.assign.tolist()
+    body = [l.split(",") for l in out_csv.read_text().splitlines()
+            if not l.startswith("#")][1:]
+    assert [int(r[1]) for r in body] == alloc.owner.tolist()
+    assert [float(r[2]) for r in body] == pytest.approx(
+        alloc.sc_power.tolist(), rel=1e-8, abs=0.0)
+    assert [float(r[3]) for r in body] == pytest.approx(
+        alloc.sc_split.tolist(), rel=1e-8, abs=0.0)
 
 
 class TestSweepCommand:

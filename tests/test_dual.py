@@ -22,20 +22,25 @@ from conftest import paper_channels, paper_system, synthetic_channels
 
 class TestAssignSubcarriers:
     def test_argmax_wins(self):
-        x = assign_subcarriers(np.array([[0.3], [0.7], [0.1]]))
-        assert x[:, 0].tolist() == [0, 1, 0]
+        owner = assign_subcarriers(np.array([[0.3], [0.7], [0.1]]))
+        assert owner.tolist() == [1]
 
     def test_nonpositive_column_unassigned(self):
-        x = assign_subcarriers(np.array([[0.0], [-0.2]]))
-        assert x.sum() == 0
+        owner = assign_subcarriers(np.array([[0.0], [-0.2]]))
+        assert owner.tolist() == [-1]
 
     def test_tie_breaks_to_lowest_index(self):
-        x = assign_subcarriers(np.array([[0.5], [0.5]]))
-        assert x[:, 0].tolist() == [1, 0]
+        owner = assign_subcarriers(np.array([[0.5], [0.5]]))
+        assert owner.tolist() == [0]
 
     def test_exclusive_per_sc(self, rng):
-        x = assign_subcarriers(rng.normal(size=(4, 16)))
-        assert np.all(x.sum(axis=0) <= 1)
+        values = rng.normal(size=(4, 16))
+        owner = assign_subcarriers(values)
+        assert owner.shape == (16,)
+        assert np.all((owner >= -1) & (owner < 4))
+        on = np.flatnonzero(owner >= 0)
+        assert on.size > 0 and np.all(owner[values.max(axis=0) <= 0] == -1)
+        assert np.all(values[owner[on], on] == values[:, on].max(axis=0))
 
 
 def _brute_force_no_er(cfg, ch, num_p=201, num_a=201):
@@ -300,8 +305,8 @@ class TestPrimalSource:
         eng.harvest_lp_primal()
         lp = eng.best_alloc
         eng.best_obj = -np.inf
-        over = Allocation(assign=lp.assign, power=1.5 * lp.power,
-                          split=lp.split)
+        over = Allocation(lp.owner, 1.5 * lp.sc_power, lp.sc_split,
+                          cfg.num_irs)
         q = all_harvested_powers(over, ch, cfg)
         total = float(over.sc_power.sum())
         assert total > 1.4 * cfg.total_power
@@ -317,10 +322,9 @@ class TestPrimalSource:
         # more power on the SC that harvests least: the unscaled primal
         # meets every target, the scaled one does not, so it is rejected
         weak = int(np.argmin(eng.zg.sum(axis=0)))
-        x, p = lp.assign.copy(), lp.power.copy()
-        x[:, weak], p[:, weak] = 0, 0.0
-        x[0, weak], p[0, weak] = 1, lp.sc_power[weak] + cfg.total_power
-        heavy = Allocation(assign=x, power=p, split=np.zeros_like(p))
+        owner, p = lp.owner.copy(), lp.sc_power.copy()
+        owner[weak], p[weak] = 0, lp.sc_power[weak] + cfg.total_power
+        heavy = Allocation(owner, p, np.zeros_like(p), cfg.num_irs)
         q = all_harvested_powers(heavy, ch, cfg)
         assert np.all(q >= cfg.harvest_target)
         assert np.isnan(eng._consider_primal(heavy, q, float(p.sum()), 8))

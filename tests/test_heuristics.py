@@ -29,8 +29,8 @@ class TestSolve:
         ch = paper_channels(cfg, seed=0)
         assert solve(cfg, ch, "alpha05").objective == \
             solve_dual(cfg, ch, alpha_fixed=0.5).objective
-        fsa = solve(cfg, ch, "fsa").allocation.assign
-        assert np.all(fsa <= round_robin_assignment(cfg))
+        fsa = solve(cfg, ch, "fsa").allocation.owner
+        assert np.all((fsa == round_robin_assignment(cfg)) | (fsa == -1))
 
 
 class TestSuboptimal:
@@ -141,9 +141,7 @@ class TestNoAn:
 class TestFsa:
     def test_round_robin_map(self):
         cfg = paper_system(n_sc=6, k1=4)
-        x = round_robin_assignment(cfg)
-        assert np.all(x.sum(axis=0) == 1)
-        assert x[0].tolist() == [1, 0, 0, 0, 1, 0]
+        assert round_robin_assignment(cfg).tolist() == [0, 1, 2, 3, 0, 1]
 
     def test_single_ir_equals_optimal(self):
         cfg = paper_system(n_sc=8, k1=1, qbar_uw=0.0)

@@ -177,36 +177,35 @@ class TestHarvestedPower:
     def test_zero_power(self):
         ch = ChannelRealization(gains=np.array([[1.0, 1.0], [0.01, 0.01]]),
                                 num_irs=1)
-        alloc = Allocation(assign=np.zeros((1, 2), dtype=int),
-                           power=np.zeros((1, 2)), split=np.zeros((1, 2)))
+        alloc = Allocation(owner=[-1, -1], sc_power=np.zeros(2),
+                           sc_split=np.zeros(2), num_irs=1)
         assert all_harvested_powers(alloc, ch, _toy()).tolist() == [0.0]
 
     def test_single_sc_hand_value(self):
         ch = ChannelRealization(gains=np.array([[1.0, 1.0], [0.01, 0.02]]),
                                 num_irs=1)
-        alloc = Allocation(assign=np.array([[1, 0]]),
-                           power=np.array([[1.0, 0.0]]),
-                           split=np.array([[0.3, 0.0]]))
+        alloc = Allocation(owner=[0, -1], sc_power=[1.0, 0.0],
+                           sc_split=[0.3, 0.0], num_irs=1)
         assert all_harvested_powers(alloc, ch, _toy()) == pytest.approx([6.0e-3])
 
     def test_two_sc_hand_value(self):
         ch = ChannelRealization(gains=np.array([[1.0, 1.0], [0.01, 0.005]]),
                                 num_irs=1)
-        alloc = Allocation(assign=np.array([[1, 1]]),
-                           power=np.array([[1.0, 2.0]]),
-                           split=np.array([[0.0, 0.0]]))
+        alloc = Allocation(owner=[0, 0], sc_power=[1.0, 2.0],
+                           sc_split=[0.0, 0.0], num_irs=1)
         assert all_harvested_powers(alloc, ch, _toy(zeta=0.5)) == pytest.approx([0.01])
 
     def test_linear_in_power_and_split_invariant(self, rng):
         cfg = _toy(k1=2, k2=2, n_sc=4)
         gains = rng.lognormal(size=(4, 4))
         ch = ChannelRealization(gains=gains, num_irs=2)
-        assign = np.array([[1, 0, 1, 0], [0, 1, 0, 0]])
-        p = rng.uniform(0.1, 1.0, size=(2, 4)) * assign
+        owner = np.array([0, 1, 0, -1])
+        on = owner >= 0
+        p = rng.uniform(0.1, 1.0, size=(2, 4))[owner, np.arange(4)] * on
         base = all_harvested_powers(
-            Allocation(assign, p, 0.2 * assign), ch, cfg)
+            Allocation(owner, p, 0.2 * on, num_irs=2), ch, cfg)
         doubled = all_harvested_powers(
-            Allocation(assign, 2 * p, 0.9 * assign), ch, cfg)
+            Allocation(owner, 2 * p, 0.9 * on, num_irs=2), ch, cfg)
         assert np.allclose(doubled, 2 * base)
 
 
@@ -214,8 +213,8 @@ class TestWeightedSumSecrecy:
     def test_empty_assignment(self):
         cfg = _toy()
         ch = ChannelRealization(gains=np.ones((2, 2)), num_irs=1)
-        alloc = Allocation(assign=np.zeros((1, 2), dtype=int),
-                           power=np.zeros((1, 2)), split=np.zeros((1, 2)))
+        alloc = Allocation(owner=[-1, -1], sc_power=np.zeros(2),
+                           sc_split=np.zeros(2), num_irs=1)
         assert weighted_sum_secrecy(alloc, ch, cfg) == 0.0
 
     def test_single_sc_band_average(self):
@@ -223,9 +222,8 @@ class TestWeightedSumSecrecy:
         cfg = _toy(n_sc=2)
         ch = ChannelRealization(gains=np.array([[3.0, 3.0], [1.0, 1.0]]),
                                 num_irs=1)
-        alloc = Allocation(assign=np.array([[1, 0]]),
-                           power=np.array([[1.0, 0.0]]),
-                           split=np.array([[0.0, 0.0]]))
+        alloc = Allocation(owner=[0, -1], sc_power=[1.0, 0.0],
+                           sc_split=[0.0, 0.0], num_irs=1)
         assert weighted_sum_secrecy(alloc, ch, cfg) == pytest.approx(1.0 / 2)
 
     def test_weighted_two_irs(self):
@@ -236,25 +234,45 @@ class TestWeightedSumSecrecy:
                            harvest_eff=np.zeros(0), harvest_target=np.zeros(0))
         gains = np.array([[3.0, 1.0], [1.0, 3.0]])
         ch = ChannelRealization(gains=gains, num_irs=2)
-        alloc = Allocation(assign=np.array([[1, 0], [0, 1]]),
-                           power=np.array([[1.0, 0.0], [0.0, 1.0]]),
-                           split=np.zeros((2, 2)))
+        alloc = Allocation(owner=[0, 1], sc_power=[1.0, 1.0],
+                           sc_split=np.zeros(2), num_irs=2)
         # both SCs have h2=3 against b2=1 at p=1: rate 1.0 each
         assert weighted_sum_secrecy(alloc, ch, cfg) == pytest.approx(3.0 / 2)
 
 
+class TestAllocationViews:
+    def test_views_spread_per_sc_data_read_only(self):
+        alloc = Allocation(owner=[1, -1, 0], sc_power=[2.0, 0.0, 3.0],
+                           sc_split=[0.5, 0.0, 0.25], num_irs=2)
+        assert alloc.assign.dtype == np.int8
+        assert alloc.assign.tolist() == [[0, 0, 1], [1, 0, 0]]
+        assert alloc.power.tolist() == [[0.0, 0.0, 3.0], [2.0, 0.0, 0.0]]
+        assert alloc.split.tolist() == [[0.0, 0.0, 0.25], [0.5, 0.0, 0.0]]
+        for view in (alloc.assign, alloc.power, alloc.split):
+            with pytest.raises(ValueError):
+                view[0, 0] = 1
+
+
 class TestAllocationValidate:
-    def test_rejects_double_assignment(self):
+    @pytest.mark.parametrize("owner", [2, -2])
+    def test_rejects_owner_out_of_range(self, owner):
         cfg = _toy(k1=2, n_sc=1)
-        alloc = Allocation(assign=np.array([[1], [1]]),
-                           power=np.ones((2, 1)), split=np.zeros((2, 1)))
-        with pytest.raises(DomainError):
+        alloc = Allocation(owner=[owner], sc_power=[1.0], sc_split=[0.0],
+                           num_irs=2)
+        with pytest.raises(DomainError, match="owner"):
+            alloc.validate(cfg)
+
+    @pytest.mark.parametrize("power, split", [(1.0, 0.0), (0.0, 0.5)])
+    def test_rejects_power_or_split_on_unassigned_sc(self, power, split):
+        cfg = _toy(k1=2, n_sc=2)
+        alloc = Allocation(owner=[0, -1], sc_power=[1.0, power],
+                           sc_split=[0.0, split], num_irs=2)
+        with pytest.raises(DomainError, match="unassigned"):
             alloc.validate(cfg)
 
     def test_rejects_total_power_violation(self):
         cfg = _toy(n_sc=2, p_max=1.0)
-        alloc = Allocation(assign=np.array([[1, 1]]),
-                           power=np.array([[1.0, 1.0]]),
-                           split=np.zeros((1, 2)))
+        alloc = Allocation(owner=[0, 0], sc_power=[1.0, 1.0],
+                           sc_split=np.zeros(2), num_irs=1)
         with pytest.raises(DomainError):
             alloc.validate(cfg)
