@@ -4,8 +4,8 @@ Subcommands: solve | sweep | profile. Outputs are JSON (solve) or CSV written
 to --out (stdout by default). Reruns with identical arguments are
 byte-identical; wallclock columns are zero unless --timing is passed.
 
-Exit codes: 0 ok, 2 config error or an --out that cannot be written,
-3 infeasible, 4 not converged.
+Exit codes: 0 ok, 2 config error or an --out that cannot be written
+(checked before the first solve), 3 infeasible, 4 not converged.
 """
 
 from __future__ import annotations
@@ -92,16 +92,33 @@ def _report_dict(report, seed: int) -> dict:
     }
 
 
+def _write_out(out: str, mode: str, text: str = ""):
+    """Write ``text`` to ``out`` opened with ``mode``, its directory made
+    first; a path that cannot be written is a config error."""
+    try:
+        parent = os.path.dirname(out)
+        if parent:
+            os.makedirs(parent, exist_ok=True)
+        with open(out, mode) as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {out}: {exc}") from exc
+
+
+def _check_out(out: str | None):
+    """Fail before any solve if ``out`` cannot be written. Appending nothing
+    truncates nothing, and a file this check creates is removed again, so a
+    run that ends without output leaves ``out`` as it was."""
+    if out:
+        existed = os.path.lexists(out)
+        _write_out(out, "a")
+        if not existed:
+            os.remove(out)
+
+
 def _emit(text: str, out: str | None):
     if out:
-        try:
-            parent = os.path.dirname(out)
-            if parent:
-                os.makedirs(parent, exist_ok=True)
-            with open(out, "w") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise ConfigError(f"cannot write {out}: {exc}") from exc
+        _write_out(out, "w", text)
     else:
         sys.stdout.write(text)
 
@@ -206,6 +223,7 @@ def main(argv=None) -> int:
     try:
         if args.seed < 0:
             raise ConfigError(f"--seed: expected a nonnegative integer, got {args.seed}")
+        _check_out(args.out)
         return args.func(args)
     except (ConfigError, DomainError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

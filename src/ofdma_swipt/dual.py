@@ -47,21 +47,63 @@ mixes the visited iterates per subcarrier within the budget and the targets
 (Yu & Lui, IEEE Trans. Commun. 54(7), 2006), and the mixture, rounded per SC
 to its heaviest owner at the mean power, is screened too. The best screened
 primal is returned; ``primal_source`` names it. Every LP runs on scipy's
-bundled HiGHS bindings.
+bundled HiGHS binding, ``scipy.optimize._highspy._core``, which this module
+loads from its file in scipy's install directory instead of importing it:
+the import would first run ``scipy.optimize``, whose ~0.45 s of imports
+(linalg, sparse, special, ...) this package never uses. The module is
+registered under its own name, so a later ``import scipy.optimize`` reuses
+it. A scipy outside the range pinned in pyproject.toml that moves the file
+makes this import fail with an ImportError naming the paths tried.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.optimize._highspy._core import HighsModelStatus, HighsStatus, _Highs
 
 from .model import (LN2, Allocation, ChannelRealization, DomainError,
                     SystemConfig, all_harvested_powers, optimal_split,
                     secrecy_rate, weighted_sum_secrecy)
 from . import vector
+
+_HIGHS_CORE = "scipy.optimize._highspy._core"
+
+
+def _load_highs_core():
+    """scipy's compiled HiGHS binding, loaded from its file without
+    importing ``scipy.optimize`` (see the module docstring). It is
+    registered in ``sys.modules`` under its own name, so a later ``import
+    scipy.optimize`` reuses it and its pybind11 types are registered once;
+    if that name is already loaded, it is returned. No file at any
+    extension suffix raises ImportError naming the paths tried."""
+    if _HIGHS_CORE in sys.modules:
+        return sys.modules[_HIGHS_CORE]
+    scipy = importlib.util.find_spec("scipy")  # finds, imports nothing
+    if scipy is None:
+        raise ImportError("scipy is not installed")
+    stem = os.path.join(scipy.submodule_search_locations[0], "optimize",
+                        "_highspy", "_core")
+    paths = [stem + suffix for suffix in importlib.machinery.EXTENSION_SUFFIXES]
+    for path in paths:
+        if os.path.isfile(path):
+            spec = importlib.util.spec_from_file_location(_HIGHS_CORE, path)
+            module = importlib.util.module_from_spec(spec)
+            sys.modules[_HIGHS_CORE] = module
+            spec.loader.exec_module(module)
+            return module
+    raise ImportError(f"scipy's HiGHS binding {_HIGHS_CORE} not found; "
+                      f"tried {', '.join(paths)}")
+
+
+_core = _load_highs_core()
+_Highs, HighsStatus, HighsModelStatus = (
+    _core._Highs, _core.HighsStatus, _core.HighsModelStatus)
 
 
 class InfeasibleProblemError(RuntimeError):
@@ -332,7 +374,8 @@ def _newton_point(y: np.ndarray, s: np.ndarray, hess: np.ndarray):
 
 def _highs(**options) -> _Highs:
     """An empty, silent HiGHS model with ``options`` set, on scipy's bundled
-    bindings: a private API (see the scipy range in pyproject.toml)."""
+    binding: a private API, loaded from its file by
+    :func:`_load_highs_core` (see the scipy range in pyproject.toml)."""
     h = _Highs()
     h.setOptionValue("output_flag", False)
     for name, value in options.items():

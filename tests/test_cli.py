@@ -2,11 +2,13 @@
 
 import json
 import math
+import os
 
 import numpy as np
 import pytest
 import yaml
 
+from ofdma_swipt import cli
 from ofdma_swipt.cli import (EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_NOT_CONVERGED,
                              EXIT_OK, apply_axis, main, run_scheme)
 from ofdma_swipt.config import load_config
@@ -160,18 +162,50 @@ def test_bad_numbers_exit_config(tmp_path, capsys, overrides, argv):
     assert captured.out == ""  # no report and no header-only CSV
 
 
+def _unwritable_outs(tmp_path):
+    """--out paths that cannot be written: a directory, a path under a
+    regular file and, unless running as root, a read-only file."""
+    (tmp_path / "file").write_text("")
+    outs = [tmp_path, tmp_path / "file" / "out"]
+    if os.geteuid() != 0:  # root may write a read-only file
+        read_only = tmp_path / "ro.json"
+        read_only.write_text("kept\n")
+        read_only.chmod(0o444)
+        outs.append(read_only)
+    return outs
+
+
 @pytest.mark.parametrize("argv", [
     ["solve"],
     ["sweep", "--axis", "Qbar", "--values", "100", "--trials", "1"],
     ["profile"],
 ], ids=["solve", "sweep", "profile"])
-def test_unwritable_out_exits_config(tmp_path, capsys, argv):
+def test_unwritable_out_exits_config(tmp_path, capsys, monkeypatch, argv):
+    # the check comes before the first solve: no solve runs at all
+    def no_solve(*args):
+        raise AssertionError("solved before checking --out")
+
+    monkeypatch.setattr(cli, "run_scheme", no_solve)
     cfg = write_config(tmp_path)
-    assert main(argv[:1] + ["--config", cfg, "--out", str(tmp_path)]
-                + argv[1:]) == EXIT_CONFIG
-    captured = capsys.readouterr()
-    assert captured.err.startswith(f"config error: cannot write {tmp_path}")
-    assert "Traceback" not in captured.err
+    for out in _unwritable_outs(tmp_path):
+        assert main(argv[:1] + ["--config", cfg, "--out", str(out)]
+                    + argv[1:]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"config error: cannot write {out}")
+        assert "Traceback" not in captured.err
+
+
+def test_out_check_leaves_out_alone_when_nothing_is_written(tmp_path):
+    # an infeasible solve writes nothing: an existing --out keeps its
+    # contents and a missing one is not created
+    cfg = write_config(tmp_path, system={"Qbar_uW": 1e12})
+    kept, missing = tmp_path / "kept.json", tmp_path / "missing.json"
+    kept.write_text("kept\n")
+    for out in (kept, missing):
+        assert main(["solve", "--config", cfg, "--out", str(out)]) \
+            == EXIT_INFEASIBLE
+    assert kept.read_text() == "kept\n"
+    assert not missing.exists()
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)

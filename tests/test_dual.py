@@ -1,7 +1,12 @@
 """Outer dual loop: assignment rule, the cutting-plane stop rule, the master
-and harvest LPs against linprog, primal recovery, duality-gap sanity and
-small-instance optimality."""
+and harvest LPs against linprog, primal recovery, duality-gap sanity,
+small-instance optimality and the loading of the HiGHS binding."""
 
+import importlib.util
+import os
+import re
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -418,3 +423,47 @@ class TestSolverOptions:
     def test_rejects_bad_values(self):
         with pytest.raises(ValueError):
             SolverOptions(max_iterations=0)
+
+
+class TestHighsLoader:
+    """``dual`` loads scipy's HiGHS binding from its file, without importing
+    ``scipy.optimize``, under the binding's own module name."""
+
+    @staticmethod
+    def _run(code):
+        src = Path(__file__).parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        subprocess.run([sys.executable, "-W", "error", "-c", code], env=env,
+                       check=True)
+
+    def test_cli_import_leaves_scipy_optimize_out(self):
+        self._run(
+            "import sys\n"
+            "import ofdma_swipt.cli\n"
+            "assert 'scipy.optimize' not in sys.modules, 'scipy.optimize'\n"
+            "from ofdma_swipt import dual\n"
+            "from scipy.optimize import linprog\n"
+            # a from-import: the import system binds a submodule on its
+            # package only when it loads it, so _highspy has no _core
+            # attribute here
+            "from scipy.optimize._highspy import _core, _highs_wrapper\n"
+            "assert _core._Highs is dual._Highs\n"
+            "assert _highs_wrapper._h is dual._core\n"
+            "assert linprog([1.0], bounds=[(2.0, 3.0)]).x[0] == 2.0\n")
+
+    def test_reuses_a_loaded_scipy_optimize(self):
+        self._run(
+            "import sys\n"
+            "import scipy.optimize\n"
+            "core = sys.modules['scipy.optimize._highspy._core']\n"
+            "from ofdma_swipt import dual\n"
+            "assert dual._core is core and dual._Highs is core._Highs\n")
+
+    def test_missing_binding_names_the_path(self, monkeypatch, tmp_path):
+        monkeypatch.delitem(sys.modules, dual._HIGHS_CORE)
+        spec = importlib.util.spec_from_file_location(
+            "scipy", tmp_path / "scipy" / "__init__.py")
+        monkeypatch.setattr(importlib.util, "find_spec", lambda name: spec)
+        stem = tmp_path / "scipy" / "optimize" / "_highspy" / "_core"
+        with pytest.raises(ImportError, match=re.escape(f"tried {stem}")):
+            dual._load_highs_core()
