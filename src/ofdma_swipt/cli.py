@@ -135,8 +135,6 @@ def cmd_solve(args) -> int:
 
 def cmd_sweep(args) -> int:
     exp = load_config(args.config)
-    if args.axis not in AXES:
-        raise ConfigError(f"axis must be one of {AXES}")
     if args.trials < 1:
         raise ConfigError(f"--trials: expected at least 1, got {args.trials}")
     try:

@@ -35,18 +35,21 @@ coordinates that are positive or have a negative subgradient, clipped at
 value, else the master's minimizer. Curvature only picks points; the cuts
 certify the bound.
 
-Primal recovery is one screen and one mixture. Budget and harvest are linear
-in per-SC power, so an iterate that overspends is scaled onto P_max, its
-harvest with it; the screen then rejects it only if some ER falls short of
-its target by more than :data:`FEASIBILITY_TOL` of that target. When a
-harvest target is positive, one LP over per-SC powers runs before the loop:
-its infeasibility means no allocation can meet the targets, and its
+Primal recovery is one screen and one per-SC LP. Budget and harvest are
+linear in per-SC power, so an iterate that overspends is scaled onto P_max,
+its harvest with it; the screen then rejects it only if some ER falls short
+of its target by more than :data:`FEASIBILITY_TOL` of that target. The LP
+mixes per-SC columns (Yu & Lui, IEEE Trans. Commun. 54(7), 2006): weights
+0 <= z <= 1 on columns of (SC, owner, power, rate), at most 1 in total on
+each SC, that maximize the rate within the budget and the harvest targets,
+every row in units of its right-hand side; its mixture, rounded per SC to
+the heaviest owner at the mean power, is screened. When a harvest target is
+positive, the LP runs once before the loop with one column per SC at full
+power: its infeasibility means no allocation can meet the targets, and its
 allocation is the first primal screened. When the best screened primal's gap
-is still above :data:`CONVERGENCE_TOL` of |g| after the loop, one more LP
-mixes the visited iterates per subcarrier within the budget and the targets
-(Yu & Lui, IEEE Trans. Commun. 54(7), 2006), and the mixture, rounded per SC
-to its heaviest owner at the mean power, is screened too. The best screened
-primal is returned; ``primal_source`` names it. Every LP runs on scipy's
+is still above :data:`CONVERGENCE_TOL` of |g| after the loop, it runs once
+more over the visited iterates. The best screened primal is returned;
+``primal_source`` names it. Every LP runs on scipy's
 bundled HiGHS binding, ``scipy.optimize._highspy._core``, which this module
 loads from its file in scipy's install directory instead of importing it:
 the import would first run ``scipy.optimize``, whose ~0.45 s of imports
@@ -270,90 +273,77 @@ class _Engine:
                 y = y_master
         return False
 
-    # -- harvest LP ----------------------------------------------------------
+    # -- per-SC LPs ----------------------------------------------------------
 
     def harvest_lp_primal(self):
         """Raise if no per-SC powers meet the harvest targets within the
-        budget; else screen the LP's powers, which maximize sum_n max_k
-        H[k, n] p_n, each SC given to its fixed or best weighted IR."""
-        cfg, n = self.cfg, self.cfg.num_scs
-        a_ub = np.vstack([np.ones(n), -self.zg])  # budget, then harvest rows
-        m, cols = a_ub.shape[0], np.arange(n, dtype=np.int32)
-        # presolve and dual simplex, as linprog sets them: both can move the
-        # vertex; no finite budget or cap is an infinite bound
-        h = _highs(presolve="on", simplex_strategy=1, infinite_bound=math.inf)
-        h.addVars(n, np.zeros(n), np.full(n, self.p_eff))
-        h.changeColsCost(n, cols, -(self.H.max(axis=0)))
-        h.addRows(m, np.full(m, -h.getInfinity()),
-                  np.append(cfg.total_power, -cfg.harvest_target), a_ub.size,
-                  np.arange(0, a_ub.size, n, dtype=np.int32),
-                  np.tile(cols, m), a_ub.ravel())
-        if not _optimal(h):
+        budget; else screen the mixture of one column per SC at ``p_eff``
+        that maximizes sum_n max_k H[k, n] p_n, each SC given to its fixed
+        or best weighted IR."""
+        owners = (np.argmax(self.cfg.weights[:, None] * self.H, axis=0)
+                  if self.fixed_assign is None else self.fixed_assign)
+        if not self._mix(self.cols, np.full(self.cfg.num_scs, self.p_eff),
+                         self.H.max(axis=0), owners, "harvest LP"):
             raise InfeasibleProblemError(
                 "harvesting targets unreachable under the power budget")
-        p_sc = np.array(h.getSolution().col_value)
-        owners = (np.argmax(cfg.weights[:, None] * self.H, axis=0)
-                  if self.fixed_assign is None else self.fixed_assign)
-        self._screen_per_sc(owners, p_sc, "harvest LP")
-
-    # -- recovery ------------------------------------------------------------
 
     def recover_primal(self):
-        """Screen one mixture of the visited iterates, rounded per SC. An LP
-        over weights z[n, i] >= 0 with sum_i z[n, i] <= 1 maximizes the
-        weighted rate sum z r within the budget and the harvest targets; SC
-        n then goes to the owner of its largest weight at the mean power
-        sum_i z[n, i] p[n, i]. Budget and harvest are linear in per-SC power,
-        so the rounding keeps both."""
-        cfg, n, m = self.cfg, self.cfg.num_scs, self.cfg.num_ers
+        """Screen one mixture of the visited iterates (Yu & Lui), one column
+        per (SC, iterate) with positive power."""
         owner, power, rate = (np.array(v) for v in zip(*self.visited))
-        sc, it = np.nonzero(power.T > 0)  # one column per (SC, iterate), by SC
-        k = sc.size
-        p_col = power[it, sc]
-        # rows: one per SC, the budget, the harvest targets; each in units
-        # of its right-hand side
+        sc, it = np.nonzero(power.T > 0)  # by SC
+        self._mix(sc, power[it, sc], rate[it, sc], owner[it, sc], "recovered")
+
+    def _mix(self, sc: np.ndarray, power: np.ndarray, rate: np.ndarray,
+             owner: np.ndarray, source: str) -> bool:
+        """Screen the best mixture of per-SC columns, rounded per SC; False
+        unless HiGHS reports its LP optimal. Column j puts ``power[j]`` on SC
+        ``sc[j]`` (nondecreasing) for IR ``owner[j]`` at rate ``rate[j]``. An
+        LP over weights 0 <= z <= 1, with sum z <= 1 on each SC, maximizes
+        sum z rate within the budget and the harvest targets; SC n then goes
+        to the owner of its largest weight at the mean power sum z power,
+        with the optimal or the pinned split. Budget and harvest are linear
+        in per-SC power, so the rounding keeps both."""
+        cfg, n, m, k = self.cfg, self.cfg.num_scs, self.cfg.num_ers, sc.size
+        first = np.unique(sc, return_index=True)[1]
+        shared = np.flatnonzero(np.bincount(sc, minlength=n)[sc] > 1)
+        # rows: one per SC of two or more columns, the budget, the harvest
+        # targets; each in units of its right-hand side
         rhs = np.where(cfg.harvest_target > 0, cfg.harvest_target, 1.0)
-        values = np.concatenate([np.ones(k), p_col / cfg.total_power,
-                                 (self.zg[:, sc] * p_col / rhs[:, None]).ravel()])
-        starts = np.append(np.searchsorted(sc, np.arange(n)),
-                           k * np.arange(1, m + 2))
-        # row tolerances well inside the screen's FEASIBILITY_TOL share
-        h = _highs(primal_feasibility_tolerance=1e-10,
-                   dual_feasibility_tolerance=1e-10)
+        values = np.concatenate([np.ones(shared.size), power / cfg.total_power,
+                                 (self.zg[:, sc] * power / rhs[:, None]).ravel()])
+        starts = np.append(np.unique(sc[shared], return_index=True)[1],
+                           shared.size + k * np.arange(m + 1))
+        c = starts.size - m  # convexity rows and the budget
+        h = _highs()
         inf = h.getInfinity()
         cols = np.arange(k, dtype=np.int32)
         h.addVars(k, np.zeros(k), np.ones(k))
-        h.changeColsCost(k, cols, -rate[it, sc])
-        h.addRows(n + 1 + m,
-                  np.append(np.full(n + 1, -inf), cfg.harvest_target / rhs),
-                  np.append(np.ones(n + 1), np.full(m, inf)), values.size,
-                  starts.astype(np.int32), np.tile(cols, m + 2), values)
+        h.changeColsCost(k, cols, -rate)
+        h.addRows(c + m, np.append(np.full(c, -inf), cfg.harvest_target / rhs),
+                  np.append(np.ones(c), np.full(m, inf)), values.size,
+                  starts.astype(np.int32),
+                  np.concatenate([shared, np.tile(cols, m + 1)]).astype(np.int32),
+                  values)
         if not _optimal(h):
-            return
-        z = np.array(h.getSolution().col_value)
+            return False
+        # HiGHS may return z a hair below its 0 bound
+        z = np.maximum(h.getSolution().col_value, 0.0)
         # per SC, the column of the largest weight comes first; ties go to
-        # the earliest iterate
-        order = np.lexsort((-z, sc))
-        lead = order[np.unique(sc, return_index=True)[1]]
-        owners = np.full(n, -1)
-        owners[sc[lead]] = owner[it[lead], sc[lead]]
-        self._screen_per_sc(owners, np.bincount(sc, z * p_col, minlength=n),
-                            "recovered")
-
-    def _screen_per_sc(self, owners: np.ndarray, p_sc: np.ndarray,
-                       source: str):
-        """Screen the allocation that gives each SC with p_sc > 0 to its
-        owner at that power, with the optimal or the pinned split."""
-        cfg = self.cfg
+        # the earliest column
+        lead = np.lexsort((-z, sc))[first]
+        p_sc = np.bincount(sc, z * power, minlength=n)
         on = p_sc > 0
-        owner = np.where(on, owners, -1)
-        a = (optimal_split(p_sc, self.H[owner, self.cols],
-                           self.B[owner, self.cols], cfg.noise_power)
+        owners = np.full(n, -1)
+        owners[sc[lead]] = owner[lead]
+        owners[~on] = -1
+        a = (optimal_split(p_sc, self.H[owners, self.cols],
+                           self.B[owners, self.cols], cfg.noise_power)
              if self.alpha_fixed is None else self.alpha_fixed)
-        alloc = Allocation(owner, np.where(on, p_sc, 0.0),
-                           np.where(on, a, 0.0), cfg.num_irs)
+        alloc = Allocation(owners, p_sc, np.where(on, a, 0.0), cfg.num_irs)
         q = all_harvested_powers(alloc, self.ch, cfg)
         self._consider_primal(alloc, q, float(p_sc.sum()), source)
+        return True
 
 
 def _newton_point(y: np.ndarray, s: np.ndarray, hess: np.ndarray):
@@ -372,13 +362,18 @@ def _newton_point(y: np.ndarray, s: np.ndarray, hess: np.ndarray):
     return np.maximum(y + step, 0.0)
 
 
-def _highs(**options) -> _Highs:
-    """An empty, silent HiGHS model with ``options`` set, on scipy's bundled
-    binding: a private API, loaded from its file by
-    :func:`_load_highs_core` (see the scipy range in pyproject.toml)."""
+def _highs() -> _Highs:
+    """An empty, silent HiGHS model with primal and dual feasibility
+    tolerances of 1e-10, on scipy's bundled binding: a private API, loaded
+    from its file by :func:`_load_highs_core` (see the scipy range in
+    pyproject.toml). The master and every per-SC LP share this setting:
+    the master works in units of g at its start point, and a per-SC LP has
+    no bound or right-hand side above 1, so both tolerances are relative,
+    well inside the screen's :data:`FEASIBILITY_TOL` share."""
     h = _Highs()
-    h.setOptionValue("output_flag", False)
-    for name, value in options.items():
+    for name, value in (("output_flag", False),
+                        ("primal_feasibility_tolerance", 1e-10),
+                        ("dual_feasibility_tolerance", 1e-10)):
         h.setOptionValue(name, value)
     return h
 
@@ -397,8 +392,7 @@ class _MasterLP:
     The cuts are also kept as arrays, to evaluate the model at a point."""
 
     def __init__(self, upper: np.ndarray):
-        self._h = _highs(primal_feasibility_tolerance=1e-10,
-                         dual_feasibility_tolerance=1e-10)
+        self._h = _highs()
         self._inf = self._h.getInfinity()
         self.upper = np.array(upper, dtype=float)
         m = self.upper.size

@@ -74,8 +74,9 @@ class TestSolveCommand:
         assert report["metadata"]["converged"] is True
 
     def test_huge_budget_exit_ok(self, tmp_path):
-        # at 1e20 W the budget and the per-SC cap reach HiGHS's default
-        # infinite bound; the harvest LP must still find the targets reachable
+        # 1e20 W is HiGHS's default infinite bound; the harvest LP works in
+        # units of the budget and the targets, so none of its bounds or
+        # right-hand sides is above 1, and it must find the targets reachable
         cfg = write_config(tmp_path, system={"P_max_dBm": 230})
         out = tmp_path / "r.json"
         assert main(["solve", "--config", cfg, "--out", str(out)]) == EXIT_OK

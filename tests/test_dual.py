@@ -1,6 +1,7 @@
 """Outer dual loop: assignment rule, the cutting-plane stop rule, the master
-and harvest LPs against linprog, primal recovery, duality-gap sanity,
-small-instance optimality and the loading of the HiGHS binding."""
+LP and the per-SC LP's harvest check against linprog, primal recovery,
+duality-gap sanity, small-instance optimality and the loading of the HiGHS
+binding."""
 
 import importlib.util
 import os
@@ -232,8 +233,10 @@ class TestMasterLP:
 
 
 class TestHarvestLP:
-    """The harvest LP on the HiGHS binding against a cold ``linprog`` of the
-    same LP: the same per-SC powers to the bit, and the same verdict."""
+    """The harvest LP, a per-SC mixture with one column per SC at ``p_eff``,
+    against a cold ``linprog`` of the same LP over per-SC powers in watts:
+    the same verdict, and z * p_eff within 1e-12 * P_max of linprog's
+    powers."""
 
     @pytest.mark.parametrize("qbar_uw, seed", [
         (100.0, 0), (100.0, 1), (100.0, 2), (100.0, 3),
@@ -242,8 +245,8 @@ class TestHarvestLP:
         models = []
         make = dual._highs
 
-        def recording(**options):
-            models.append(make(**options))
+        def recording():
+            models.append(make())
             return models[-1]
 
         monkeypatch.setattr(dual, "_highs", recording)
@@ -263,8 +266,8 @@ class TestHarvestLP:
             return
         eng.harvest_lp_primal()
         assert len(models) == 1
-        x = np.array(models[0].getSolution().col_value)
-        assert x.tobytes() == np.asarray(ref.x).tobytes()
+        z = np.array(models[0].getSolution().col_value)
+        assert np.max(np.abs(z * eng.p_eff - ref.x)) <= 1e-12 * cfg.total_power
 
 
 class TestMasterFailure:
@@ -390,12 +393,14 @@ class TestHarvestFeasibilityCheck:
         ch = paper_channels(cfg, seed=0)
         reach = cfg.harvest_eff[0] * cfg.total_power * ch.er_gains[0].max()
         target = np.zeros(cfg.num_ers)
-        target[0] = 1.001 * reach
-        with pytest.raises(InfeasibleProblemError, match="unreachable"):
-            solve(replace(cfg, harvest_target=target), ch)
+        for factor in (1.001, 1.0 + 1e-8):
+            target[0] = factor * reach
+            with pytest.raises(InfeasibleProblemError, match="unreachable"):
+                solve(replace(cfg, harvest_target=target), ch)
         target[0] = 0.999 * reach
         cfg = replace(cfg, harvest_target=target)
         rep = solve(cfg, ch)
+        rep.allocation.validate(cfg)
         q = all_harvested_powers(rep.allocation, ch, cfg)
         assert q[0] >= target[0] - 1e-9
 
