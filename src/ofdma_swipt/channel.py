@@ -8,8 +8,10 @@ sum_n |H(n)|^2 / N equals the tap energy (numpy FFT convention) when N is at
 least the number of taps; with fewer subcarriers the taps fold modulo N,
 which keeps E[|H(n)|^2] = 1.
 
-Every receiver draws from its own child of the seed sequence, so adding
-receivers never perturbs the channels of existing ones.
+Every receiver draws its distance and taps from its own child of the seed
+sequence, so adding receivers never perturbs the channels of existing ones;
+the folded taps of all receivers then go through one FFT over a (K, N)
+array.
 """
 
 from __future__ import annotations
@@ -67,20 +69,20 @@ def path_loss(d: float, spec: ScenarioSpec) -> float:
 
 def generate_scenario(config: SystemConfig, spec: ScenarioSpec) -> ChannelRealization:
     """Draw one deterministic channel realization for the given seed."""
-    n = config.num_scs
-    children = np.random.SeedSequence(spec.seed).spawn(config.num_receivers)
-    gains = np.empty((config.num_receivers, n))
+    n, k_all = config.num_scs, config.num_receivers
+    children = np.random.SeedSequence(spec.seed).spawn(k_all)
+    loss = np.empty(k_all)
+    taps = np.empty((k_all, spec.num_taps), dtype=complex)
     for k, child in enumerate(children):
         rng = np.random.default_rng(child)
-        if k < config.num_irs:
-            d = rng.uniform(D_REF, spec.cell_radius)
-        else:
-            d = rng.uniform(D_REF, spec.er_radius)
-        taps = (rng.standard_normal(spec.num_taps)
-                + 1j * rng.standard_normal(spec.num_taps))
-        taps *= np.sqrt(1.0 / (2.0 * spec.num_taps))  # unit total mean power
-        # taps beyond n fold onto tap l mod n: the n-point DFT of the response
-        taps = np.pad(taps, (0, -spec.num_taps % n)).reshape(-1, n).sum(axis=0)
-        freq = np.fft.fft(taps)
-        gains[k] = path_loss(d, spec) * np.abs(freq) ** 2
+        radius = spec.cell_radius if k < config.num_irs else spec.er_radius
+        # a Python float: an array power rounds differently
+        loss[k] = path_loss(rng.uniform(D_REF, radius), spec)
+        taps[k] = (rng.standard_normal(spec.num_taps)
+                   + 1j * rng.standard_normal(spec.num_taps))
+    taps *= np.sqrt(1.0 / (2.0 * spec.num_taps))  # unit total mean power
+    # taps beyond n fold onto tap l mod n: the n-point DFT of the response
+    taps = np.pad(taps, ((0, 0), (0, -spec.num_taps % n)))
+    freq = np.fft.fft(taps.reshape(k_all, -1, n).sum(axis=1), axis=1)
+    gains = loss[:, None] * np.abs(freq) ** 2
     return ChannelRealization(gains=gains, num_irs=config.num_irs)

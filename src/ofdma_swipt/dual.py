@@ -38,25 +38,29 @@ certify the bound.
 Primal recovery is one screen and one per-SC LP. Budget and harvest are
 linear in per-SC power, so an iterate that overspends is scaled onto P_max,
 its harvest with it; the screen then rejects it only if some ER falls short
-of its target by more than :data:`FEASIBILITY_TOL` of that target. The LP
+of its target by more than :data:`FEASIBILITY_TOL` of that target. An
+iterate kept as it is scores the kernel's weighted rates, value minus
+p * omega; a scaled one is scored by ``weighted_sum_secrecy``. The LP
 mixes per-SC columns (Yu & Lui, IEEE Trans. Commun. 54(7), 2006): weights
 0 <= z <= 1 on columns of (SC, owner, power, rate), at most 1 in total on
 each SC, that maximize the rate within the budget and the harvest targets,
 every row in units of its right-hand side; its mixture, rounded per SC to
-the heaviest owner at the mean power, is screened. When a harvest target is
-positive, the LP runs once before the loop with one column per SC at full
-power: its infeasibility means no allocation can meet the targets, and its
-allocation is the first primal screened. When the best screened primal's gap
-is still above :data:`CONVERGENCE_TOL` of |g| after the loop, it runs once
-more over the visited iterates. The best screened primal is returned;
-``primal_source`` names it. Every LP runs on scipy's
-bundled HiGHS binding, ``scipy.optimize._highspy._core``, which this module
-loads from its file in scipy's install directory instead of importing it:
-the import would first run ``scipy.optimize``, whose ~0.45 s of imports
-(linalg, sparse, special, ...) this package never uses. The module is
-registered under its own name, so a later ``import scipy.optimize`` reuses
-it. A scipy outside the range pinned in pyproject.toml that moves the file
-makes this import fail with an ImportError naming the paths tried.
+the heaviest owner at the mean power, is screened. A first iterate that
+passes the screen proves the harvest targets reachable. Otherwise some
+target is positive, and the LP runs once, right after that evaluation,
+with one column per SC at full power: its infeasibility means no
+allocation can meet the targets, and its allocation is screened. When the
+best screened primal's gap is still above :data:`CONVERGENCE_TOL` of |g|
+after the loop, it runs once more over the visited iterates. The best
+screened primal is returned; ``primal_source`` names it. Every LP runs on
+scipy's bundled HiGHS binding, ``scipy.optimize._highspy._core``, which
+this module loads from its file in scipy's install directory instead of
+importing it: the import would first run ``scipy.optimize``, whose ~0.45 s
+of imports (linalg, sparse, special, ...) this package never uses. The
+module is registered under its own name, so a later ``import
+scipy.optimize`` reuses it. A scipy outside the range pinned in
+pyproject.toml that moves the file makes this import fail with an
+ImportError naming the paths tried.
 """
 
 from __future__ import annotations
@@ -198,7 +202,9 @@ class _Engine:
         p, a, val, dp = self.kernel(omega)
         owner = (assign_subcarriers(val) if self.fixed_assign is None
                  else self.fixed_assign)
-        p, a, val, dp = (np.where(owner >= 0, X[owner, self.cols], 0.0)
+        # the owner's entries; an unowned SC (-1) reads another's, zeroed
+        pick, on = owner * self.cfg.num_scs + self.cols, owner >= 0
+        p, a, val, dp = (np.where(on, X.take(pick), 0.0)
                          for X in (p, a, val, dp))
         a = np.where(p > 0, a, 0.0)
         alloc = Allocation(owner, p, a, self.cfg.num_irs)
@@ -206,10 +212,12 @@ class _Engine:
                  + gamma * self.cfg.total_power)
         if g_raw < self.g_min:
             self.g_min, self.lam, self.gamma = g_raw, lam, gamma
-        self.visited.append((owner, p, val - p * omega))
+        rate = val - p * omega
+        self.visited.append((owner, p, rate))
         q = all_harvested_powers(alloc, self.ch, self.cfg)
         total = float(p.sum())
-        primal_norm = self._consider_primal(alloc, q, total, self.n_evals)
+        primal_norm = self._consider_primal(alloc, q, total, self.n_evals,
+                                            rate)
         qv = float(np.max(self.cfg.harvest_target - q)) if self.cfg.num_ers else 0.0
         self.trace.append((g_raw / self.cfg.num_scs, primal_norm,
                            total - self.cfg.total_power, qv))
@@ -218,7 +226,12 @@ class _Engine:
                                 self.cfg.total_power - total), hess
 
     def _consider_primal(self, alloc: Allocation, q: np.ndarray,
-                         total: float, source: int | str) -> float:
+                         total: float, source: int | str,
+                         rate: np.ndarray | None = None) -> float:
+        """Screen ``alloc``, which harvests ``q`` and spends ``total``: keep
+        it if it is the best so far; its band-averaged objective, or NaN
+        if it misses a target. ``rate`` is the owners' weighted secrecy rate
+        per SC, computed here when not given or when ``alloc`` is scaled."""
         pmax = self.cfg.total_power
         if total > pmax:
             # scaled even within the tolerance: an overspend would let the
@@ -227,10 +240,12 @@ class _Engine:
             alloc = replace(alloc, sc_power=alloc.sc_power * scale)
             q = q * scale
             total = pmax
+            rate = None
         target = self.cfg.harvest_target
         if np.any(q < target - FEASIBILITY_TOL * target):
             return math.nan
-        obj_raw = weighted_sum_secrecy(alloc, self.ch, self.cfg) * self.cfg.num_scs
+        obj_raw = (weighted_sum_secrecy(alloc, self.ch, self.cfg) * self.cfg.num_scs
+                   if rate is None else alloc.pair_sum(rate))
         if obj_raw > self.best_obj:
             self.best_obj = obj_raw
             self.best_alloc = alloc
@@ -251,6 +266,11 @@ class _Engine:
         scale = None
         for _ in range(self.opt.max_iterations):
             g, sub, hess = self.evaluate(y[:-1] * unit[:-1], y[-1] * unit[-1])
+            if self.n_evals == 1 and self.best_alloc is None:
+                # the first iterate misses a target, which must then be
+                # positive: the harvest LP decides whether any allocation
+                # meets them and seeds the screen
+                self.harvest_lp_primal()
             # cut in units of g at the start point (>= gamma0 * P_max > 0):
             # t >= g / scale + s . (y' - y)
             scale = scale or g
@@ -279,7 +299,8 @@ class _Engine:
         """Raise if no per-SC powers meet the harvest targets within the
         budget; else screen the mixture of one column per SC at ``p_eff``
         that maximizes sum_n max_k H[k, n] p_n, each SC given to its fixed
-        or best weighted IR."""
+        or best weighted IR. The loop calls it only when the first
+        iterate's primal misses a target."""
         owners = (np.argmax(self.cfg.weights[:, None] * self.H, axis=0)
                   if self.fixed_assign is None else self.fixed_assign)
         if not self._mix(self.cols, np.full(self.cfg.num_scs, self.p_eff),
@@ -442,8 +463,6 @@ def solve_dual(config: SystemConfig, channels: ChannelRealization,
     options = options or SolverOptions()
     eng = _Engine(config, channels, options, alpha_fixed=alpha_fixed,
                   fixed_assign=fixed_assign)
-    if np.any(config.harvest_target > 0):
-        eng.harvest_lp_primal()
     converged = eng.cutting_plane()
     if eng.g_min - eng.best_obj > CONVERGENCE_TOL * abs(eng.g_min):
         eng.recover_primal()

@@ -41,11 +41,9 @@ def normalized(H, B, sigma2):
 
 
 def _value(p, a, h, b, w, om):
-    """w * secrecy_rate(p, a) + p * om in normalized units; -inf where p is
-    not a finite positive power."""
-    p = np.where(np.isfinite(p) & (p > 0), p, np.nan)
-    v = w * _secrecy_rate(p, a, h, b, 1.0) + p * om
-    return np.where(np.isnan(p), -np.inf, v)
+    """w * secrecy_rate(p, a) + p * om in normalized units; NaN where p is
+    NaN."""
+    return w * _secrecy_rate(p, a, h, b, 1.0) + p * om
 
 
 def _quad_roots(a2, b2, c2):
@@ -142,7 +140,8 @@ class Kernel:
         self.p_peak = p_peak
         self.p0, self.h, self.b = p0, h, b = normalized(H, B, sigma2)
         self.pk = pk = np.broadcast_to(p_peak / p0, H.shape)
-        self.idx = np.indices(H.shape)
+        # flat index of each pair within one candidate's (K1, N) block
+        self.pairs = np.arange(H.size).reshape(H.shape)
         self.free = alpha_fixed is None
         self.a = a = 0.0 if self.free else float(alpha_fixed)
         # the fixed-split cubic in p, ``c0 om a (a-1) p^3 + b (c1 + LN2 om c2)
@@ -236,10 +235,10 @@ class Kernel:
         V = np.concatenate([_value(p, a, self.h, self.b, self.w, om),
                             self.rate_fix + self.p_fix * om])[self.order]
         D = np.concatenate([slope, np.zeros_like(self.p_fix)])[self.order]
+        # absent candidates (NaN power) and non-finite values never win
         V = np.where(np.isfinite(V), V, -np.inf)
-        best = np.argmax(V, axis=0)
-        p_best, a_best, v_best, d_best = (X[(best, *self.idx)]
-                                          for X in (P, A, V, D))
+        pick = np.argmax(V, axis=0) * self.pairs.size + self.pairs
+        p_best, a_best, v_best, d_best = (X.take(pick) for X in (P, A, V, D))
         # the skip fallback (0, 0) has value 0
         skip = ~(v_best > 0.0)
         p_best = np.where(skip, 0.0, p_best) * self.p0

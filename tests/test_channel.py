@@ -6,7 +6,7 @@ import pytest
 
 from ofdma_swipt import (DomainError, ScenarioSpec, dbm_to_watts,
                          generate_scenario, path_loss, watts_to_dbm)
-from ofdma_swipt.channel import SPEED_OF_LIGHT
+from ofdma_swipt.channel import D_REF, SPEED_OF_LIGHT
 
 from conftest import paper_system
 
@@ -114,6 +114,40 @@ class TestGenerateScenario:
             meds_ir.append(np.median(ch.ir_gains))
             meds_er.append(np.median(ch.er_gains))
         assert np.median(meds_er) / np.median(meds_ir) > 1e3
+
+
+def per_receiver_gains(config, spec):
+    """The generator drawn one receiver at a time: each receiver's taps are
+    padded, folded and transformed by their own FFT."""
+    n = config.num_scs
+    children = np.random.SeedSequence(spec.seed).spawn(config.num_receivers)
+    gains = np.empty((config.num_receivers, n))
+    for k, child in enumerate(children):
+        rng = np.random.default_rng(child)
+        if k < config.num_irs:
+            d = rng.uniform(D_REF, spec.cell_radius)
+        else:
+            d = rng.uniform(D_REF, spec.er_radius)
+        taps = (rng.standard_normal(spec.num_taps)
+                + 1j * rng.standard_normal(spec.num_taps))
+        taps *= np.sqrt(1.0 / (2.0 * spec.num_taps))
+        taps = np.pad(taps, (0, -spec.num_taps % n)).reshape(-1, n).sum(axis=0)
+        freq = np.fft.fft(taps)
+        gains[k] = path_loss(d, spec) * np.abs(freq) ** 2
+    return gains
+
+
+@pytest.mark.parametrize("system, taps", [
+    ({}, 8), ({"n_sc": 8}, 8), ({"n_sc": 3}, 8), ({}, 1),
+    ({"k2": 0, "qbar_uw": 0.0}, 8)],
+    ids=["paper", "n8", "n3-folded", "one-tap", "no-er"])
+def test_one_fft_matches_per_receiver_draws(system, taps):
+    # the batched FFT over all receivers draws the same bytes
+    cfg = paper_system(**system)
+    for seed in range(20):
+        spec = ScenarioSpec(num_taps=taps, seed=seed)
+        got = generate_scenario(cfg, spec).gains
+        assert got.tobytes() == per_receiver_gains(cfg, spec).tobytes()
 
 
 class TestScenarioSpecValidation:

@@ -405,6 +405,86 @@ class TestHarvestFeasibilityCheck:
         assert q[0] >= target[0] - 1e-9
 
 
+class TestHarvestLPOnDemand:
+    """The harvest LP runs only when the first iterate's primal misses a
+    target: an accepted iterate already proves the targets reachable."""
+
+    @pytest.fixture
+    def lp_calls(self, monkeypatch):
+        calls = []
+        lp = dual._Engine.harvest_lp_primal
+
+        def spy(eng):
+            calls.append(eng.n_evals)
+            return lp(eng)
+
+        monkeypatch.setattr(dual._Engine, "harvest_lp_primal", spy)
+        return calls
+
+    def test_not_run_on_paper_seeds(self, lp_calls):
+        cfg = paper_system()
+        for seed in range(20):
+            solve(cfg, paper_channels(cfg, seed))
+        assert lp_calls == []
+
+    def test_noan_draw_1_screens_it_after_one_evaluation(self, lp_calls):
+        cfg = paper_system()
+        rep = solve(cfg, paper_channels(cfg, 1), "noan")
+        assert lp_calls == [1]
+        assert rep.metadata["primal_source"] == "harvest LP"
+        assert rep.objective == 0.0
+
+    def test_unreachable_raises_after_one_evaluation(self, lp_calls):
+        cfg = paper_system(n_sc=8, qbar_uw=0.0)
+        ch = paper_channels(cfg, seed=0)
+        reach = cfg.harvest_eff[0] * cfg.total_power * ch.er_gains[0].max()
+        for factor in (1.001, 1.0 + 1e-8):
+            target = np.zeros(cfg.num_ers)
+            target[0] = factor * reach
+            lp_calls.clear()
+            with pytest.raises(InfeasibleProblemError, match="unreachable"):
+                solve(replace(cfg, harvest_target=target), ch)
+            assert lp_calls == [1]
+
+
+#: the reference rows: Qbar = 100 uW on paper draws 0-19 and 300, 400, ...,
+#: 1000 uW on draws 0-11
+REFERENCE_ROWS = ([(100.0, seed) for seed in range(20)]
+                  + [(float(qbar_uw), seed) for qbar_uw in range(300, 1001, 100)
+                     for seed in range(12)])
+
+
+@pytest.mark.parametrize("scheme", ["optimal", "fsa", "alpha05", "noan"])
+def test_objective_is_the_allocations_rate(scheme):
+    # the screen scores unscaled iterates with the kernel's own rates
+    rows = [(100.0, seed) for seed in range(20)] + [(400.0, 10)]
+    for qbar_uw, seed in rows:
+        cfg = paper_system(qbar_uw=qbar_uw)
+        ch = paper_channels(cfg, seed)
+        rep = solve(cfg, ch, scheme)
+        rate = weighted_sum_secrecy(rep.allocation, ch, cfg)
+        assert rep.objective == pytest.approx(rate, rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("scheme", ["optimal", "fsa", "alpha05", "noan"])
+def test_gap_above_its_floor(scheme):
+    # a negative gap may only be rounding: 4 ulps of the bound g, plus what
+    # the screen's share FEASIBILITY_TOL of each target is worth at lambda
+    eps = np.finfo(float).eps
+    for qbar_uw, seed in REFERENCE_ROWS:
+        cfg = paper_system(qbar_uw=qbar_uw)
+        try:
+            rep = solve(cfg, paper_channels(cfg, seed), scheme)
+        except InfeasibleProblemError:
+            continue
+        n = cfg.num_scs
+        g = (rep.objective + rep.duality_gap) * n
+        lam = np.asarray(rep.metadata["lambda"])
+        floor = (4.0 * eps * abs(g) + float(
+            lam @ (dual.FEASIBILITY_TOL * cfg.harvest_target))) / n
+        assert rep.duality_gap >= -floor, (qbar_uw, seed)
+
+
 def test_binding_harvest_rows_feasible():
     # Qbar where the harvest targets bind on these draws
     solved = 0
