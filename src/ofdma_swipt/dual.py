@@ -38,18 +38,18 @@ certify the bound.
 Primal recovery is one screen and one per-SC LP. Budget and harvest are
 linear in per-SC power, so an iterate that overspends is scaled onto P_max,
 its harvest with it; the screen then rejects it only if some ER falls short
-of its target by more than :data:`FEASIBILITY_TOL` of that target. An
-iterate kept as it is scores the kernel's weighted rates, value minus
-p * omega; a scaled one is scored by ``weighted_sum_secrecy``. The LP
+of its target by more than :data:`FEASIBILITY_TOL` of that target. The LP
 mixes per-SC columns (Yu & Lui, IEEE Trans. Commun. 54(7), 2006): weights
 0 <= z <= 1 on columns of (SC, owner, power, rate), at most 1 in total on
 each SC, that maximize the rate within the budget and the harvest targets,
 every row in units of its right-hand side; its mixture, rounded per SC to
 the heaviest owner at the mean power, is screened. A first iterate that
-passes the screen proves the harvest targets reachable. Otherwise some
-target is positive, and the LP runs once, right after that evaluation,
-with one column per SC at full power: its infeasibility means no
-allocation can meet the targets, and its allocation is screened. When the
+passes the screen proves the harvest targets reachable to within
+:data:`FEASIBILITY_TOL`: a target less than that share above what the
+budget can deliver is met with that shortfall, not declared unreachable.
+Otherwise some target is positive, and the LP runs once, right after that
+evaluation, with one column per SC at full power: its infeasibility means
+no allocation can meet the targets, and its allocation is screened. When the
 best screened primal's gap is still above :data:`CONVERGENCE_TOL` of |g|
 after the loop, it runs once more over the visited iterates. The best
 screened primal is returned; ``primal_source`` names it. Every LP runs on
@@ -212,12 +212,10 @@ class _Engine:
                  + gamma * self.cfg.total_power)
         if g_raw < self.g_min:
             self.g_min, self.lam, self.gamma = g_raw, lam, gamma
-        rate = val - p * omega
-        self.visited.append((owner, p, rate))
+        self.visited.append((owner, p, val - p * omega))
         q = all_harvested_powers(alloc, self.ch, self.cfg)
         total = float(p.sum())
-        primal_norm = self._consider_primal(alloc, q, total, self.n_evals,
-                                            rate)
+        primal_norm = self._consider_primal(alloc, q, total, self.n_evals)
         qv = float(np.max(self.cfg.harvest_target - q)) if self.cfg.num_ers else 0.0
         self.trace.append((g_raw / self.cfg.num_scs, primal_norm,
                            total - self.cfg.total_power, qv))
@@ -226,12 +224,7 @@ class _Engine:
                                 self.cfg.total_power - total), hess
 
     def _consider_primal(self, alloc: Allocation, q: np.ndarray,
-                         total: float, source: int | str,
-                         rate: np.ndarray | None = None) -> float:
-        """Screen ``alloc``, which harvests ``q`` and spends ``total``: keep
-        it if it is the best so far; its band-averaged objective, or NaN
-        if it misses a target. ``rate`` is the owners' weighted secrecy rate
-        per SC, computed here when not given or when ``alloc`` is scaled."""
+                         total: float, source: int | str) -> float:
         pmax = self.cfg.total_power
         if total > pmax:
             # scaled even within the tolerance: an overspend would let the
@@ -240,12 +233,10 @@ class _Engine:
             alloc = replace(alloc, sc_power=alloc.sc_power * scale)
             q = q * scale
             total = pmax
-            rate = None
         target = self.cfg.harvest_target
         if np.any(q < target - FEASIBILITY_TOL * target):
             return math.nan
-        obj_raw = (weighted_sum_secrecy(alloc, self.ch, self.cfg) * self.cfg.num_scs
-                   if rate is None else alloc.pair_sum(rate))
+        obj_raw = weighted_sum_secrecy(alloc, self.ch, self.cfg) * self.cfg.num_scs
         if obj_raw > self.best_obj:
             self.best_obj = obj_raw
             self.best_alloc = alloc

@@ -296,11 +296,27 @@ class TestMasterFailure:
         assert "Traceback" not in capsys.readouterr().err
 
 
+@pytest.fixture
+def lp_calls(monkeypatch):
+    """The evaluation count at each call of the harvest LP."""
+    calls = []
+    lp = dual._Engine.harvest_lp_primal
+
+    def spy(eng):
+        calls.append(eng.n_evals)
+        return lp(eng)
+
+    monkeypatch.setattr(dual._Engine, "harvest_lp_primal", spy)
+    return calls
+
+
 class TestPrimalSource:
-    def test_harvest_lp_fallback_named(self):
-        # every noan iterate scores 0, so the first-screened LP primal stays
+    def test_harvest_lp_fallback_named(self, lp_calls):
+        # every noan iterate scores 0: the first misses a target, so the LP
+        # runs after it, and its primal, screened before any other, stays
         cfg = paper_system()
         rep = solve(cfg, paper_channels(cfg, 1), "noan")
+        assert lp_calls == [1]
         assert rep.metadata["primal_source"] == "harvest LP"
         assert rep.objective == 0.0
 
@@ -387,16 +403,19 @@ class TestHarvestFeasibilityCheck:
         rep = solve(cfg, paper_channels(cfg, seed=0))
         assert rep.metadata["primal_source"] != "harvest LP"
 
-    def test_unreachable_targets_detected(self):
-        # just above what the whole budget on ER 0's best SC can deliver
+    def test_unreachable_targets_detected(self, lp_calls):
+        # just above what the whole budget on ER 0's best SC can deliver:
+        # the first iterate misses it, and the LP then raises
         cfg = paper_system(n_sc=8, qbar_uw=0.0)
         ch = paper_channels(cfg, seed=0)
         reach = cfg.harvest_eff[0] * cfg.total_power * ch.er_gains[0].max()
         target = np.zeros(cfg.num_ers)
         for factor in (1.001, 1.0 + 1e-8):
             target[0] = factor * reach
+            lp_calls.clear()
             with pytest.raises(InfeasibleProblemError, match="unreachable"):
                 solve(replace(cfg, harvest_target=target), ch)
+            assert lp_calls == [1]
         target[0] = 0.999 * reach
         cfg = replace(cfg, harvest_target=target)
         rep = solve(cfg, ch)
@@ -404,47 +423,31 @@ class TestHarvestFeasibilityCheck:
         q = all_harvested_powers(rep.allocation, ch, cfg)
         assert q[0] >= target[0] - 1e-9
 
-
-class TestHarvestLPOnDemand:
-    """The harvest LP runs only when the first iterate's primal misses a
-    target: an accepted iterate already proves the targets reachable."""
-
-    @pytest.fixture
-    def lp_calls(self, monkeypatch):
-        calls = []
-        lp = dual._Engine.harvest_lp_primal
-
-        def spy(eng):
-            calls.append(eng.n_evals)
-            return lp(eng)
-
-        monkeypatch.setattr(dual._Engine, "harvest_lp_primal", spy)
-        return calls
+    def test_reach_decided_within_screen_tolerance(self, lp_calls):
+        # one SC: the first iterate spends P_max on it and harvests the
+        # whole reach. A target above it by less than FEASIBILITY_TOL of
+        # itself passes the screen, so the LP never runs; twice that share
+        # above it is unreachable.
+        cfg = paper_system(n_sc=1, qbar_uw=0.0)
+        ch = paper_channels(cfg, seed=0)
+        reach = cfg.harvest_eff[0] * cfg.total_power * ch.er_gains[0, 0]
+        target = np.zeros(cfg.num_ers)
+        target[0] = (1.0 + 0.5 * dual.FEASIBILITY_TOL) * reach
+        rep = solve(replace(cfg, harvest_target=target), ch)
+        assert lp_calls == []
+        q = all_harvested_powers(rep.allocation, ch, cfg)
+        assert target[0] > q[0] >= (1.0 - dual.FEASIBILITY_TOL) * target[0]
+        target[0] = (1.0 + 2.0 * dual.FEASIBILITY_TOL) * reach
+        with pytest.raises(InfeasibleProblemError, match="unreachable"):
+            solve(replace(cfg, harvest_target=target), ch)
+        assert lp_calls == [1]
 
     def test_not_run_on_paper_seeds(self, lp_calls):
+        # every first iterate meets the 100 uW targets
         cfg = paper_system()
         for seed in range(20):
             solve(cfg, paper_channels(cfg, seed))
         assert lp_calls == []
-
-    def test_noan_draw_1_screens_it_after_one_evaluation(self, lp_calls):
-        cfg = paper_system()
-        rep = solve(cfg, paper_channels(cfg, 1), "noan")
-        assert lp_calls == [1]
-        assert rep.metadata["primal_source"] == "harvest LP"
-        assert rep.objective == 0.0
-
-    def test_unreachable_raises_after_one_evaluation(self, lp_calls):
-        cfg = paper_system(n_sc=8, qbar_uw=0.0)
-        ch = paper_channels(cfg, seed=0)
-        reach = cfg.harvest_eff[0] * cfg.total_power * ch.er_gains[0].max()
-        for factor in (1.001, 1.0 + 1e-8):
-            target = np.zeros(cfg.num_ers)
-            target[0] = factor * reach
-            lp_calls.clear()
-            with pytest.raises(InfeasibleProblemError, match="unreachable"):
-                solve(replace(cfg, harvest_target=target), ch)
-            assert lp_calls == [1]
 
 
 #: the reference rows: Qbar = 100 uW on paper draws 0-19 and 300, 400, ...,
@@ -452,18 +455,6 @@ class TestHarvestLPOnDemand:
 REFERENCE_ROWS = ([(100.0, seed) for seed in range(20)]
                   + [(float(qbar_uw), seed) for qbar_uw in range(300, 1001, 100)
                      for seed in range(12)])
-
-
-@pytest.mark.parametrize("scheme", ["optimal", "fsa", "alpha05", "noan"])
-def test_objective_is_the_allocations_rate(scheme):
-    # the screen scores unscaled iterates with the kernel's own rates
-    rows = [(100.0, seed) for seed in range(20)] + [(400.0, 10)]
-    for qbar_uw, seed in rows:
-        cfg = paper_system(qbar_uw=qbar_uw)
-        ch = paper_channels(cfg, seed)
-        rep = solve(cfg, ch, scheme)
-        rate = weighted_sum_secrecy(rep.allocation, ch, cfg)
-        assert rep.objective == pytest.approx(rate, rel=1e-14, abs=0.0)
 
 
 @pytest.mark.parametrize("scheme", ["optimal", "fsa", "alpha05", "noan"])
