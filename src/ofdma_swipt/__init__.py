@@ -7,7 +7,7 @@ from .model import (Allocation, ChannelRealization, DomainError, SystemConfig,
                     secrecy_rate, threshold_x, weighted_sum_secrecy)
 from .vector import UnboundedSubproblemError
 from .dual import (InfeasibleProblemError, SolveReport, SolverOptions,
-                   assign_subcarriers, solve_dual)
+                   solve_dual)
 from .heuristics import (SCHEMES, noncancel_secrecy_rate, solve,
                          solve_suboptimal)
 from .channel import (ScenarioSpec, dbm_to_watts, generate_scenario,

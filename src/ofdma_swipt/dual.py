@@ -1,6 +1,5 @@
-"""Outer Lagrange-dual loop: per-SC optimization, assignment, a cutting-plane
-minimization of the dual with Newton steps, primal recovery and duality-gap
-measurement.
+"""Outer Lagrange-dual loop: a cutting-plane minimization of the dual with
+Newton steps, primal recovery and duality-gap measurement.
 
 :func:`solve_dual` can pin the split (``alpha_fixed``) or the assignment
 (``fixed_assign``, (N,) owners, not the (K1, N) assignment);
@@ -9,8 +8,9 @@ measurement.
 The dual function is evaluated with the per-SC power additionally capped at
 min(P_peak, P_max); the cap is implied by the total-power constraint, keeps
 every subproblem bounded, and leaves the dual bound valid. One
-:class:`vector.Kernel`, built per solve, holds what does not depend on the
-multipliers; each evaluation calls it.
+:class:`vector.Kernel`, built per solve with the pins, holds what does not
+depend on the multipliers; each evaluation calls it for every SC's owner,
+power and split.
 
 The dual g(lambda, gamma) is convex on the nonnegative orthant, and each
 evaluation yields a cut: its value and the subgradient (Q - Qbar, P_max -
@@ -143,14 +143,6 @@ class SolveReport:
     metadata: dict = field(default_factory=dict)
 
 
-def assign_subcarriers(values: np.ndarray) -> np.ndarray:
-    """Winner-take-all owners: per SC the IR with the largest per-SC value
-    if that value is positive, else -1; ties break to the lowest index."""
-    values = np.asarray(values, dtype=float)
-    k = np.argmax(values, axis=0)
-    return np.where(values[k, np.arange(values.shape[1])] > 0.0, k, -1)
-
-
 class _Engine:
     """One dual solve: the kernel, the best dual point and the best primal."""
 
@@ -161,13 +153,13 @@ class _Engine:
         self.ch = channels
         self.opt = options
         self.alpha_fixed = alpha_fixed
-        self.fixed_assign = fixed_assign
         self.H = channels.ir_gains
         self.B = channels.eve_gains
         self.zg = config.harvest_eff[:, None] * channels.er_gains
         self.p_eff = min(config.peak_power, config.total_power)
         self.kernel = vector.Kernel(self.H, self.B, config.noise_power,
-                                    config.weights, self.p_eff, alpha_fixed)
+                                    config.weights, self.p_eff, alpha_fixed,
+                                    fixed_assign)
         # d omega_n / d(lambda, gamma): the directions of the dual's curvature
         self.d_omega = np.vstack([self.zg, -np.ones(config.num_scs)])
         self.cols = np.arange(config.num_scs)
@@ -199,14 +191,7 @@ class _Engine:
         c_n = d omega_n / d(lambda, gamma)."""
         self.n_evals += 1
         omega = -gamma + lam @ self.zg
-        p, a, val, dp = self.kernel(omega)
-        owner = (assign_subcarriers(val) if self.fixed_assign is None
-                 else self.fixed_assign)
-        # the owner's entries; an unowned SC (-1) reads another's, zeroed
-        pick, on = owner * self.cfg.num_scs + self.cols, owner >= 0
-        p, a, val, dp = (np.where(on, X.take(pick), 0.0)
-                         for X in (p, a, val, dp))
-        a = np.where(p > 0, a, 0.0)
+        owner, p, a, val, dp = self.kernel(omega)
         alloc = Allocation(owner, p, a, self.cfg.num_irs)
         g_raw = (alloc.pair_sum(val) - float(lam @ self.cfg.harvest_target)
                  + gamma * self.cfg.total_power)
@@ -293,7 +278,7 @@ class _Engine:
         or best weighted IR. The loop calls it only when the first
         iterate's primal misses a target."""
         owners = (np.argmax(self.cfg.weights[:, None] * self.H, axis=0)
-                  if self.fixed_assign is None else self.fixed_assign)
+                  if self.kernel.owner_fixed is None else self.kernel.owner_fixed)
         if not self._mix(self.cols, np.full(self.cfg.num_scs, self.p_eff),
                          self.H.max(axis=0), owners, "harvest LP"):
             raise InfeasibleProblemError(
@@ -448,9 +433,14 @@ def solve_dual(config: SystemConfig, channels: ChannelRealization,
                fixed_assign: np.ndarray | None = None) -> SolveReport:
     """Run the full dual loop and recover the best primal; ``alpha_fixed``
     pins the split ratio, ``fixed_assign`` the owner of each SC: (N,)
-    owners, not the (K1, N) assignment."""
+    integers in [0, K1), not the (K1, N) assignment."""
     if alpha_fixed is not None and not 0.0 <= alpha_fixed <= 1.0:
         raise DomainError("split ratio must lie in [0, 1]")
+    if fixed_assign is not None:
+        owners = np.asarray(fixed_assign)
+        if not (owners.shape == (config.num_scs,) and owners.dtype.kind in "iu"
+                and np.all((owners >= 0) & (owners < config.num_irs))):
+            raise DomainError("fixed_assign must be (N,) integers in [0, K1)")
     options = options or SolverOptions()
     eng = _Engine(config, channels, options, alpha_fixed=alpha_fixed,
                   fixed_assign=fixed_assign)

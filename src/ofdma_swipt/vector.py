@@ -1,13 +1,15 @@
-"""The per-subcarrier kernel: optimal (power, split) for every (IR, SC) pair.
+"""The per-subcarrier kernel: each SC's owner, power and split at given prices.
 
-Given the dual prices, each pair contributes
+Given the dual prices, each (IR, SC) pair contributes
 ``L(p, a) = w * secrecy_rate(p, a) + p * omega``. Its maximizer is one of a
 finite set of candidates: the closed-form real roots of the stationarity
 quadratic with the split eliminated (a = optimal_split(p)), the roots of the
 fixed-split stationarity cubic (a quadratic at split 0), and boundary
-points; the (0, 0) skip is the fallback. The dual loop builds one
-:class:`Kernel` per solve, which holds every price-independent quantity of
-all K1*N pairs, and calls it at each price vector; one pair is a kernel
+points; the (0, 0) skip is the fallback. An SC goes to its best pair's IR,
+or to none where no pair scores above 0: one call solves every SC's
+subproblem of the dual decomposition (Yu & Lui, 2006). The dual loop builds
+one :class:`Kernel` per solve, which holds every price-independent quantity
+of all K1*N pairs, and calls it at each price vector; one pair is a kernel
 built from 1x1 gain arrays. A root is a candidate when its power lies in
 (0, P_peak]. Below the zero-rate threshold a root scores p * omega, which
 the cap (omega > 0) or the skip (omega <= 0) matches or beats, so no second
@@ -119,14 +121,16 @@ def _root_slopes(x, coef, d_coef):
 
 class Kernel:
     """The per-SC maximization of one solve, built from the gains, weights,
-    cap and optional pinned split and then called with each price vector.
+    cap and optional pinned split and owners, then called with each price
+    vector.
 
     H, B: (K1, N) IR and eavesdropper gains; weights: (K1,); p_peak: scalar
-    cap; a call takes the (N,) prices. An infinite cap needs a negative price
-    on every pair, otherwise the objective is unbounded (the dual loop caps
-    at min(P_peak, P_max), which the total-power constraint implies).
+    cap; owner_fixed: (N,) owners in [0, K1); a call takes the (N,) prices.
+    An infinite cap needs a negative price on every pair, otherwise the
+    objective is unbounded (the dual loop caps at min(P_peak, P_max), which
+    the total-power constraint implies).
 
-    Built once and read-only: the normalization, the h2 vs b2 masks, the
+    Built once and read-only: the normalization, the h2 > b2 mask, the
     price-free parts of the root coefficients and their rates of change in
     the price, and the candidates whose power does not depend on the
     prices, with their splits and weighted secrecy rates. A call adds the
@@ -134,7 +138,8 @@ class Kernel:
     keeps the association order of its one-piece formula, so the results
     are the same to the bit."""
 
-    def __init__(self, H, B, sigma2, weights, p_peak, alpha_fixed=None):
+    def __init__(self, H, B, sigma2, weights, p_peak, alpha_fixed=None,
+                 owner_fixed=None):
         H, B = np.asarray(H, dtype=float), np.asarray(B, dtype=float)
         self.w = w = np.array(weights, dtype=float)[:, None]
         self.p_peak = p_peak
@@ -142,6 +147,9 @@ class Kernel:
         self.pk = pk = np.broadcast_to(p_peak / p0, H.shape)
         # flat index of each pair within one candidate's (K1, N) block
         self.pairs = np.arange(H.size).reshape(H.shape)
+        self.cols = np.arange(H.shape[1])
+        self.owner_fixed = (None if owner_fixed is None
+                            else np.array(owner_fixed, dtype=int))
         self.free = alpha_fixed is None
         self.a = a = 0.0 if self.free else float(alpha_fixed)
         # the fixed-split cubic in p, ``c0 om a (a-1) p^3 + b (c1 + LN2 om c2)
@@ -156,9 +164,7 @@ class Kernel:
         d_fixed = [c0 * a * (a - 1.0), b * LN2 * c2, -LN2 * c4,
                    np.full_like(h, -LN2)]
         if self.free:
-            eq = np.isclose(H, B, rtol=GAIN_RTOL, atol=0.0)
-            self.hgb = (H > B) & ~eq
-            hlb = (H < B) & ~eq
+            self.hgb = (H > B) & ~np.isclose(H, B, rtol=GAIN_RTOL, atol=0.0)
             # the quadratic with alpha = optimal_split(p) (subregion i),
             # ``j0 om p^2 + b (j1 + LN2 om j2) p + j3 + LN2 om j4``
             self.joint = np.stack([LN2 * b * b * h, b * h * w, b + 2.0 * h,
@@ -166,17 +172,12 @@ class Kernel:
             j0, j2, j4 = self.joint[[0, 2, 4]]
             self.d_coef = np.stack([np.stack(c) for c in zip(
                 [j0, b * LN2 * j2, LN2 * j4], d_fixed[1:])])
-            # candidates in order: the two joint roots; the zero-rate
-            # boundary (h2 < b2), listed before the peak pair so that an
-            # energy-only pair, where both carry no secrecy rate, reports
-            # split 0 rather than 1; the peak; the alpha = 0 roots of
-            # subregion ii (h2 > b2); and the power where optimal_split
-            # reaches zero, which bounds the two subregions
-            p_fix = [np.where(hlb, pk, np.nan), pk,
-                     np.where(self.hgb, 1.0 / b - 1.0 / h, np.nan)]
-            a_fix = [np.zeros_like(h), optimal_split(pk, h, b, 1.0),
-                     np.zeros_like(h)]
-            self.order = np.array([0, 1, 4, 5, 2, 3, 6])  # roots come first
+            # candidates in order: the two joint roots; the peak; the
+            # alpha = 0 roots of subregion ii (h2 > b2); and the power where
+            # optimal_split reaches zero, which bounds the two subregions
+            p_fix = [pk, np.where(self.hgb, 1.0 / b - 1.0 / h, np.nan)]
+            a_fix = [optimal_split(pk, h, b, 1.0), np.zeros_like(h)]
+            self.order = np.array([0, 1, 4, 2, 3, 5])  # roots come first
         else:
             self.d_coef = np.stack(d_fixed)
             # the fixed-split roots, then the peak
@@ -187,6 +188,10 @@ class Kernel:
                               p_fix, np.nan)
         self.a_fix = np.stack(a_fix)
         self.rate_fix = w * _secrecy_rate(self.p_fix, self.a_fix, h, b, 1.0)
+        if self.free:
+            # a free split sends no noise without secrecy rate: an
+            # energy-only pair (h2 < b2) at its peak reports split 0, not 1
+            self.a_fix = np.where(self.rate_fix > 0.0, self.a_fix, 0.0)
         for v in vars(self).values():
             if isinstance(v, np.ndarray):
                 v.setflags(write=False)
@@ -214,10 +219,11 @@ class Kernel:
                      for x in (r, d))
 
     def __call__(self, omega):
-        """Optimal (p, alpha, value, dp/domega) for every pair at the (N,)
-        prices. The last is the winning power's rate of change in the price,
-        -dQ/domega / dQ/dp of the stationarity polynomial Q its root solves;
-        it is 0 where a boundary candidate or the skip wins."""
+        """Each SC's (owner, p, alpha, value, dp/domega) at the (N,) prices.
+        Per pair the earliest best candidate wins, per SC the lowest row with
+        the best value or the pinned owner; where that value is <= 0 the SC
+        skips: all 0, and owner -1 unless pinned. dp/domega is -dQ/domega /
+        dQ/dp of the stationarity polynomial Q whose root won, else 0."""
         om_in = np.broadcast_to(np.asarray(omega, dtype=float), self.pk.shape)
         if not np.isfinite(self.p_peak) and np.any(om_in >= 0.0):
             raise UnboundedSubproblemError(
@@ -237,13 +243,15 @@ class Kernel:
         D = np.concatenate([slope, np.zeros_like(self.p_fix)])[self.order]
         # absent candidates (NaN power) and non-finite values never win
         V = np.where(np.isfinite(V), V, -np.inf)
-        pick = np.argmax(V, axis=0) * self.pairs.size + self.pairs
-        p_best, a_best, v_best, d_best = (X.take(pick) for X in (P, A, V, D))
+        best = np.argmax(V, axis=0) * self.pairs.size + self.pairs
+        row = (np.argmax(V.take(best), axis=0) if self.owner_fixed is None
+               else self.owner_fixed)
+        pair = row * self.cols.size + self.cols
+        p, a, v, d = (X.take(best.take(pair)) for X in (P, A, V, D))
         # the skip fallback (0, 0) has value 0
-        skip = ~(v_best > 0.0)
-        p_best = np.where(skip, 0.0, p_best) * self.p0
-        a_best = np.where(skip, 0.0, a_best)
-        v_best = np.where(skip, 0.0, v_best)
+        skip = ~(v > 0.0)
+        owner = row if self.owner_fixed is not None else np.where(skip, -1, row)
         # normalized to physical units: p = p0 x and omega = om / p0
-        d_best = np.where(skip, 0.0, d_best) * (self.p0 * self.p0)
-        return p_best, a_best, v_best, d_best
+        p0 = self.p0.take(pair)
+        return (owner, np.where(skip, 0.0, p) * p0, np.where(skip, 0.0, a),
+                np.where(skip, 0.0, v), np.where(skip, 0.0, d) * (p0 * p0))

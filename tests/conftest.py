@@ -44,8 +44,8 @@ def solve_one(ctx):
     """(p*, alpha*, value) of the per-SC kernel on one pair."""
     kernel = vector.Kernel([[ctx.h2]], [[ctx.b2]], ctx.sigma2, [ctx.weight],
                            ctx.p_peak)
-    p, a, v, _ = kernel([ctx.omega])
-    return float(p[0, 0]), float(a[0, 0]), float(v[0, 0])
+    _, p, a, v, _ = kernel([ctx.omega])
+    return float(p[0]), float(a[0]), float(v[0])
 
 
 def random_context(rng, finite_peak=True):

@@ -15,9 +15,9 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from ofdma_swipt import (ChannelRealization, InfeasibleProblemError,
-                         SystemConfig, assign_subcarriers, dual, secrecy_rate,
-                         solve)
+from ofdma_swipt import (ChannelRealization, DomainError,
+                         InfeasibleProblemError, SystemConfig, dual,
+                         secrecy_rate, solve, solve_dual, vector)
 from ofdma_swipt.cli import EXIT_NOT_CONVERGED, main
 from ofdma_swipt.dual import SolverOptions
 from ofdma_swipt.model import (Allocation, all_harvested_powers,
@@ -27,26 +27,44 @@ from conftest import paper_channels, paper_system, synthetic_channels
 
 
 class TestAssignSubcarriers:
+    """The kernel's owner of each SC."""
+
+    @staticmethod
+    def owners(weights, h2=4.0, b2=1.0, omega=0.0):
+        # one SC, one row per weight, equal gains: at price 0 every row's
+        # value is its weight times one rate
+        k1 = len(weights)
+        return vector.Kernel(np.full((k1, 1), h2), np.full((k1, 1), b2), 1.0,
+                             weights, 1.0)(np.array([omega]))[0]
+
     def test_argmax_wins(self):
-        owner = assign_subcarriers(np.array([[0.3], [0.7], [0.1]]))
-        assert owner.tolist() == [1]
+        assert self.owners([0.3, 0.7, 0.1]).tolist() == [1]
 
     def test_nonpositive_column_unassigned(self):
-        owner = assign_subcarriers(np.array([[0.0], [-0.2]]))
+        # eavesdropper dominant at a negative price: every pair skips
+        owner = self.owners([1.0, 2.0], h2=1.0, b2=4.0, omega=-1.0)
         assert owner.tolist() == [-1]
 
     def test_tie_breaks_to_lowest_index(self):
-        owner = assign_subcarriers(np.array([[0.5], [0.5]]))
-        assert owner.tolist() == [0]
+        assert self.owners([0.5, 0.5]).tolist() == [0]
+        assert self.owners([0.1, 0.5, 0.5]).tolist() == [1]
 
     def test_exclusive_per_sc(self, rng):
-        values = rng.normal(size=(4, 16))
-        owner = assign_subcarriers(values)
+        k1, n = 4, 16
+        h = 10.0 ** rng.uniform(-2, 2, size=(k1, n))
+        b = 10.0 ** rng.uniform(-2, 2, size=(k1, n))
+        w = rng.uniform(0.5, 2.0, size=k1)
+        om = rng.uniform(-0.5, 0.5, size=n)
+        owner, _, _, v, _ = vector.Kernel(h, b, 1.0, w, 10.0)(om)
+        values = np.array([[vector.Kernel([[h[k, j]]], [[b[k, j]]], 1.0, [w[k]],
+                                          10.0)(om[j:j + 1])[3][0]
+                            for j in range(n)] for k in range(k1)])
         assert owner.shape == (16,)
         assert np.all((owner >= -1) & (owner < 4))
         on = np.flatnonzero(owner >= 0)
         assert on.size > 0 and np.all(owner[values.max(axis=0) <= 0] == -1)
-        assert np.all(values[owner[on], on] == values[:, on].max(axis=0))
+        assert np.all(owner[on] == np.argmax(values[:, on], axis=0))
+        assert np.all(v[on] == values[:, on].max(axis=0))
 
 
 def _brute_force_no_er(cfg, ch, num_p=201, num_a=201):
@@ -140,6 +158,16 @@ class TestSolveOptimal:
             rep = solve(cfg, paper_channels(cfg, seed), scheme)
             assert rep.metadata["converged"] is True
             assert rep.duality_gap >= -1e-9
+
+    @pytest.mark.parametrize("owners", [[-1] * 8, [0] * 7 + [2], [0] * 5],
+                             ids=["unowned", "owner-K1", "short"])
+    def test_fixed_assign_outside_owners_rejected(self, owners):
+        # every SC unowned, an owner equal to K1, and a vector of length 5
+        # for N = 8: pinned owners must be (N,) integers in [0, K1)
+        cfg = paper_system(n_sc=8, k1=2, k2=2)
+        with pytest.raises(DomainError):
+            solve_dual(cfg, paper_channels(cfg, 0),
+                       fixed_assign=np.array(owners))
 
     def test_matched_seed_gap_shrinks_with_bandwidth(self):
         # the reported gap never exceeds a loose ceiling at either size and

@@ -1,6 +1,6 @@
-"""Batched per-subcarrier kernel: shapes, batch consistency, domain and
-boundary cases, reuse of one kernel across prices, and an independent
-power-grid oracle for the fixed-split path."""
+"""Batched per-subcarrier kernel: shapes, batch consistency, pinned owners,
+domain and boundary cases, reuse of one kernel across prices, and an
+independent power-grid oracle for the fixed-split path."""
 
 import numpy as np
 import pytest
@@ -21,8 +21,7 @@ def test_fixed_alpha_path_matches_power_grid(rng):
         kernel = vector.Kernel(np.array([[ctx.h2]]), np.array([[ctx.b2]]),
                                ctx.sigma2, np.array([ctx.weight]), ctx.p_peak,
                                alpha_fixed=alpha0)
-        _, _, v, _ = kernel(np.array([ctx.omega]))
-        v = float(v[0, 0])
+        v = float(kernel(np.array([ctx.omega]))[3][0])
         p0, h, b = vector.normalized(ctx.h2, ctx.b2, ctx.sigma2)
         ps = np.linspace(0.0, ctx.p_peak / p0, 200_001)
         grid = float(np.max(ctx.weight * secrecy_rate(ps, alpha0, h, b, 1.0)
@@ -32,20 +31,44 @@ def test_fixed_alpha_path_matches_power_grid(rng):
 
 
 def test_batch_shapes_and_consistency(rng):
+    # each SC's winner is its best pair's 1x1 kernel, or the skip
     k1, n = 3, 5
     h = 10.0 ** rng.uniform(-2, 2, size=(k1, n))
     b = 10.0 ** rng.uniform(-2, 2, size=(k1, n))
     w = rng.uniform(0.5, 2.0, size=k1)
     om = rng.uniform(-0.5, 0.5, size=n)
-    p, a, v, dp = vector.Kernel(h, b, 1.0, w, 10.0)(om)
-    assert p.shape == a.shape == v.shape == dp.shape == (k1, n)
-    for k in range(k1):
-        for j in range(n):
-            ctx = Ctx(h2=h[k, j], b2=b[k, j], sigma2=1.0, weight=w[k],
-                      omega=om[j], p_peak=10.0)
-            _, _, v_ref = solve_one(ctx)
-            assert v[k, j] == pytest.approx(v_ref, rel=1e-6,
-                                            abs=1e-9 * (1 + abs(v_ref)))
+    owner, p, a, v, dp = vector.Kernel(h, b, 1.0, w, 10.0)(om)
+    assert owner.shape == p.shape == a.shape == v.shape == dp.shape == (n,)
+    for j in range(n):
+        ref = [solve_one(Ctx(h2=h[k, j], b2=b[k, j], sigma2=1.0, weight=w[k],
+                             omega=om[j], p_peak=10.0)) for k in range(k1)]
+        best = max(r[2] for r in ref)
+        if best <= 0.0:
+            assert (owner[j], p[j], a[j], v[j], dp[j]) == (-1, 0.0, 0.0, 0.0, 0.0)
+            continue
+        p_ref, a_ref, v_ref = ref[owner[j]]
+        assert v_ref == best
+        assert (p[j], a[j], v[j]) == pytest.approx(
+            (p_ref, a_ref, v_ref), rel=1e-6, abs=1e-9 * (1 + abs(v_ref)))
+
+
+def test_pinned_owner_is_its_pairs_kernel(rng):
+    # a pinned SC is its pinned pair's 1x1 kernel to the bit, and keeps
+    # its owner where that pair skips
+    k1, n, cap = 4, 64, 10.0
+    h = 10.0 ** rng.uniform(-2, 2, size=(k1, n))
+    b = 10.0 ** rng.uniform(-2, 2, size=(k1, n))
+    w = rng.uniform(0.5, 2.0, size=k1)
+    pin = rng.integers(0, k1, size=n)
+    for alpha in (None, 0.0, 0.5):
+        om = rng.uniform(-0.5, 0.5, size=n)
+        owner, *got = vector.Kernel(h, b, 1.0, w, cap, alpha, pin)(om)
+        assert owner.tolist() == pin.tolist()
+        assert np.any(got[0] == 0.0) and np.any(got[0] > 0.0)
+        for j, k in enumerate(pin):
+            ref = vector.Kernel([[h[k, j]]], [[b[k, j]]], 1.0, [w[k]], cap,
+                                alpha)(om[j:j + 1])[1:]
+            assert [x[j].tobytes() for x in got] == [y[0].tobytes() for y in ref]
 
 
 @pytest.mark.parametrize("a2", [1e-20, 1e-14, 1.0])
@@ -73,17 +96,27 @@ def test_requires_finite_cap():
 
 def test_skip_fallback_returns_zeros():
     # eavesdropper dominant, negative price: skipping the SC is optimal
-    p, a, v, dp = vector.Kernel(np.array([[1.0]]), np.array([[4.0]]), 1.0,
-                                np.ones(1), 0.1)(np.array([-1.0]))
-    assert (p[0, 0], a[0, 0], v[0, 0], dp[0, 0]) == (0.0, 0.0, 0.0, 0.0)
+    out = vector.Kernel(np.array([[1.0]]), np.array([[4.0]]), 1.0,
+                        np.ones(1), 0.1)(np.array([-1.0]))
+    assert [x[0] for x in out] == [-1, 0.0, 0.0, 0.0, 0.0]
 
 
-def test_energy_only_pair_sends_no_noise():
+def test_energy_only_pair_sends_no_noise(rng):
     # eavesdropper dominant, positive price: full power for harvesting only;
     # no split carries secrecy rate, and the reported one is 0, not 1
-    p, a, v, dp = vector.Kernel(np.array([[1.0]]), np.array([[4.0]]), 1.0,
-                                np.ones(1), 0.5)(np.array([1.0]))
-    assert (p[0, 0], a[0, 0], v[0, 0], dp[0, 0]) == (0.5, 0.0, 0.5, 0.0)
+    out = vector.Kernel(np.array([[1.0]]), np.array([[4.0]]), 1.0,
+                        np.ones(1), 0.5)(np.array([1.0]))
+    assert [x[0] for x in out] == [0, 0.5, 0.0, 0.5, 0.0]
+    # the same below sigma2 (1/h2 - 1/b2), where no split has secrecy rate
+    for _ in range(500):
+        ctx = random_context(rng)
+        h2, b2 = sorted((ctx.h2, ctx.b2))
+        if h2 == b2:
+            continue
+        cap = rng.uniform(0.01, 1.0) * ctx.sigma2 * (1.0 / h2 - 1.0 / b2)
+        ctx = ctx._replace(h2=h2, b2=b2, omega=abs(ctx.omega), p_peak=cap)
+        p, a, _ = solve_one(ctx)
+        assert (p, a) == (pytest.approx(cap, rel=1e-12), 0.0)
 
 
 @pytest.mark.parametrize("alpha", [None, 0.0, 0.5], ids=["free", "noan", "alpha05"])
@@ -133,8 +166,8 @@ def test_kernel_reuse_matches_fresh_solve_all(monkeypatch, alpha, qbar_uw, seed)
 def _winner(kern, om):
     """(p, dp/domega, root slot) of a one-pair kernel at price ``om``; the
     slot is None where a boundary candidate or the skip won."""
-    p, _, _, dp = kern(np.array([om]))
-    p, dp = float(p[0, 0]), float(dp[0, 0])
+    _, p, _, _, dp = kern(np.array([om]))
+    p, dp = float(p[0]), float(dp[0])
     roots = kern.roots(om * kern.p0)[0][:, 0, 0] * kern.p0[0, 0]
     hit = np.flatnonzero(np.isclose(roots, p, rtol=1e-12, atol=0.0))
     return p, dp, (int(hit[0]) if p > 0 and hit.size else None)
