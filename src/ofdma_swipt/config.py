@@ -25,7 +25,8 @@ scheme: optimal    # a name in heuristics.SCHEMES
 Powers are dBm in files and watts internally; a dBm value whose watts
 overflow a float is rejected. Booleans are not numbers: ``true`` is
 rejected wherever a number is expected. Counts (K1, K2, N, num_taps,
-max_iter) must be whole numbers: 2.7 or .inf is rejected, not truncated.
+max_iter) must be whole numbers: 2.7 or .inf is rejected, not truncated,
+and so is a count too big for a numpy index, such as 1e20.
 Radii, the carrier and the path-loss exponent must be positive and
 finite. The solver's tolerances are not settings: both are fixed at 1e-9
 (``dual.CONVERGENCE_TOL``, ``dual.FEASIBILITY_TOL``). Unknown keys are
@@ -78,9 +79,10 @@ def _as_vector(value, count, name):
 
 
 def parse_count(value, name: str) -> int:
-    """``value`` as an int; ConfigError unless it is a finite whole number."""
+    """``value`` as an int; ConfigError unless it is a finite whole number
+    that fits a numpy index (at most ``np.iinfo(np.intp).max``)."""
     number = _number(value, name, "a count")
-    if not number.is_integer():
+    if not number.is_integer() or number > np.iinfo(np.intp).max:
         raise ConfigError(f"{name}: bad value {value!r}, expected a count")
     return int(number)
 

@@ -15,6 +15,14 @@ built from 1x1 gain arrays. A root is a candidate when its power lies in
 the cap (omega > 0) or the skip (omega <= 0) matches or beats, so no second
 window on the threshold is needed.
 
+The candidates come in rows: the roots of one stationarity polynomial and
+one price-free power. Every pair has one row; with a free split only a pair
+with h2 > b2 has a second, for its split-0 subregion, because elsewhere
+that subregion has no secrecy rate. Such an extra row
+replaces its pair's best only where its value is strictly greater. On the
+paper's draws the energy receivers sit near the base station and no pair
+has h2 > b2, so a call there computes no split-0 candidates at all.
+
 All computations run in normalized units per element: power scaled by
 sigma^2/sqrt(h2*b2), so the effective gains are sqrt(h2/b2) and its inverse
 and the noise power is one. There the closed-form roots are accurate to
@@ -62,7 +70,7 @@ def _quad_roots(a2, b2, c2):
         q = -0.5 * (b2 + np.where(b2 >= 0, sq, -sq))
         r1 = q / np.where(np.abs(a2) > _TINY, a2, np.nan)
         r2 = c2 / np.where(np.abs(q) > _TINY, q, np.nan)
-    return np.where(disc >= 0, np.stack([r1, r2]), np.nan)
+    return np.where(disc >= 0, [r1, r2], np.nan)
 
 
 def _cubic_roots(a, b, c, d):
@@ -130,30 +138,58 @@ class Kernel:
     objective is unbounded (the dual loop caps at min(P_peak, P_max), which
     the total-power constraint implies).
 
-    Built once and read-only: the normalization, the h2 > b2 mask, the
-    price-free parts of the root coefficients and their rates of change in
-    the price, and the candidates whose power does not depend on the
-    prices, with their splits and weighted secrecy rates. A call adds the
-    price-dependent roots, their slopes and every value. Each coefficient
-    keeps the association order of its one-piece formula, so the results
+    The kernel works over candidate rows, each with its price-dependent
+    roots and one candidate whose power does not depend on the prices.
+    Every pair has one row, flat in (K1, N) order: with a free split the
+    two roots of the quadratic with alpha = optimal_split(p) (subregion i)
+    and the peak; with a pinned split the fixed-split roots and the peak.
+    With a free split each h2 > b2 pair has one more row after those: the
+    two alpha = 0 roots of subregion ii and the power 1/b - 1/h where
+    optimal_split reaches zero, which bounds the two subregions. An extra
+    row replaces its pair's best only where its value is strictly greater,
+    so a tie goes to the first row. No extra rows (no pair with h2 > b2)
+    means no extension work in a call.
+
+    Built once and read-only: the rows' normalization, weights and caps,
+    the price-free parts of their root coefficients and the rates of
+    change of those in the price, and the price-free candidates with their
+    splits and weighted secrecy rates. A call adds the price-dependent
+    roots, their slopes and every value. Each kind of row keeps the
+    association order of its one-piece coefficient formula, so the results
     are the same to the bit."""
 
     def __init__(self, H, B, sigma2, weights, p_peak, alpha_fixed=None,
                  owner_fixed=None):
         H, B = np.asarray(H, dtype=float), np.asarray(B, dtype=float)
-        self.w = w = np.array(weights, dtype=float)[:, None]
-        self.p_peak = p_peak
-        self.p0, self.h, self.b = p0, h, b = normalized(H, B, sigma2)
-        self.pk = pk = np.broadcast_to(p_peak / p0, H.shape)
-        # flat index of each pair within one candidate's (K1, N) block
-        self.pairs = np.arange(H.size).reshape(H.shape)
-        self.cols = np.arange(H.shape[1])
+        n, n_sc = H.size, H.shape[1]
+        self.unbounded = not np.isfinite(p_peak)
+        self.cols = np.arange(n_sc)
         self.owner_fixed = (None if owner_fixed is None
                             else np.array(owner_fixed, dtype=int))
         self.free = alpha_fixed is None
         self.a = a = 0.0 if self.free else float(alpha_fixed)
-        # the fixed-split cubic in p, ``c0 om a (a-1) p^3 + b (c1 + LN2 om c2)
-        # p^2 + (c3 - LN2 om c4) p + c5 - LN2 om``
+        # the pair of each row: every pair, then with a free split each
+        # h2 > b2 pair again for its alpha = 0 row
+        rows = np.arange(n)
+        if self.free:
+            hgb = (H > B) & ~np.isclose(H, B, rtol=GAIN_RTOL, atol=0.0)
+            rows = np.concatenate([rows, np.flatnonzero(hgb)])
+        self.extra = rows[n:]  # the pair of each extra row
+        self.index = np.arange(rows.size)
+        self.col = rows % n_sc
+        p0, h, b = (x.ravel().take(rows) for x in normalized(H, B, sigma2))
+        self.p0, self.h, self.b = p0, h, b
+        self.w = w = np.array(weights, dtype=float).take(rows // n_sc)
+        self.pk = pk = p_peak / p0
+        # the quadratic with alpha = optimal_split(p) on the first rows,
+        # ``j0 om p^2 + b (j1 + LN2 om j2) p + j3 + LN2 om j4``
+        j = n if self.free else 0
+        hj, bj, wj = h[:j], b[:j], w[:j]
+        self.joint = np.stack([LN2 * bj * bj * hj, bj * hj * wj, bj + 2.0 * hj,
+                               bj * wj * (hj - bj), bj + hj])
+        # the fixed-split cubic in p on the other rows, ``c0 om a (a-1) p^3
+        # + b (c1 + LN2 om c2) p^2 + (c3 - LN2 om c4) p + c5 - LN2 om``
+        h, b, w = h[j:], b[j:], w[j:]
         self.cubic = np.stack([
             LN2 * h * b * b, b * h * w * a * (a - 1.0), h * a * a - b * a - h,
             2.0 * b * h * w * a * (a - 1.0), b * (1.0 + a) + h * (1.0 - a),
@@ -164,86 +200,92 @@ class Kernel:
         d_fixed = [c0 * a * (a - 1.0), b * LN2 * c2, -LN2 * c4,
                    np.full_like(h, -LN2)]
         if self.free:
-            self.hgb = (H > B) & ~np.isclose(H, B, rtol=GAIN_RTOL, atol=0.0)
-            # the quadratic with alpha = optimal_split(p) (subregion i),
-            # ``j0 om p^2 + b (j1 + LN2 om j2) p + j3 + LN2 om j4``
-            self.joint = np.stack([LN2 * b * b * h, b * h * w, b + 2.0 * h,
-                                   b * w * (h - b), b + h])
             j0, j2, j4 = self.joint[[0, 2, 4]]
-            self.d_coef = np.stack([np.stack(c) for c in zip(
-                [j0, b * LN2 * j2, LN2 * j4], d_fixed[1:])])
-            # candidates in order: the two joint roots; the peak; the
-            # alpha = 0 roots of subregion ii (h2 > b2); and the power where
-            # optimal_split reaches zero, which bounds the two subregions
-            p_fix = [pk, np.where(self.hgb, 1.0 / b - 1.0 / h, np.nan)]
-            a_fix = [optimal_split(pk, h, b, 1.0), np.zeros_like(h)]
-            self.order = np.array([0, 1, 4, 2, 3, 5])  # roots come first
+            self.d_coef = np.concatenate([
+                np.stack([j0, bj * LN2 * j2, LN2 * j4]),
+                np.stack(d_fixed[1:])], axis=1)
         else:
             self.d_coef = np.stack(d_fixed)
-            # the fixed-split roots, then the peak
-            p_fix, a_fix = [pk], [np.full(H.shape, a)]
-            self.order = slice(None)
-        p_fix = np.stack(p_fix)
+        # the price-free candidate of each row: the peak on a pair's first
+        # row, 1/b - 1/h on an alpha = 0 row
+        h, b = self.h, self.b
+        p_fix = np.concatenate([pk[:n], 1.0 / b[n:] - 1.0 / h[n:]])
         self.p_fix = np.where(np.isfinite(p_fix) & (p_fix > 0) & (p_fix <= pk),
-                              p_fix, np.nan)
-        self.a_fix = np.stack(a_fix)
-        self.rate_fix = w * _secrecy_rate(self.p_fix, self.a_fix, h, b, 1.0)
+                              p_fix, np.nan)[None]
+        self.zero = np.zeros_like(self.p_fix)  # the price-free slopes
+        a_fix = np.full(rows.size, a)
         if self.free:
-            # a free split sends no noise without secrecy rate: an
-            # energy-only pair (h2 < b2) at its peak reports split 0, not 1
-            self.a_fix = np.where(self.rate_fix > 0.0, self.a_fix, 0.0)
+            a_fix[:n] = optimal_split(pk[:n], h[:n], b[:n], 1.0)
+        self.rate_fix = self.w * _secrecy_rate(self.p_fix, a_fix, h, b, 1.0)
+        # a free split sends no noise without secrecy rate: an energy-only
+        # pair (h2 < b2) at its peak reports split 0, not 1
+        self.a_fix = (np.where(self.rate_fix > 0.0, a_fix, 0.0) if self.free
+                      else a_fix[None])
         for v in vars(self).values():
             if isinstance(v, np.ndarray):
                 v.setflags(write=False)
 
     def roots(self, om):
-        """Price-dependent candidate powers at normalized prices ``om`` and
-        their rates of change in ``om``, NaN where absent: with a free split
-        the two roots of the quadratic with alpha = optimal_split(p), then
-        the two alpha = 0 roots on h2 > b2 pairs; with a pinned split the
+        """The rows' price-dependent candidate powers at their normalized
+        prices ``om`` and the powers' rates of change in ``om``, each
+        (roots, rows), NaN where absent: with a free split the two roots of
+        the quadratic with alpha = optimal_split(p) on a pair's first row
+        and the two alpha = 0 roots on an extra row; with a pinned split the
         roots of the fixed-split cubic, a quadratic at split 0. A root x of
         a stationarity polynomial Q moves at -(dQ/dom) / (dQ/dx)."""
-        c0, c1, c2, c3, c4, c5 = self.cubic
         a, lom = self.a, LN2 * om
-        fixed = (c0 * om * a * (a - 1.0), self.b * (c1 + lom * c2),
-                 c3 - lom * c4, c5 - lom)
         if not self.free:
+            c0, c1, c2, c3, c4, c5 = self.cubic
+            fixed = (c0 * om * a * (a - 1.0), self.b * (c1 + lom * c2),
+                     c3 - lom * c4, c5 - lom)
             r = _quad_roots(*fixed[1:]) if a == 0.0 else _cubic_roots(*fixed)
             return r, _root_slopes(r, fixed, self.d_coef)
         j0, j1, j2, j3, j4 = self.joint
-        joint = (j0 * om, self.b * (j1 + lom * j2), j3 + lom * j4)
-        coef = [np.stack(c) for c in zip(joint, fixed[1:])]
+        n = j0.size
+        o, lo = om[:n], lom[:n]
+        coef = (j0 * o, self.b[:n] * (j1 + lo * j2), j3 + lo * j4)
+        if n < om.size:
+            _, c1, c2, c3, c4, c5 = self.cubic
+            lo = lom[n:]
+            coef = [np.concatenate(c) for c in zip(coef, (
+                self.b[n:] * (c1 + lo * c2), c3 - lo * c4, c5 - lo))]
         r = _quad_roots(*coef)
-        d = _root_slopes(r, coef, self.d_coef)
-        return tuple(np.concatenate([x[:, 0], np.where(self.hgb, x[:, 1], np.nan)])
-                     for x in (r, d))
+        return r, _root_slopes(r, coef, self.d_coef)
 
     def __call__(self, omega):
         """Each SC's (owner, p, alpha, value, dp/domega) at the (N,) prices.
-        Per pair the earliest best candidate wins, per SC the lowest row with
+        Per row the earliest best candidate wins, per pair its first row
+        unless an extra row is strictly better, per SC the lowest pair with
         the best value or the pinned owner; where that value is <= 0 the SC
         skips: all 0, and owner -1 unless pinned. dp/domega is -dQ/domega /
         dQ/dp of the stationarity polynomial Q whose root won, else 0."""
-        om_in = np.broadcast_to(np.asarray(omega, dtype=float), self.pk.shape)
-        if not np.isfinite(self.p_peak) and np.any(om_in >= 0.0):
+        om = np.asarray(omega, dtype=float)
+        if om.shape != self.cols.shape:
+            om = np.broadcast_to(om, self.cols.shape)
+        if self.unbounded and np.any(om >= 0.0):
             raise UnboundedSubproblemError(
                 "per-SC objective grows without bound at infinite peak power")
-        om = om_in * self.p0
+        om = om.take(self.col) * self.p0
         p, slope = self.roots(om)
-        if self.free:
-            a = np.concatenate([optimal_split(p[:2], self.h, self.b, 1.0),
-                                np.zeros_like(p[2:])])
-        else:
-            a = np.full_like(p, self.a)
+        a = (optimal_split(p, self.h, self.b, 1.0) if self.free
+             else np.empty_like(p))
+        a[:, self.joint.shape[1]:] = self.a  # the fixed-split rows' split
         p = np.where((p > 0) & (p <= self.pk), p, np.nan)
-        P = np.concatenate([p, self.p_fix])[self.order]
-        A = np.concatenate([a, self.a_fix])[self.order]
+        P = np.concatenate([p, self.p_fix])
+        A = np.concatenate([a, self.a_fix])
         V = np.concatenate([_value(p, a, self.h, self.b, self.w, om),
-                            self.rate_fix + self.p_fix * om])[self.order]
-        D = np.concatenate([slope, np.zeros_like(self.p_fix)])[self.order]
+                            self.rate_fix + self.p_fix * om])
+        D = np.concatenate([slope, self.zero])
         # absent candidates (NaN power) and non-finite values never win
         V = np.where(np.isfinite(V), V, -np.inf)
-        best = np.argmax(V, axis=0) * self.pairs.size + self.pairs
+        best = np.argmax(V, axis=0) * self.index.size + self.index
+        n = self.index.size - self.extra.size
+        if self.extra.size:
+            # an extra row replaces its pair's best only where strictly better
+            v = V.take(best)
+            win = v[n:] > v.take(self.extra)
+            best[self.extra[win]] = best[n:][win]
+        best = best[:n].reshape(-1, self.cols.size)
         row = (np.argmax(V.take(best), axis=0) if self.owner_fixed is None
                else self.owner_fixed)
         pair = row * self.cols.size + self.cols

@@ -145,6 +145,11 @@ class TestSolveCommand:
     ({"system": {"P_max_dBm": True}}, ["solve"]),
     ({"system": {"weights": True}}, ["solve"]),
     ({"scenario": {"cell_radius": True}}, ["solve"]),
+    # counts too big for a numpy index; these fail before any allocation
+    ({"system": {"N": 1e20}}, ["solve"]),
+    ({"system": {"N": 2 ** 63}}, ["solve"]),
+    ({"scenario": {"num_taps": 1e20}}, ["solve"]),
+    ({}, ["sweep", "--axis", "N", "--values", "1e20"]),
 ], ids=["values-abc", "N-1e400", "N-8.5", "K2-2.5", "K2-nan", "Pmax-inf", "Qbar-inf",
         "P_max_dBm-inf", "sigma2_dBm-inf", "weights-inf", "solve-seed-neg",
         "sweep-seed-neg", "profile-seed-neg", "sweep-trials-0", "sweep-trials-neg",
@@ -153,7 +158,8 @@ class TestSolveCommand:
         "convergence_tol-inf", "feasibility_tol-nan", "feasibility_tol-inf",
         "cell_radius-nan", "er_radius-nan", "cell_radius-inf", "carrier-neg",
         "P_max_dBm-4000", "P_peak_dBm-4000", "sigma2_dBm-4000", "Pmax-4000",
-        "K1-true", "P_max_dBm-true", "weights-true", "cell_radius-true"])
+        "K1-true", "P_max_dBm-true", "weights-true", "cell_radius-true",
+        "N-1e20-config", "N-2to63-config", "num_taps-1e20", "N-1e20"])
 def test_bad_numbers_exit_config(tmp_path, capsys, overrides, argv):
     cfg = write_config(tmp_path, **overrides)
     assert main(argv[:1] + ["--config", cfg] + argv[1:]) == EXIT_CONFIG

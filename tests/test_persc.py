@@ -48,10 +48,13 @@ def lagrangian_dp(p, alpha, ctx):
 
 
 def kernel_roots(ctx, alpha=None):
-    """The kernel's price-dependent candidate powers of one pair, normalized."""
+    """The kernel's price-dependent candidate powers of one pair, normalized,
+    row by row: with a free split the two joint roots, then the two alpha = 0
+    roots where h2 > b2; with a pinned split the fixed-split roots."""
     kern = vector.Kernel([[ctx.h2]], [[ctx.b2]], ctx.sigma2, [ctx.weight],
                          ctx.p_peak, alpha)
-    return kern.roots(ctx.omega * kern.p0)[0][:, 0, 0]
+    # every row of a one-pair kernel is that pair's: p0 holds the rows' units
+    return kern.roots(ctx.omega * kern.p0)[0].T.ravel()
 
 
 def fixed_roots(alpha, ctx):

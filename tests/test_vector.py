@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from ofdma_swipt import UnboundedSubproblemError, solve, vector
-from ofdma_swipt.model import secrecy_rate
+from ofdma_swipt.model import LN2, secrecy_rate
 
 from conftest import (Ctx, paper_channels, paper_system, random_context,
                       solve_one)
@@ -165,17 +165,18 @@ def test_kernel_reuse_matches_fresh_solve_all(monkeypatch, alpha, qbar_uw, seed)
 
 def _winner(kern, om):
     """(p, dp/domega, root slot) of a one-pair kernel at price ``om``; the
-    slot is None where a boundary candidate or the skip won."""
+    slot counts the roots row by row and is None where a boundary candidate
+    or the skip won. Every row of a one-pair kernel is that pair's."""
     _, p, _, _, dp = kern(np.array([om]))
     p, dp = float(p[0]), float(dp[0])
-    roots = kern.roots(om * kern.p0)[0][:, 0, 0] * kern.p0[0, 0]
+    roots = kern.roots(om * kern.p0)[0].T.ravel() * kern.p0[0]
     hit = np.flatnonzero(np.isclose(roots, p, rtol=1e-12, atol=0.0))
     return p, dp, (int(hit[0]) if p > 0 and hit.size else None)
 
 
-# root slots of each kind: with a free split the joint quadratic's two and
-# the alpha = 0 quadratic's two; with a pinned split the cubic's three (at
-# split 0 a quadratic's two)
+# root slots of each kind: with a free split the joint quadratic's two on
+# the pair's row and the alpha = 0 quadratic's two on its extra row (h2 >
+# b2); with a pinned split the cubic's three (at split 0 a quadratic's two)
 @pytest.mark.parametrize("alpha, slots", [
     (None, (0, 1)), (None, (2, 3)), (0.5, (0, 1, 2)), (0.0, (0, 1))],
     ids=["free-joint", "free-alpha0", "alpha05-cubic", "noan-quadratic"])
@@ -220,3 +221,58 @@ def test_power_slope_zero_on_boundary_and_skip_winners(rng, alpha):
             if min(seen.values()) == 20:
                 break
     assert min(seen.values()) == 20
+
+
+def test_extra_rows_at_scale(monkeypatch):
+    # without energy receivers a quarter of the pairs have h2 > b2 and so an
+    # extra (alpha = 0) row; at the prices of a real solve, and where the
+    # kinds of candidate nearly tie, each SC is its winning pair's 1x1
+    # kernel to the bit, and each kind of candidate wins somewhere
+    cfg = paper_system(k2=0)
+    s2 = cfg.noise_power
+    won = {"joint": 0, "alpha0": 0, "boundary": 0}
+    for seed in range(4):
+        prices = []
+        call = vector.Kernel.__call__
+
+        def recording(kern, omega):
+            prices.append(np.array(omega))
+            return call(kern, omega)
+
+        monkeypatch.setattr(vector.Kernel, "__call__", recording)
+        ch = paper_channels(cfg, seed)
+        solve(cfg, ch)
+        monkeypatch.undo()
+        H, B, w = ch.ir_gains, ch.eve_gains, cfg.weights
+        # the solve's prices never put the boundary first: add the prices
+        # where the alpha = 0 stationary point of each SC's strongest IR is
+        # the boundary p = s2 (1/B - 1/H), so the three kinds nearly tie
+        j, k = np.nonzero((H > B).T)
+        assert j.tolist() == list(range(cfg.num_scs))
+        h, b = H[k, j], B[k, j]
+        prices.append(-w[k] * b * (h - b) / (LN2 * s2 * (2.0 * h - b)))
+        kern = vector.Kernel(H, B, s2, w, cfg.total_power)
+        assert kern.extra.tolist() == sorted(k * cfg.num_scs + j)
+        for om in prices:
+            owner, *got = kern(om)
+            for j, k in enumerate(owner):
+                if k < 0:
+                    assert got[2][j] == 0.0
+                    continue
+                one = vector.Kernel([[H[k, j]]], [[B[k, j]]], s2, [w[k]],
+                                    cfg.total_power)
+                ref = one(om[j:j + 1])
+                assert ref[0][0] == 0
+                assert [x[j].tobytes() for x in got] == [y[0].tobytes()
+                                                         for y in ref[1:]]
+                roots = one.roots(om[j] * one.p0)[0].T.ravel() * one.p0[0]
+                p = got[0][j]
+                if p in roots[:2]:
+                    won["joint"] += 1
+                elif p in roots[2:]:
+                    assert got[1][j] == 0.0
+                    won["alpha0"] += 1
+                elif one.p_fix.size == 2 and p == one.p_fix[0, 1] * one.p0[1]:
+                    assert got[1][j] == 0.0
+                    won["boundary"] += 1
+    assert min(won.values()) > 0, won
