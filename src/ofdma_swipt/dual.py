@@ -18,12 +18,28 @@ sum p). Kelley's method (J. SIAM 8(4), 1960) keeps the piecewise-linear model
 of all cuts and minimizes it by an LP over a box that grows whenever the
 minimizer lands on its upper face. That master LP is one warm HiGHS model
 per solve. Each cut is written in units of g at the start point and added
-once as a row that never changes; the master is solved once per evaluation.
-When the minimizer is inside the box the model's minimum is, by convexity, a
-lower bound on g over the whole orthant; the loop stops once the best dual
-value is within :data:`CONVERGENCE_TOL` of that bound, relative to |g| at
-the start point. Every dual point visited tightens the reported bound;
-``max_iterations`` caps the evaluations.
+once as a row that never changes. Two rules stop the loop, each certifying
+the best dual value g_min as an upper bound on the optimum to
+:data:`CONVERGENCE_TOL`; ``metadata["stop_reason"]`` names the one that
+fired:
+
+- *gap closed*, tested right after each evaluation (and the harvest LP,
+  when it runs), before that iteration's master: g_min - best_obj <=
+  CONVERGENCE_TOL * |g_min|. By weak duality every screened primal is at
+  most the optimum, which is at most g_min. The screen's harvest shortfall
+  of :data:`FEASIBILITY_TOL` per target lets a primal exceed g_min by at
+  most lambda . (FEASIBILITY_TOL * Qbar) at g_min's lambda: the floor of a
+  negative gap. ``solve_dual`` runs the recovery LP exactly when this test
+  fails after the loop; both places call one method.
+- *bound certified*: when the master's minimizer is inside the box, the
+  model's minimum t is, by convexity, a lower bound on g over the whole
+  orthant, and g_min is within CONVERGENCE_TOL of t, relative to |g| at the
+  start point (>= g_min).
+
+Otherwise the master is solved once per evaluation, and the loop ends
+uncertified, with ``converged`` False, when HiGHS does not solve it
+(*master LP failed*) or after ``max_iterations`` evaluations (*evaluation
+cap*).
 
 The points are picked as in a bundle-Newton method (Luksan & Vlcek, Math.
 Program. 83, 1998). Where the winners of an evaluation do not switch, g is
@@ -33,7 +49,7 @@ point is the projected Newton point from the current one (a step on the
 coordinates that are positive or have a negative subgradient, clipped at
 0) when it lies in the box and the cut model there is below the best dual
 value, else the master's minimizer. Curvature only picks points; the cuts
-certify the bound.
+and the screened primals certify the bound.
 
 Primal recovery is one screen and one per-SC LP. Budget and harvest are
 linear in per-SC power, so an iterate that overspends is scaled onto P_max,
@@ -117,7 +133,8 @@ class InfeasibleProblemError(RuntimeError):
     """No power allocation can satisfy the harvesting targets."""
 
 
-#: stop once the dual bound gap is this small, relative to |g| at the start
+#: stop once the best dual value is this close, relative to |g|, to the cut
+#: model's minimum or to the best primal (see the module docstring)
 CONVERGENCE_TOL = 1e-9
 #: share of a harvest target an accepted primal may fall short of it
 FEASIBILITY_TOL = 1e-9
@@ -231,11 +248,18 @@ class _Engine:
 
     # -- cutting plane -----------------------------------------------------
 
-    def cutting_plane(self) -> bool:
+    def gap_closed(self) -> bool:
+        """True when the best screened primal is within
+        :data:`CONVERGENCE_TOL` of the best dual value, relative to |g_min|:
+        by weak duality both then lie within that share of the optimum."""
+        return self.g_min - self.best_obj <= CONVERGENCE_TOL * abs(self.g_min)
+
+    def cutting_plane(self) -> str:
         """Kelley's cutting plane on the dual in normalized multipliers
         y = (lambda / lam_scale, gamma / gamma0), with Newton steps choosing
-        the points; True when the bound gap closed to
-        :data:`CONVERGENCE_TOL` within ``max_iterations`` evaluations."""
+        the points. Returns why it stopped: "gap closed" or "bound
+        certified", which certify the bound to :data:`CONVERGENCE_TOL`, or
+        "evaluation cap" or "master LP failed"."""
         unit = np.append(self.lam_scale, self.gamma0)
         y = np.append(np.zeros(self.cfg.num_ers), 1.0)
         master = _MasterLP(np.full(y.size, 4.0))
@@ -247,6 +271,8 @@ class _Engine:
                 # positive: the harvest LP decides whether any allocation
                 # meets them and seeds the screen
                 self.harvest_lp_primal()
+            if self.gap_closed():
+                return "gap closed"
             # cut in units of g at the start point (>= gamma0 * P_max > 0):
             # t >= g / scale + s . (y' - y)
             scale = scale or g
@@ -254,11 +280,11 @@ class _Engine:
             master.cut(s, s @ y - g / scale)
             solution = master.solve()
             if solution is None:
-                return False
+                return "master LP failed"
             y_master, t = solution
             on_face = y_master >= master.upper * (1.0 - 1e-9)
             if not on_face.any() and self.g_min / scale - t <= CONVERGENCE_TOL:
-                return True
+                return "bound certified"
             master.grow(on_face)
             y_newton = _newton_point(y, s, unit * hess * unit[:, None] / scale)
             if (y_newton is not None and np.all(y_newton <= master.upper)
@@ -267,7 +293,7 @@ class _Engine:
                 y = y_newton
             else:
                 y = y_master
-        return False
+        return "evaluation cap"
 
     # -- per-SC LPs ----------------------------------------------------------
 
@@ -444,8 +470,8 @@ def solve_dual(config: SystemConfig, channels: ChannelRealization,
     options = options or SolverOptions()
     eng = _Engine(config, channels, options, alpha_fixed=alpha_fixed,
                   fixed_assign=fixed_assign)
-    converged = eng.cutting_plane()
-    if eng.g_min - eng.best_obj > CONVERGENCE_TOL * abs(eng.g_min):
+    stop_reason = eng.cutting_plane()
+    if not eng.gap_closed():
         eng.recover_primal()
     if eng.best_alloc is None:
         raise InfeasibleProblemError("no feasible allocation found")
@@ -459,7 +485,8 @@ def solve_dual(config: SystemConfig, channels: ChannelRealization,
         allocation=eng.best_alloc,
         trace=eng.trace,
         metadata={
-            "converged": converged,
+            "converged": stop_reason in ("gap closed", "bound certified"),
+            "stop_reason": stop_reason,
             "gamma_init": eng.gamma0,
             "lambda": eng.lam.tolist(),
             "gamma": float(eng.gamma),
