@@ -169,7 +169,6 @@ class _Engine:
         self.cfg = config
         self.ch = channels
         self.opt = options
-        self.alpha_fixed = alpha_fixed
         self.H = channels.ir_gains
         self.B = channels.eve_gains
         self.zg = config.harvest_eff[:, None] * channels.er_gains
@@ -210,7 +209,7 @@ class _Engine:
         omega = -gamma + lam @ self.zg
         owner, p, a, val, dp = self.kernel(omega)
         alloc = Allocation(owner, p, a, self.cfg.num_irs)
-        g_raw = (alloc.pair_sum(val) - float(lam @ self.cfg.harvest_target)
+        g_raw = (float(val.sum()) - float(lam @ self.cfg.harvest_target)
                  + gamma * self.cfg.total_power)
         if g_raw < self.g_min:
             self.g_min, self.lam, self.gamma = g_raw, lam, gamma
@@ -362,7 +361,7 @@ class _Engine:
         owners[~on] = -1
         a = (optimal_split(p_sc, self.H[owners, self.cols],
                            self.B[owners, self.cols], cfg.noise_power)
-             if self.alpha_fixed is None else self.alpha_fixed)
+             if self.kernel.free else self.kernel.a)
         alloc = Allocation(owners, p_sc, np.where(on, a, 0.0), cfg.num_irs)
         q = all_harvested_powers(alloc, self.ch, cfg)
         self._consider_primal(alloc, q, float(p_sc.sum()), source)

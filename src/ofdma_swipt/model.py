@@ -160,11 +160,6 @@ class Allocation:
         _check(np.all((self.sc_split >= 0) & (self.sc_split <= 1)),
                "split outside [0,1]")
 
-    def pair_sum(self, per_sc) -> float:
-        """sum_k sum_n x[k, n] per_sc[n], added over the (K1, N) pairs so
-        that it rounds as a sum over the views does."""
-        return float(self._on_owner(per_sc).sum())
-
     def _on_owner(self, per_sc) -> np.ndarray:
         """Read-only (K1, N): ``per_sc`` at each SC's owner, 0 elsewhere."""
         out = np.where(self.owner == np.arange(self.num_irs)[:, None], per_sc, 0)
@@ -274,7 +269,9 @@ def weighted_sum_secrecy(alloc: Allocation, channels: ChannelRealization,
                          config: SystemConfig) -> float:
     """Band-averaged weighted sum secrecy rate (bits/s/Hz, divided by N)."""
     k, n = alloc.owner, np.arange(config.num_scs)
-    # an unassigned SC (k = -1) reads the last IR's entries; pair_sum drops it
+    # an unassigned SC (k = -1) reads the last IR's entries; the sum runs
+    # over owned SCs only
     rs = secrecy_rate(alloc.sc_power, alloc.sc_split, channels.ir_gains[k, n],
                       channels.eve_gains[k, n], config.noise_power)
-    return alloc.pair_sum(config.weights[k] * rs) / config.num_scs
+    owned = np.where(k >= 0, config.weights[k] * rs, 0.0)
+    return float(owned.sum()) / config.num_scs

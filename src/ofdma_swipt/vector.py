@@ -2,23 +2,24 @@
 
 Given the dual prices, each (IR, SC) pair contributes
 ``L(p, a) = w * secrecy_rate(p, a) + p * omega``. Its maximizer is one of a
-finite set of candidates: the closed-form real roots of the stationarity
-quadratic with the split eliminated (a = optimal_split(p)), the roots of the
-fixed-split stationarity cubic (a quadratic at split 0), and boundary
-points; the (0, 0) skip is the fallback. An SC goes to its best pair's IR,
-or to none where no pair scores above 0: one call solves every SC's
-subproblem of the dual decomposition (Yu & Lui, 2006). The dual loop builds
-one :class:`Kernel` per solve, which holds every price-independent quantity
-of all K1*N pairs, and calls it at each price vector; one pair is a kernel
-built from 1x1 gain arrays. A root is a candidate when its power lies in
-(0, P_peak]. Below the zero-rate threshold a root scores p * omega, which
-the cap (omega > 0) or the skip (omega <= 0) matches or beats, so no second
-window on the threshold is needed.
+finite set of candidates: the closed-form real roots of a stationarity
+polynomial and the peak power; the (0, 0) skip is the fallback. With a free
+split the polynomial is the quadratic with the split eliminated (a =
+optimal_split(p)), with a pinned split the fixed-split cubic (a quadratic
+at split 0 or 1). An SC goes to its best pair's IR, or to none where no
+pair scores above 0: one call solves every SC's subproblem of the dual
+decomposition (Yu & Lui, 2006). The dual loop builds one :class:`Kernel`
+per solve, which holds every price-independent quantity of all K1*N pairs,
+and calls it at each price vector; one pair is a kernel built from 1x1 gain
+arrays. A root is a candidate when its power lies in (0, P_peak]. Below the
+zero-rate threshold a root scores p * omega, which the cap (omega > 0) or
+the skip (omega <= 0) matches or beats, so no second window on the
+threshold is needed.
 
-The candidates come in rows: the roots of one stationarity polynomial and
-one price-free power. Every pair has one row; with a free split only a pair
-with h2 > b2 has a second, for its split-0 subregion, because elsewhere
-that subregion has no secrecy rate. Such an extra row
+The roots come in rows, one polynomial each, whose coefficients are linear
+in the price. Every pair has one row; with a free split only a pair with
+h2 > b2 has a second, the alpha = 0 quadratic of its split-0 subregion,
+because elsewhere that subregion has no secrecy rate. Such an extra row
 replaces its pair's best only where its value is strictly greater. On the
 paper's draws the energy receivers sit near the base station and no pair
 has h2 > b2, so a call there computes no split-0 candidates at all.
@@ -113,14 +114,14 @@ def _cubic_roots(a, b, c, d):
     return out
 
 
-def _root_slopes(x, coef, d_coef):
+def _root_slopes(x, coef, d):
     """dx/dom = -(dQ/dom) / (dQ/dx) at roots ``x`` (leading axis) of the
     polynomials Q with coefficients ``coef``, highest power first, that move
-    with om at the rates ``d_coef``; NaN where a root is absent."""
+    with om at the rates ``d``; NaN where a root is absent."""
     deg = len(coef) - 1
     num = dq = 0.0
     with np.errstate(all="ignore"):
-        for i, (c, dc) in enumerate(zip(coef, d_coef)):
+        for i, (c, dc) in enumerate(zip(coef, d)):
             num = num * x + dc
             if i < deg:
                 dq = dq * x + (deg - i) * c
@@ -138,25 +139,22 @@ class Kernel:
     objective is unbounded (the dual loop caps at min(P_peak, P_max), which
     the total-power constraint implies).
 
-    The kernel works over candidate rows, each with its price-dependent
-    roots and one candidate whose power does not depend on the prices.
-    Every pair has one row, flat in (K1, N) order: with a free split the
-    two roots of the quadratic with alpha = optimal_split(p) (subregion i)
-    and the peak; with a pinned split the fixed-split roots and the peak.
-    With a free split each h2 > b2 pair has one more row after those: the
-    two alpha = 0 roots of subregion ii and the power 1/b - 1/h where
-    optimal_split reaches zero, which bounds the two subregions. An extra
-    row replaces its pair's best only where its value is strictly greater,
-    so a tie goes to the first row. No extra rows (no pair with h2 > b2)
-    means no extension work in a call.
+    The kernel works over candidate rows, each with the roots of one
+    stationarity polynomial. Every pair has one row, flat in (K1, N) order:
+    with a free split the two roots of the quadratic with alpha =
+    optimal_split(p) (subregion i); with a pinned split the fixed-split
+    roots. With a free split each h2 > b2 pair has one more row after
+    those: the two alpha = 0 roots of subregion ii. An extra row replaces
+    its pair's best only where its value is strictly greater, so a tie goes
+    to the first row. No extra rows (no pair with h2 > b2) means no
+    extension work in a call. A pair's one price-free candidate is its
+    peak, on its first row.
 
     Built once and read-only: the rows' normalization, weights and caps,
-    the price-free parts of their root coefficients and the rates of
-    change of those in the price, and the price-free candidates with their
-    splits and weighted secrecy rates. A call adds the price-dependent
-    roots, their slopes and every value. Each kind of row keeps the
-    association order of its one-piece coefficient formula, so the results
-    are the same to the bit."""
+    each row's polynomial coefficients as ``k + om d``, highest power
+    first (``k`` the price-free part, ``d`` the rate of change in the
+    price), and the peaks with their splits and weighted secrecy rates. A
+    call adds the roots, their slopes and every value."""
 
     def __init__(self, H, B, sigma2, weights, p_peak, alpha_fixed=None,
                  owner_fixed=None):
@@ -181,46 +179,40 @@ class Kernel:
         self.p0, self.h, self.b = p0, h, b
         self.w = w = np.array(weights, dtype=float).take(rows // n_sc)
         self.pk = pk = p_peak / p0
-        # the quadratic with alpha = optimal_split(p) on the first rows,
-        # ``j0 om p^2 + b (j1 + LN2 om j2) p + j3 + LN2 om j4``
-        j = n if self.free else 0
-        hj, bj, wj = h[:j], b[:j], w[:j]
-        self.joint = np.stack([LN2 * bj * bj * hj, bj * hj * wj, bj + 2.0 * hj,
-                               bj * wj * (hj - bj), bj + hj])
-        # the fixed-split cubic in p on the other rows, ``c0 om a (a-1) p^3
-        # + b (c1 + LN2 om c2) p^2 + (c3 - LN2 om c4) p + c5 - LN2 om``
-        h, b, w = h[j:], b[j:], w[j:]
-        self.cubic = np.stack([
-            LN2 * h * b * b, b * h * w * a * (a - 1.0), h * a * a - b * a - h,
-            2.0 * b * h * w * a * (a - 1.0), b * (1.0 + a) + h * (1.0 - a),
-            (a - 1.0) * (h - b) * w])
-        # the root coefficients' rates of change in the price, highest
-        # power first
-        c0, c2, c4 = self.cubic[[0, 2, 4]]
-        d_fixed = [c0 * a * (a - 1.0), b * LN2 * c2, -LN2 * c4,
-                   np.full_like(h, -LN2)]
-        if self.free:
-            j0, j2, j4 = self.joint[[0, 2, 4]]
-            self.d_coef = np.concatenate([
-                np.stack([j0, bj * LN2 * j2, LN2 * j4]),
-                np.stack(d_fixed[1:])], axis=1)
-        else:
-            self.d_coef = np.stack(d_fixed)
-        # the price-free candidate of each row: the peak on a pair's first
-        # row, 1/b - 1/h on an alpha = 0 row
-        h, b = self.h, self.b
-        p_fix = np.concatenate([pk[:n], 1.0 / b[n:] - 1.0 / h[n:]])
-        self.p_fix = np.where(np.isfinite(p_fix) & (p_fix > 0) & (p_fix <= pk),
-                              p_fix, np.nan)[None]
-        self.zero = np.zeros_like(self.p_fix)  # the price-free slopes
-        a_fix = np.full(rows.size, a)
-        if self.free:
-            a_fix[:n] = optimal_split(pk[:n], h[:n], b[:n], 1.0)
-        self.rate_fix = self.w * _secrecy_rate(self.p_fix, a_fix, h, b, 1.0)
+        # the stationarity polynomials, coefficients k + om d: with alpha =
+        # optimal_split(p) on a free split's first rows the quadratic
+        #   LN2 om b^2 h p^2 + b (b h w + LN2 om (b + 2h)) p
+        #     + b w (h - b) + LN2 om (b + h),
+        # with a fixed split on the others the cubic (c = a (a - 1))
+        #   LN2 om b^2 h c p^3 + b (b h w c + LN2 om (h a^2 - b a - h)) p^2
+        #     + (2 b h w c - LN2 om (b (1 + a) + h (1 - a))) p
+        #     + (a - 1) (h - b) w - LN2 om,
+        # a quadratic where c = 0
+        j, c = (n if self.free else 0), a * (a - 1.0)
+        hj, bj, wj, hf, bf, wf = h[:j], b[:j], w[:j], h[j:], b[j:], w[j:]
+        k = [np.concatenate(x) for x in zip(
+            (np.zeros(j), bj * bj * hj * wj, bj * wj * (hj - bj)),
+            (bf * bf * hf * wf * c, 2.0 * bf * hf * wf * c,
+             (a - 1.0) * (hf - bf) * wf))]
+        d = [np.concatenate(x) for x in zip(
+            (LN2 * bj * bj * hj, LN2 * bj * (bj + 2.0 * hj), LN2 * (bj + hj)),
+            (LN2 * bf * (hf * a * a - bf * a - hf),
+             -LN2 * (bf * (1.0 + a) + hf * (1.0 - a)), np.full_like(hf, -LN2)))]
+        if c != 0.0:
+            k.insert(0, np.zeros_like(hf))
+            d.insert(0, LN2 * bf * bf * hf * c)
+        self.k, self.d = np.array(k), np.array(d)
+        # the price-free candidate: the peak, on each pair's first row
+        self.p_fix = p_fix = np.where(np.isfinite(pk) & (self.index < n), pk,
+                                      np.nan)[None]
+        self.zero = np.zeros_like(p_fix)  # the price-free slopes
+        a_fix = (optimal_split(p_fix, h, b, 1.0) if self.free
+                 else np.full_like(p_fix, a))
+        self.rate_fix = self.w * _secrecy_rate(p_fix, a_fix, h, b, 1.0)
         # a free split sends no noise without secrecy rate: an energy-only
         # pair (h2 < b2) at its peak reports split 0, not 1
         self.a_fix = (np.where(self.rate_fix > 0.0, a_fix, 0.0) if self.free
-                      else a_fix[None])
+                      else a_fix)
         for v in vars(self).values():
             if isinstance(v, np.ndarray):
                 v.setflags(write=False)
@@ -228,29 +220,12 @@ class Kernel:
     def roots(self, om):
         """The rows' price-dependent candidate powers at their normalized
         prices ``om`` and the powers' rates of change in ``om``, each
-        (roots, rows), NaN where absent: with a free split the two roots of
-        the quadratic with alpha = optimal_split(p) on a pair's first row
-        and the two alpha = 0 roots on an extra row; with a pinned split the
-        roots of the fixed-split cubic, a quadratic at split 0. A root x of
-        a stationarity polynomial Q moves at -(dQ/dom) / (dQ/dx)."""
-        a, lom = self.a, LN2 * om
-        if not self.free:
-            c0, c1, c2, c3, c4, c5 = self.cubic
-            fixed = (c0 * om * a * (a - 1.0), self.b * (c1 + lom * c2),
-                     c3 - lom * c4, c5 - lom)
-            r = _quad_roots(*fixed[1:]) if a == 0.0 else _cubic_roots(*fixed)
-            return r, _root_slopes(r, fixed, self.d_coef)
-        j0, j1, j2, j3, j4 = self.joint
-        n = j0.size
-        o, lo = om[:n], lom[:n]
-        coef = (j0 * o, self.b[:n] * (j1 + lo * j2), j3 + lo * j4)
-        if n < om.size:
-            _, c1, c2, c3, c4, c5 = self.cubic
-            lo = lom[n:]
-            coef = [np.concatenate(c) for c in zip(coef, (
-                self.b[n:] * (c1 + lo * c2), c3 - lo * c4, c5 - lo))]
-        r = _quad_roots(*coef)
-        return r, _root_slopes(r, coef, self.d_coef)
+        (roots, rows), NaN where absent: the roots of each row's
+        stationarity polynomial Q, coefficients ``k + om d``. A root x moves
+        at -(dQ/dom) / (dQ/dx)."""
+        coef = self.k + om * self.d
+        r = (_quad_roots if len(coef) == 3 else _cubic_roots)(*coef)
+        return r, _root_slopes(r, coef, self.d)
 
     def __call__(self, omega):
         """Each SC's (owner, p, alpha, value, dp/domega) at the (N,) prices.
@@ -266,10 +241,11 @@ class Kernel:
             raise UnboundedSubproblemError(
                 "per-SC objective grows without bound at infinite peak power")
         om = om.take(self.col) * self.p0
+        n = self.index.size - self.extra.size  # the pairs' first rows
         p, slope = self.roots(om)
         a = (optimal_split(p, self.h, self.b, 1.0) if self.free
              else np.empty_like(p))
-        a[:, self.joint.shape[1]:] = self.a  # the fixed-split rows' split
+        a[:, n if self.free else 0:] = self.a  # the fixed-split rows' split
         p = np.where((p > 0) & (p <= self.pk), p, np.nan)
         P = np.concatenate([p, self.p_fix])
         A = np.concatenate([a, self.a_fix])
@@ -279,7 +255,6 @@ class Kernel:
         # absent candidates (NaN power) and non-finite values never win
         V = np.where(np.isfinite(V), V, -np.inf)
         best = np.argmax(V, axis=0) * self.index.size + self.index
-        n = self.index.size - self.extra.size
         if self.extra.size:
             # an extra row replaces its pair's best only where strictly better
             v = V.take(best)

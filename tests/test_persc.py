@@ -162,6 +162,32 @@ class TestQuadraticCandidates:
         assert joint_roots(ctx) == []
         assert solve_one(ctx)[0] == ctx.p_peak
 
+    def test_kept_roots_stationary_at_nonzero_prices(self, rng):
+        # every root the kernel keeps zeroes the derivative of its own
+        # function: a joint root at its split where that lies in (0, 1),
+        # an alpha = 0 root of the extra row (h2 > b2) at split 0
+        checked = {"joint": 0, "alpha0": 0}
+        for _ in range(3000):
+            ctx = random_context(rng)
+            assert ctx.omega != 0.0
+            p0, _, _ = vector.normalized(ctx.h2, ctx.b2, ctx.sigma2)
+            for i, r in enumerate(kernel_roots(ctx)):
+                if not 0.0 < r <= ctx.p_peak / p0:
+                    continue
+                p = float(r * p0)
+                if i < 2:
+                    kind = "joint"
+                    alpha = float(optimal_split(p, ctx.h2, ctx.b2, ctx.sigma2))
+                    if not 0.0 < alpha < 1.0:
+                        continue
+                else:
+                    kind, alpha = "alpha0", 0.0
+                    assert ctx.h2 > ctx.b2
+                scale = abs(ctx.omega) + ctx.weight / p
+                assert abs(lagrangian_dp(p, alpha, ctx)) <= 1e-12 * scale
+                checked[kind] += 1
+        assert min(checked.values()) >= 20, checked
+
     def test_unbounded_with_infinite_cap_and_positive_price(self):
         ctx = ctx_of(h2=2.0, b2=1.0, omega=0.5, p_peak=np.inf)
         with pytest.raises(UnboundedSubproblemError):

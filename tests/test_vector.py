@@ -165,8 +165,8 @@ def test_kernel_reuse_matches_fresh_solve_all(monkeypatch, alpha, qbar_uw, seed)
 
 def _winner(kern, om):
     """(p, dp/domega, root slot) of a one-pair kernel at price ``om``; the
-    slot counts the roots row by row and is None where a boundary candidate
-    or the skip won. Every row of a one-pair kernel is that pair's."""
+    slot counts the roots row by row and is None where the peak or the skip
+    won. Every row of a one-pair kernel is that pair's."""
     _, p, _, _, dp = kern(np.array([om]))
     p, dp = float(p[0]), float(dp[0])
     roots = kern.roots(om * kern.p0)[0].T.ravel() * kern.p0[0]
@@ -207,9 +207,9 @@ def test_power_slope_matches_central_difference(rng, alpha, slots):
 
 @pytest.mark.parametrize("alpha", [None, 0.0, 0.5], ids=["free", "noan", "alpha05"])
 def test_power_slope_zero_on_boundary_and_skip_winners(rng, alpha):
-    # the peak, the zero-rate boundary, 1/b - 1/h and the skip do not move
+    # the peak, the one boundary candidate left, and the skip do not move
     # with the price
-    seen = {"boundary": 0, "skip": 0}
+    seen = {"peak": 0, "skip": 0}
     for _ in range(2000):
         ctx = random_context(rng)
         kern = vector.Kernel([[ctx.h2]], [[ctx.b2]], ctx.sigma2, [ctx.weight],
@@ -217,7 +217,8 @@ def test_power_slope_zero_on_boundary_and_skip_winners(rng, alpha):
         p, dp, slot = _winner(kern, ctx.omega)
         if slot is None:
             assert dp == 0.0
-            seen["skip" if p == 0.0 else "boundary"] += 1
+            assert p in (0.0, kern.p_fix[0, 0] * kern.p0[0])
+            seen["skip" if p == 0.0 else "peak"] += 1
             if min(seen.values()) == 20:
                 break
     assert min(seen.values()) == 20
@@ -226,11 +227,11 @@ def test_power_slope_zero_on_boundary_and_skip_winners(rng, alpha):
 def test_extra_rows_at_scale(monkeypatch):
     # without energy receivers a quarter of the pairs have h2 > b2 and so an
     # extra (alpha = 0) row; at the prices of a real solve, and where the
-    # kinds of candidate nearly tie, each SC is its winning pair's 1x1
-    # kernel to the bit, and each kind of candidate wins somewhere
+    # kinds of root nearly tie, each SC is its winning pair's 1x1 kernel to
+    # the bit, and each kind of root wins somewhere
     cfg = paper_system(k2=0)
     s2 = cfg.noise_power
-    won = {"joint": 0, "alpha0": 0, "boundary": 0}
+    won = {"joint": 0, "alpha0": 0}
     for seed in range(4):
         prices = []
         call = vector.Kernel.__call__
@@ -244,15 +245,16 @@ def test_extra_rows_at_scale(monkeypatch):
         solve(cfg, ch)
         monkeypatch.undo()
         H, B, w = ch.ir_gains, ch.eve_gains, cfg.weights
-        # the solve's prices never put the boundary first: add the prices
-        # where the alpha = 0 stationary point of each SC's strongest IR is
-        # the boundary p = s2 (1/B - 1/H), so the three kinds nearly tie
-        j, k = np.nonzero((H > B).T)
-        assert j.tolist() == list(range(cfg.num_scs))
-        h, b = H[k, j], B[k, j]
-        prices.append(-w[k] * b * (h - b) / (LN2 * s2 * (2.0 * h - b)))
+        # the prices where the alpha = 0 stationary point of each SC's
+        # strongest IR is the boundary p = s2 (1/B - 1/H) of the two
+        # subregions, so the two kinds of root nearly tie
+        sc, ir = np.nonzero((H > B).T)
+        assert sc.tolist() == list(range(cfg.num_scs))
+        h, b = H[ir, sc], B[ir, sc]
+        edge = -w[ir] * b * (h - b) / (LN2 * s2 * (2.0 * h - b))
+        prices.append(edge)
         kern = vector.Kernel(H, B, s2, w, cfg.total_power)
-        assert kern.extra.tolist() == sorted(k * cfg.num_scs + j)
+        assert kern.extra.tolist() == sorted(ir * cfg.num_scs + sc)
         for om in prices:
             owner, *got = kern(om)
             for j, k in enumerate(owner):
@@ -272,7 +274,10 @@ def test_extra_rows_at_scale(monkeypatch):
                 elif p in roots[2:]:
                     assert got[1][j] == 0.0
                     won["alpha0"] += 1
-                elif one.p_fix.size == 2 and p == one.p_fix[0, 1] * one.p0[1]:
-                    assert got[1][j] == 0.0
-                    won["boundary"] += 1
+        # the boundary itself is no candidate: the roots match or beat it
+        _, _, _, v, _ = kern(edge)
+        p_edge = s2 * (1.0 / b - 1.0 / h)
+        cap = p_edge <= cfg.total_power
+        ref = w[ir] * secrecy_rate(p_edge, 0.0, h, b, s2) + p_edge * edge
+        assert cap.any() and np.all((v >= ref - 1e-12 * np.abs(ref))[cap])
     assert min(won.values()) > 0, won
