@@ -5,7 +5,6 @@ heuristics and a seeded Monte-Carlo experiment harness."""
 from .model import (Allocation, ChannelRealization, DomainError, SystemConfig,
                     eavesdropper_gains, optimal_split, rate_eve, rate_ir,
                     secrecy_rate, threshold_x, weighted_sum_secrecy)
-from .vector import UnboundedSubproblemError
 from .dual import (InfeasibleProblemError, SolveReport, SolverOptions,
                    solve_dual)
 from .heuristics import (SCHEMES, noncancel_secrecy_rate, solve,

@@ -299,11 +299,13 @@ class _Engine:
     def harvest_lp_primal(self):
         """Raise if no per-SC powers meet the harvest targets within the
         budget; else screen the mixture of one column per SC at ``p_eff``
-        that maximizes sum_n max_k H[k, n] p_n, each SC given to its fixed
-        or best weighted IR. The loop calls it only when the first
+        that maximizes sum_n max_k H[k, n] p_n, each SC given to the IR of
+        the largest weighted gain among those the kernel's table lets own it
+        (the pinned IR, if any). The loop calls it only when the first
         iterate's primal misses a target."""
-        owners = (np.argmax(self.cfg.weights[:, None] * self.H, axis=0)
-                  if self.kernel.owner_fixed is None else self.kernel.owner_fixed)
+        t = self.kernel.table
+        owners = t[np.argmax(self.cfg.weights[t] * self.H[t, self.cols], axis=0),
+                   self.cols]
         if not self._mix(self.cols, np.full(self.cfg.num_scs, self.p_eff),
                          self.H.max(axis=0), owners, "harvest LP"):
             raise InfeasibleProblemError(

@@ -6,21 +6,22 @@ finite set of candidates: the closed-form real roots of a stationarity
 polynomial and the peak power; the (0, 0) skip is the fallback. With a free
 split the polynomial is the quadratic with the split eliminated (a =
 optimal_split(p)), with a pinned split the fixed-split cubic (a quadratic
-at split 0 or 1). An SC goes to its best pair's IR, or to none where no
-pair scores above 0: one call solves every SC's subproblem of the dual
-decomposition (Yu & Lui, 2006). The dual loop builds one :class:`Kernel`
-per solve, which holds every price-independent quantity of all K1*N pairs,
-and calls it at each price vector; one pair is a kernel built from 1x1 gain
-arrays. A root is a candidate when its power lies in (0, P_peak]. Below the
-zero-rate threshold a root scores p * omega, which the cap (omega > 0) or
-the skip (omega <= 0) matches or beats, so no second window on the
-threshold is needed.
+at split 0 or 1). Each SC's subproblem of the dual decomposition (Yu & Lui,
+2006) is a maximum over the IRs that may own the SC: every IR, or only a
+pinned one (FSA's round robin). The kernel lists those pairs' candidates
+per SC in one table, and one first maximum over it picks every SC's
+winner; an SC skips where that value is not above 0. The dual loop builds
+one :class:`Kernel` per solve, which holds every price-independent quantity
+of the table's pairs, and calls it at each price vector; one pair is a
+kernel built from 1x1 gain arrays. The cap is finite, and a root is a
+candidate when its power lies in (0, P_peak]. Below the zero-rate threshold
+a root scores p * omega, which the cap (omega > 0) or the skip (omega <= 0)
+matches or beats, so no second window on the threshold is needed.
 
 The roots come in rows, one polynomial each, whose coefficients are linear
-in the price. Every pair has one row; with a free split only a pair with
-h2 > b2 has a second, the alpha = 0 quadratic of its split-0 subregion,
-because elsewhere that subregion has no secrecy rate. Such an extra row
-replaces its pair's best only where its value is strictly greater. On the
+in the price. Every table pair has one row; with a free split only a pair
+with h2 > b2 has a second, the alpha = 0 quadratic of its split-0
+subregion, because elsewhere that subregion has no secrecy rate. On the
 paper's draws the energy receivers sit near the base station and no pair
 has h2 > b2, so a call there computes no split-0 candidates at all.
 
@@ -38,10 +39,6 @@ import numpy as np
 from .model import GAIN_RTOL, LN2, _secrecy_rate, optimal_split
 
 _TINY = 1e-300
-
-
-class UnboundedSubproblemError(ValueError):
-    """The per-SC Lagrangian grows without bound (infinite peak power, omega >= 0)."""
 
 
 def normalized(H, B, sigma2):
@@ -133,51 +130,61 @@ class Kernel:
     cap and optional pinned split and owners, then called with each price
     vector.
 
-    H, B: (K1, N) IR and eavesdropper gains; weights: (K1,); p_peak: scalar
-    cap; owner_fixed: (N,) owners in [0, K1); a call takes the (N,) prices.
-    An infinite cap needs a negative price on every pair, otherwise the
-    objective is unbounded (the dual loop caps at min(P_peak, P_max), which
-    the total-power constraint implies).
+    H, B: (K1, N) IR and eavesdropper gains; weights: (K1,); p_peak: finite
+    scalar cap (the dual loop caps at min(P_peak, P_max), which the
+    total-power constraint implies); owner_fixed: (N,) owners in [0, K1); a
+    call takes the (N,) prices.
 
-    The kernel works over candidate rows, each with the roots of one
-    stationarity polynomial. Every pair has one row, flat in (K1, N) order:
-    with a free split the two roots of the quadratic with alpha =
-    optimal_split(p) (subregion i); with a pinned split the fixed-split
-    roots. With a free split each h2 > b2 pair has one more row after
-    those: the two alpha = 0 roots of subregion ii. An extra row replaces
-    its pair's best only where its value is strictly greater, so a tie goes
-    to the first row. No extra rows (no pair with h2 > b2) means no
-    extension work in a call. A pair's one price-free candidate is its
-    peak, on its first row.
+    ``table`` holds the IRs that may own each SC: (K1, N), or (1, N) when
+    pinned. Each table pair has one candidate row, in table order: the roots
+    of its stationarity polynomial (with a free split the quadratic with
+    alpha = optimal_split(p), subregion i; else the fixed-split one), then
+    its peak, the one price-free candidate. With a free split each h2 > b2
+    pair has an alpha = 0 row after those: the two roots of subregion ii.
+    ``order``, (C, N), gathers each SC's candidates from the flat (slot,
+    row) arrays, pair by pair in table order: the pair's row, then its
+    alpha = 0 roots, or its first slot twice where it has none. One first
+    maximum over it picks every SC's winner, so a tie goes to the earlier
+    pair and, within a pair, to its own row; a repeat never wins. A winner
+    worth <= 0 is a skip, owner ``skip_owner``: -1, or the pinned IR.
 
-    Built once and read-only: the rows' normalization, weights and caps,
-    each row's polynomial coefficients as ``k + om d``, highest power
+    Built once and read-only: the table, the rows' normalization, IRs,
+    weights and caps, each row's coefficients as ``k + om d``, highest power
     first (``k`` the price-free part, ``d`` the rate of change in the
-    price), and the peaks with their splits and weighted secrecy rates. A
-    call adds the roots, their slopes and every value."""
+    price), the peaks with their splits and weighted rates, and the order.
+    A call adds the roots, their slopes and every value."""
 
     def __init__(self, H, B, sigma2, weights, p_peak, alpha_fixed=None,
                  owner_fixed=None):
+        if not np.isfinite(p_peak):
+            raise ValueError("the per-SC cap p_peak must be finite")
         H, B = np.asarray(H, dtype=float), np.asarray(B, dtype=float)
-        n, n_sc = H.size, H.shape[1]
-        self.unbounded = not np.isfinite(p_peak)
+        k1, n_sc = H.shape
         self.cols = np.arange(n_sc)
-        self.owner_fixed = (None if owner_fixed is None
-                            else np.array(owner_fixed, dtype=int))
+        if owner_fixed is None:
+            self.table = np.arange(k1)[:, None].repeat(n_sc, axis=1)
+            self.skip_owner = np.full(n_sc, -1)
+        else:
+            self.skip_owner = np.array(owner_fixed, dtype=int)
+            self.table = self.skip_owner[None]
         self.free = alpha_fixed is None
         self.a = a = 0.0 if self.free else float(alpha_fixed)
-        # the pair of each row: every pair, then with a free split each
-        # h2 > b2 pair again for its alpha = 0 row
-        rows = np.arange(n)
+        pairs = (self.table * n_sc + self.cols).ravel()
+        m = pairs.size
+        # the row of each table pair's alpha = 0 roots: with a free split an
+        # extra row after the pairs' rows where h2 > b2, else its own row
+        alt = np.arange(m)
         if self.free:
-            hgb = (H > B) & ~np.isclose(H, B, rtol=GAIN_RTOL, atol=0.0)
-            rows = np.concatenate([rows, np.flatnonzero(hgb)])
-        self.extra = rows[n:]  # the pair of each extra row
-        self.index = np.arange(rows.size)
+            h2, b2 = H.ravel().take(pairs), B.ravel().take(pairs)
+            hgb = (h2 > b2) & ~np.isclose(h2, b2, rtol=GAIN_RTOL, atol=0.0)
+            alt[hgb] = m + np.arange(np.count_nonzero(hgb))
+        rows = np.concatenate([pairs, pairs[alt >= m]])  # the pair of each row
+        self.extra = rows[m:]
         self.col = rows % n_sc
-        p0, h, b = (x.ravel().take(rows) for x in normalized(H, B, sigma2))
+        self.ir = rows // n_sc
+        p0, h, b = normalized(H.ravel().take(rows), B.ravel().take(rows), sigma2)
         self.p0, self.h, self.b = p0, h, b
-        self.w = w = np.array(weights, dtype=float).take(rows // n_sc)
+        self.w = w = np.array(weights, dtype=float).take(self.ir)
         self.pk = pk = p_peak / p0
         # the stationarity polynomials, coefficients k + om d: with alpha =
         # optimal_split(p) on a free split's first rows the quadratic
@@ -188,7 +195,8 @@ class Kernel:
         #     + (2 b h w c - LN2 om (b (1 + a) + h (1 - a))) p
         #     + (a - 1) (h - b) w - LN2 om,
         # a quadratic where c = 0
-        j, c = (n if self.free else 0), a * (a - 1.0)
+        self.fixed_from = j = m if self.free else 0  # the first fixed-split row
+        c = a * (a - 1.0)
         hj, bj, wj, hf, bf, wf = h[:j], b[:j], w[:j], h[j:], b[j:], w[j:]
         k = [np.concatenate(x) for x in zip(
             (np.zeros(j), bj * bj * hj * wj, bj * wj * (hj - bj)),
@@ -202,9 +210,8 @@ class Kernel:
             k.insert(0, np.zeros_like(hf))
             d.insert(0, LN2 * bf * bf * hf * c)
         self.k, self.d = np.array(k), np.array(d)
-        # the price-free candidate: the peak, on each pair's first row
-        self.p_fix = p_fix = np.where(np.isfinite(pk) & (self.index < n), pk,
-                                      np.nan)[None]
+        # the price-free candidate: each row's peak
+        self.p_fix = p_fix = pk[None]
         self.zero = np.zeros_like(p_fix)  # the price-free slopes
         a_fix = (optimal_split(p_fix, h, b, 1.0) if self.free
                  else np.full_like(p_fix, a))
@@ -213,6 +220,14 @@ class Kernel:
         # pair (h2 < b2) at its peak reports split 0, not 1
         self.a_fix = (np.where(self.rate_fix > 0.0, a_fix, 0.0) if self.free
                       else a_fix)
+        # each SC's candidates: per table pair its slots (roots, then peak),
+        # then its alpha = 0 roots, or its first slot twice
+        n_row = rows.size
+        own = np.arange(len(self.k))[:, None] * n_row + np.arange(m)
+        if n_row > m:
+            own = np.vstack([own, alt, np.where(alt >= m, alt + n_row, alt)])
+        self.order = own.reshape(-1, len(self.table), n_sc).swapaxes(0, 1) \
+            .reshape(-1, n_sc)
         for v in vars(self).values():
             if isinstance(v, np.ndarray):
                 v.setflags(write=False)
@@ -228,24 +243,15 @@ class Kernel:
         return r, _root_slopes(r, coef, self.d)
 
     def __call__(self, omega):
-        """Each SC's (owner, p, alpha, value, dp/domega) at the (N,) prices.
-        Per row the earliest best candidate wins, per pair its first row
-        unless an extra row is strictly better, per SC the lowest pair with
-        the best value or the pinned owner; where that value is <= 0 the SC
-        skips: all 0, and owner -1 unless pinned. dp/domega is -dQ/domega /
+        """Each SC's (owner, p, alpha, value, dp/domega) at the (N,) prices:
+        its first best candidate in ``order``, or the skip where that value
+        is <= 0: all 0, owner ``skip_owner``. dp/domega is -dQ/domega /
         dQ/dp of the stationarity polynomial Q whose root won, else 0."""
-        om = np.asarray(omega, dtype=float)
-        if om.shape != self.cols.shape:
-            om = np.broadcast_to(om, self.cols.shape)
-        if self.unbounded and np.any(om >= 0.0):
-            raise UnboundedSubproblemError(
-                "per-SC objective grows without bound at infinite peak power")
-        om = om.take(self.col) * self.p0
-        n = self.index.size - self.extra.size  # the pairs' first rows
+        om = np.asarray(omega, dtype=float).take(self.col) * self.p0
         p, slope = self.roots(om)
         a = (optimal_split(p, self.h, self.b, 1.0) if self.free
              else np.empty_like(p))
-        a[:, n if self.free else 0:] = self.a  # the fixed-split rows' split
+        a[:, self.fixed_from:] = self.a  # the fixed-split rows' split
         p = np.where((p > 0) & (p <= self.pk), p, np.nan)
         P = np.concatenate([p, self.p_fix])
         A = np.concatenate([a, self.a_fix])
@@ -254,21 +260,14 @@ class Kernel:
         D = np.concatenate([slope, self.zero])
         # absent candidates (NaN power) and non-finite values never win
         V = np.where(np.isfinite(V), V, -np.inf)
-        best = np.argmax(V, axis=0) * self.index.size + self.index
-        if self.extra.size:
-            # an extra row replaces its pair's best only where strictly better
-            v = V.take(best)
-            win = v[n:] > v.take(self.extra)
-            best[self.extra[win]] = best[n:][win]
-        best = best[:n].reshape(-1, self.cols.size)
-        row = (np.argmax(V.take(best), axis=0) if self.owner_fixed is None
-               else self.owner_fixed)
-        pair = row * self.cols.size + self.cols
-        p, a, v, d = (X.take(best.take(pair)) for X in (P, A, V, D))
+        first = np.argmax(V.take(self.order), axis=0)
+        best = self.order.take(first * self.cols.size + self.cols)
+        row = best % self.ir.size
+        p, a, v, d = (X.take(best) for X in (P, A, V, D))
         # the skip fallback (0, 0) has value 0
         skip = ~(v > 0.0)
-        owner = row if self.owner_fixed is not None else np.where(skip, -1, row)
         # normalized to physical units: p = p0 x and omega = om / p0
-        p0 = self.p0.take(pair)
-        return (owner, np.where(skip, 0.0, p) * p0, np.where(skip, 0.0, a),
+        p0 = self.p0.take(row)
+        return (np.where(skip, self.skip_owner, self.ir.take(row)),
+                np.where(skip, 0.0, p) * p0, np.where(skip, 0.0, a),
                 np.where(skip, 0.0, v), np.where(skip, 0.0, d) * (p0 * p0))

@@ -37,7 +37,7 @@ class Ctx(NamedTuple):
     sigma2: float  # noise power, watts
     weight: float  # IR weight
     omega: float  # dual price of transmit power
-    p_peak: float  # per-SC power cap, may be np.inf
+    p_peak: float  # per-SC power cap
 
 
 def solve_one(ctx):
@@ -48,7 +48,7 @@ def solve_one(ctx):
     return float(p[0]), float(a[0]), float(v[0])
 
 
-def random_context(rng, finite_peak=True):
+def random_context(rng):
     """Randomized per-subcarrier context spanning the numeric range seen in
     practice: unit noise and the thermal floor, gains over several decades."""
     sigma2 = 1.0 if rng.integers(2) == 0 else 5e-12
@@ -56,7 +56,7 @@ def random_context(rng, finite_peak=True):
     b2 = sigma2 * 10.0 ** rng.uniform(-3.0, 3.0)
     w = 10.0 ** rng.uniform(-1.0, 1.0)
     p_scale = sigma2 / np.sqrt(h2 * b2)
-    p_peak = rng.uniform(0.5, 50.0) * p_scale if finite_peak else np.inf
+    p_peak = rng.uniform(0.5, 50.0) * p_scale
     omega = rng.uniform(-1.0, 1.0) * w / p_scale
     return Ctx(h2=h2, b2=b2, sigma2=sigma2, weight=w, omega=omega,
                p_peak=p_peak)

@@ -44,7 +44,7 @@ def test_per_sc_solver_matches_grid_brute_force():
     confirmed, and a spurious value must be refuted."""
     rng = np.random.default_rng(20260826)
     for i in range(1000):
-        ctx = random_context(rng, finite_peak=True)
+        ctx = random_context(rng)
         p, a, got = solve_one(ctx)
         ref = grid_best(ctx, num_p=2001, num_a=1001)
         tol = 1e-4 * (1.0 + abs(ref))
@@ -77,7 +77,7 @@ def test_closed_form_split_beats_grid_at_fixed_power():
     rng = np.random.default_rng(7)
     als = np.linspace(0.0, 1.0, 1001)
     for _ in range(500):
-        ctx = random_context(rng, finite_peak=True)
+        ctx = random_context(rng)
         p = rng.uniform(1e-3, 1.0) * ctx.p_peak
         a_star = optimal_split(p, ctx.h2, ctx.b2, ctx.sigma2)
         got = secrecy_rate(p, a_star, ctx.h2, ctx.b2, ctx.sigma2)

@@ -5,7 +5,7 @@ independent power-grid oracle for the fixed-split path."""
 import numpy as np
 import pytest
 
-from ofdma_swipt import UnboundedSubproblemError, solve, vector
+from ofdma_swipt import solve, vector
 from ofdma_swipt.model import LN2, secrecy_rate
 
 from conftest import (Ctx, paper_channels, paper_system, random_context,
@@ -54,15 +54,21 @@ def test_batch_shapes_and_consistency(rng):
 
 def test_pinned_owner_is_its_pairs_kernel(rng):
     # a pinned SC is its pinned pair's 1x1 kernel to the bit, and keeps
-    # its owner where that pair skips
+    # its owner where that pair skips; the kernel has rows for the pinned
+    # pairs only, and with a free split an alpha = 0 row for each pinned
+    # pair with h2 > b2
     k1, n, cap = 4, 64, 10.0
     h = 10.0 ** rng.uniform(-2, 2, size=(k1, n))
     b = 10.0 ** rng.uniform(-2, 2, size=(k1, n))
     w = rng.uniform(0.5, 2.0, size=k1)
     pin = rng.integers(0, k1, size=n)
-    for alpha in (None, 0.0, 0.5):
+    hgb = int(np.sum(h[pin, np.arange(n)] > b[pin, np.arange(n)]))
+    assert 0 < hgb < n
+    for alpha in (None, 0.0, 0.5, 1.0):
         om = rng.uniform(-0.5, 0.5, size=n)
-        owner, *got = vector.Kernel(h, b, 1.0, w, cap, alpha, pin)(om)
+        kern = vector.Kernel(h, b, 1.0, w, cap, alpha, pin)
+        assert kern.p0.size == n + (hgb if alpha is None else 0)
+        owner, *got = kern(om)
         assert owner.tolist() == pin.tolist()
         assert np.any(got[0] == 0.0) and np.any(got[0] > 0.0)
         for j, k in enumerate(pin):
@@ -141,22 +147,11 @@ def test_kernel_reuse_matches_fresh_solve_all(monkeypatch, alpha, qbar_uw, seed)
     seq = prices + [negative, np.zeros(n)] + prices[:3]
     args = (ch.ir_gains, ch.eve_gains, cfg.noise_power, cfg.weights)
 
-    def same(got, om, cap):
-        ref = vector.Kernel(*args, cap, alpha)(om)
-        for x, y in zip(got, ref):
-            assert x.tobytes() == y.tobytes()  # sign bits and NaNs included
-
     kern = vector.Kernel(*args, cfg.total_power, alpha)
     for om in seq:
-        same(kern(om), om, cfg.total_power)
-    # an infinite cap is bounded only where every price is negative; the
-    # first evaluation's prices, -gamma0, are
-    uncapped = vector.Kernel(*args, np.inf, alpha)
-    for om in (prices[0], negative):
-        same(uncapped(om), om, np.inf)
-    with pytest.raises(UnboundedSubproblemError):
-        uncapped(np.zeros(n))
-    same(uncapped(negative), negative, np.inf)
+        ref = vector.Kernel(*args, cfg.total_power, alpha)(om)
+        for x, y in zip(kern(om), ref):
+            assert x.tobytes() == y.tobytes()  # sign bits and NaNs included
     cached = [v for v in vars(kern).values() if isinstance(v, np.ndarray)]
     assert len(cached) >= 8 and not any(v.flags.writeable for v in cached)
     with pytest.raises(ValueError):
