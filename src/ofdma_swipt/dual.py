@@ -47,9 +47,12 @@ smooth with Hessian sum_n p'_n c_n c_n^T, where p'_n is the owner's
 dp/domega from the kernel and c_n = d omega_n / d(lambda, gamma). The next
 point is the projected Newton point from the current one (a step on the
 coordinates that are positive or have a negative subgradient, clipped at
-0) when it lies in the box and the cut model there is below the best dual
-value, else the master's minimizer. Curvature only picks points; the cuts
-and the screened primals certify the bound.
+0) when it lies in the box, differs from the current point and the cut
+model there is below the best dual value plus :data:`CONVERGENCE_TOL` (in
+units of g at the start point; at the optimum the two are equal up to
+rounding), else the master's minimizer. Curvature only picks points; the
+cuts and the screened primals certify the bound, and the evaluation cap
+bounds any cycle.
 
 Primal recovery is one screen and one per-SC LP. Budget and harvest are
 linear in per-SC power, so an iterate that overspends is scaled onto P_max,
@@ -287,7 +290,8 @@ class _Engine:
             master.grow(on_face)
             y_newton = _newton_point(y, s, unit * hess * unit[:, None] / scale)
             if (y_newton is not None and np.all(y_newton <= master.upper)
-                    and master.model(y_newton) < self.g_min / scale):
+                    and master.model(y_newton) < self.g_min / scale + CONVERGENCE_TOL
+                    and not np.array_equal(y_newton, y)):
                 self.newton_steps += 1
                 y = y_newton
             else:

@@ -197,6 +197,15 @@ class TestCuttingPlane:
         assert rep.metadata["converged"] is True
         assert rep.iterations <= 200
 
+    def test_newton_point_accepted_within_rounding(self):
+        # at the optimum the cut model at the Newton point equals the best
+        # dual value up to rounding; a strict test sent this row to the
+        # master's point at evaluation 12, and it took 17 evaluations
+        cfg = paper_system(qbar_uw=600.0)
+        rep = solve(cfg, paper_channels(cfg, 7))
+        assert rep.metadata["stop_reason"] == "gap closed"
+        assert rep.iterations <= 12
+
     def test_multipliers_stay_nonnegative(self):
         # one draw where harvesting binds (large lambda) and one where not;
         # on the noan draws the master LP returns a lambda a hair below 0
