@@ -47,12 +47,11 @@ smooth with Hessian sum_n p'_n c_n c_n^T, where p'_n is the owner's
 dp/domega from the kernel and c_n = d omega_n / d(lambda, gamma). The next
 point is the projected Newton point from the current one (a step on the
 coordinates that are positive or have a negative subgradient, clipped at
-0) when it lies in the box, differs from the current point and the cut
-model there is below the best dual value plus :data:`CONVERGENCE_TOL` (in
-units of g at the start point; at the optimum the two are equal up to
-rounding), else the master's minimizer. Curvature only picks points; the
-cuts and the screened primals certify the bound, and the evaluation cap
-bounds any cycle.
+0) when it lies in the box, differs from the current point, and the cut
+model there is below the best dual value plus :data:`CONVERGENCE_TOL`, a
+margin for rounding, as at the optimum the two are equal; else the master's
+minimizer. Curvature only picks points; the cuts and the screened primals
+certify the bound, and the evaluation cap bounds any cycle.
 
 Primal recovery is one screen and one per-SC LP. Budget and harvest are
 linear in per-SC power, so an iterate that overspends is scaled onto P_max,
@@ -304,9 +303,8 @@ class _Engine:
         """Raise if no per-SC powers meet the harvest targets within the
         budget; else screen the mixture of one column per SC at ``p_eff``
         that maximizes sum_n max_k H[k, n] p_n, each SC given to the IR of
-        the largest weighted gain among those the kernel's table lets own it
-        (the pinned IR, if any). The loop calls it only when the first
-        iterate's primal misses a target."""
+        its largest weighted gain in the kernel's table. The loop calls it
+        only when the first iterate's primal misses a target."""
         t = self.kernel.table
         owners = t[np.argmax(self.cfg.weights[t] * self.H[t, self.cols], axis=0),
                    self.cols]

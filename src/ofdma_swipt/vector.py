@@ -180,8 +180,7 @@ class Kernel:
             alt[hgb] = m + np.arange(np.count_nonzero(hgb))
         rows = np.concatenate([pairs, pairs[alt >= m]])  # the pair of each row
         self.extra = rows[m:]
-        self.col = rows % n_sc
-        self.ir = rows // n_sc
+        self.ir, self.col = np.divmod(rows, n_sc)
         p0, h, b = normalized(H.ravel().take(rows), B.ravel().take(rows), sigma2)
         self.p0, self.h, self.b = p0, h, b
         self.w = w = np.array(weights, dtype=float).take(self.ir)
@@ -226,8 +225,7 @@ class Kernel:
         own = np.arange(len(self.k))[:, None] * n_row + np.arange(m)
         if n_row > m:
             own = np.vstack([own, alt, np.where(alt >= m, alt + n_row, alt)])
-        self.order = own.reshape(-1, len(self.table), n_sc).swapaxes(0, 1) \
-            .reshape(-1, n_sc)
+        self.order = own.reshape(-1, len(self.table), n_sc).swapaxes(0, 1).reshape(-1, n_sc)
         for v in vars(self).values():
             if isinstance(v, np.ndarray):
                 v.setflags(write=False)
