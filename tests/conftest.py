@@ -62,14 +62,14 @@ def random_context(rng):
                p_peak=p_peak)
 
 
-def grid_best(ctx, num_p=1001, num_a=501, block=16):
+def grid_best(ctx, num_p=1001, num_a=501):
     """Brute-force maximum of the per-SC objective on a (p, alpha) grid.
 
     Evaluated in normalized units (power scaled by sigma^2/sqrt(h2*b2)),
     where the objective value is scale-invariant; includes the (0, 0)
-    skip point via the final clamp at zero. The grid is scanned ``block``
-    powers at a time against every split, the maximum the same as over the
-    whole grid. At 1001 splits a block's arrays stay under 128 KiB, glibc
+    skip point via the final clamp at zero. The grid is scanned 16 powers
+    at a time against every split, the maximum the same as over the whole
+    grid. At 1001 splits a block's arrays stay under 128 KiB, glibc
     malloc's default mmap threshold, so they reuse heap memory instead of
     faulting in fresh pages on every block.
     """
@@ -78,9 +78,9 @@ def grid_best(ctx, num_p=1001, num_a=501, block=16):
     b = 1.0 / h
     ps = np.linspace(0.0, ctx.p_peak / p0, num_p)
     als = np.linspace(0.0, 1.0, num_a)
-    tops = [np.max(vector._value(ps[i:i + block, None], als, h, b, ctx.weight,
+    tops = [np.max(vector._value(ps[i:i + 16, None], als, h, b, ctx.weight,
                                  ctx.omega * p0))
-            for i in range(0, num_p, block)]
+            for i in range(0, num_p, 16)]
     return max(float(np.max(tops)), 0.0)
 
 
