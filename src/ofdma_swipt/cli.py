@@ -146,7 +146,7 @@ def cmd_sweep(args) -> int:
         f"trials={args.trials} seed={args.seed}",
         "# row seed = seed + trial; objective and gap are band-averaged (per SC)",
         "axis_value,trial,scheme,objective,gap,feasible,iterations,wallclock,"
-        "converged",
+        "converged,stop_reason",
     ]
     for value in values:
         exp_v = apply_axis(exp, args.axis, value)
@@ -158,12 +158,14 @@ def cmd_sweep(args) -> int:
                 obj, gap = report.objective, report.duality_gap
                 feas, iters = 1, report.iterations
                 conv = int(report.metadata.get("converged", True))
+                stop = report.metadata.get("stop_reason", "")
             except InfeasibleProblemError:
                 obj, gap, feas, iters, conv = math.nan, math.nan, 0, 0, 0
+                stop = ""
             wallclock = time.perf_counter() - t0 if args.timing else 0.0
             lines.append(",".join(_fmt(v) for v in (
                 value, trial, exp.scheme, obj, gap, feas, iters, wallclock,
-                conv)))
+                conv, stop)))
     _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 

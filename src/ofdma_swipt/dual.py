@@ -24,22 +24,28 @@ the best dual value g_min as an upper bound on the optimum to
 fired:
 
 - *gap closed*, tested right after each evaluation (and the harvest LP,
-  when it runs), before that iteration's master: g_min - best_obj <=
+  when it runs), before that iteration's next point: g_min - best_obj <=
   CONVERGENCE_TOL * |g_min|. By weak duality every screened primal is at
   most the optimum, which is at most g_min. The screen's harvest shortfall
   of :data:`FEASIBILITY_TOL` per target lets a primal exceed g_min by at
   most lambda . (FEASIBILITY_TOL * Qbar) at g_min's lambda: the floor of a
-  negative gap. ``solve_dual`` runs the recovery LP exactly when this test
-  fails after the loop; both places call one method.
-- *bound certified*: when the master's minimizer is inside the box, the
-  model's minimum t is, by convexity, a lower bound on g over the whole
-  orthant, and g_min is within CONVERGENCE_TOL of t, relative to |g| at the
-  start point (>= g_min).
+  negative gap, reported with 4 ulps of g_min for rounding as
+  ``metadata["gap_floor"]``. ``solve_dual`` runs the recovery LP exactly
+  when this test fails after the loop; both places call one method.
+- *bound certified*, tested on the iterations that solve the master: when
+  its minimizer is inside the box, the model's minimum t is, by convexity, a
+  lower bound on g over the whole orthant, and g_min is within
+  CONVERGENCE_TOL of t, relative to |g| at the start point (>= g_min).
 
-Otherwise the master is solved once per evaluation, and the loop ends
-uncertified, with ``converged`` False, when HiGHS does not solve it
-(*master LP failed*) or after ``max_iterations`` evaluations (*evaluation
-cap*).
+The master is solved only on an iteration whose Newton point (below) is
+refused; an iteration that takes the Newton point adds its cut and goes
+straight to the next evaluation, without the master, its stop test or box
+growth. The loop ends uncertified, with ``converged`` False, when HiGHS
+does not solve a master (*master LP failed*) or after ``max_iterations``
+evaluations (*evaluation cap*). ``metadata["master_solves"]`` counts the
+masters and ``metadata["newton_steps"]`` the Newton points taken, so
+every evaluation but one that closes the gap is followed by exactly one
+of them.
 
 The points are picked as in a bundle-Newton method (Luksan & Vlcek, Math.
 Program. 83, 1998). Where the winners of an evaluation do not switch, g is
@@ -50,8 +56,10 @@ coordinates that are positive or have a negative subgradient, clipped at
 0) when it lies in the box, differs from the current point, and the cut
 model there is below the best dual value plus :data:`CONVERGENCE_TOL`, a
 margin for rounding, as at the optimum the two are equal; else the master's
-minimizer. Curvature only picks points; the cuts and the screened primals
-certify the bound, and the evaluation cap bounds any cycle.
+minimizer. Curvature only picks points, and skipping the master changes no
+stop rule: the cuts and the screened primals certify the bound, only a
+master iteration can certify it by the cut model, and the evaluation cap
+bounds any cycle of Newton points.
 
 Primal recovery is one screen and one per-SC LP. Budget and harvest are
 linear in per-SC power, so an iterate that overspends is scaled onto P_max,
@@ -183,6 +191,7 @@ class _Engine:
         self.cols = np.arange(config.num_scs)
         self.n_evals = 0
         self.newton_steps = 0
+        self.master_solves = 0
         self.visited: list = []  # per evaluation: per-SC owner, power, rate
         self.g_min = math.inf
         self.best_obj = -math.inf  # unnormalized weighted sum rate
@@ -258,9 +267,11 @@ class _Engine:
     def cutting_plane(self) -> str:
         """Kelley's cutting plane on the dual in normalized multipliers
         y = (lambda / lam_scale, gamma / gamma0), with Newton steps choosing
-        the points. Returns why it stopped: "gap closed" or "bound
-        certified", which certify the bound to :data:`CONVERGENCE_TOL`, or
-        "evaluation cap" or "master LP failed"."""
+        the points; the master runs only where the Newton point is refused
+        (see the module docstring). Returns why it stopped: "gap closed" or
+        "bound certified", which certify the bound to
+        :data:`CONVERGENCE_TOL`, or "evaluation cap" or "master LP
+        failed"."""
         unit = np.append(self.lam_scale, self.gamma0)
         y = np.append(np.zeros(self.cfg.num_ers), 1.0)
         master = _MasterLP(np.full(y.size, 4.0))
@@ -279,22 +290,22 @@ class _Engine:
             scale = scale or g
             s = unit * sub / scale
             master.cut(s, s @ y - g / scale)
-            solution = master.solve()
-            if solution is None:
-                return "master LP failed"
-            y_master, t = solution
-            on_face = y_master >= master.upper * (1.0 - 1e-9)
-            if not on_face.any() and self.g_min / scale - t <= CONVERGENCE_TOL:
-                return "bound certified"
-            master.grow(on_face)
             y_newton = _newton_point(y, s, unit * hess * unit[:, None] / scale)
             if (y_newton is not None and np.all(y_newton <= master.upper)
                     and master.model(y_newton) < self.g_min / scale + CONVERGENCE_TOL
                     and not np.array_equal(y_newton, y)):
                 self.newton_steps += 1
                 y = y_newton
-            else:
-                y = y_master
+                continue
+            self.master_solves += 1
+            solution = master.solve()
+            if solution is None:
+                return "master LP failed"
+            y, t = solution
+            on_face = y >= master.upper * (1.0 - 1e-9)
+            if not on_face.any() and self.g_min / scale - t <= CONVERGENCE_TOL:
+                return "bound certified"
+            master.grow(on_face)
         return "evaluation cap"
 
     # -- per-SC LPs ----------------------------------------------------------
@@ -480,6 +491,9 @@ def solve_dual(config: SystemConfig, channels: ChannelRealization,
         raise InfeasibleProblemError("no feasible allocation found")
     n = config.num_scs
     gap = (eng.g_min - eng.best_obj) / n
+    # how far below 0 rounding may take the gap (see the module docstring)
+    gap_floor = float(4.0 * np.finfo(float).eps * abs(eng.g_min)
+                      + eng.lam @ (FEASIBILITY_TOL * config.harvest_target)) / n
     return SolveReport(
         objective=eng.best_obj / n,
         harvested=eng.best_q,
@@ -495,5 +509,7 @@ def solve_dual(config: SystemConfig, channels: ChannelRealization,
             "gamma": float(eng.gamma),
             "primal_source": eng.best_source,
             "newton_steps": eng.newton_steps,
+            "master_solves": eng.master_solves,
+            "gap_floor": gap_floor,
         },
     )

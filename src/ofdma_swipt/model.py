@@ -135,13 +135,15 @@ class Allocation:
     no SC can have two owners. ``assign``, ``power`` and ``split`` are
     read-only (K1, N) views of the same data."""
 
-    owner: np.ndarray  # (N,) int in [-1, K1)
+    owner: np.ndarray  # (N,) int32 in [-1, K1)
     sc_power: np.ndarray  # (N,) watts
     sc_split: np.ndarray  # (N,) in [0,1]
     num_irs: int
 
     def __post_init__(self):
-        self.owner = np.asarray(self.owner, dtype=int)
+        # int32, not int64: every report holds one, and a caller may keep
+        # thousands of reports
+        self.owner = np.asarray(self.owner, dtype=np.int32)
         self.sc_power = np.asarray(self.sc_power, dtype=float)
         self.sc_split = np.asarray(self.sc_split, dtype=float)
 

@@ -249,11 +249,12 @@ class TestSweepCommand:
         lines = out1.read_text().strip().splitlines()
         header = [l for l in lines if not l.startswith("#")][0]
         assert header == ("axis_value,trial,scheme,objective,gap,"
-                          "feasible,iterations,wallclock,converged")
+                          "feasible,iterations,wallclock,converged,stop_reason")
         rows = [l.split(",") for l in lines if not l.startswith("#")][1:]
         assert len(rows) == 4
         assert all(r[7] == "0" for r in rows)  # no timing by default
         assert all(r[8] == "1" for r in rows)
+        assert all(r[9] in ("gap closed", "bound certified") for r in rows)
 
     def test_capped_rows_flagged_not_converged(self, tmp_path):
         cfg = write_config(tmp_path, solver={"max_iter": 2})
