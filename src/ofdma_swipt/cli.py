@@ -159,9 +159,9 @@ def cmd_sweep(args) -> int:
                 feas, iters = 1, report.iterations
                 conv = int(report.metadata.get("converged", True))
                 stop = report.metadata.get("stop_reason", "")
-            except InfeasibleProblemError:
-                obj, gap, feas, iters, conv = math.nan, math.nan, 0, 0, 0
-                stop = ""
+            except InfeasibleProblemError as exc:
+                obj, gap, feas, conv = math.nan, math.nan, 0, 0
+                iters, stop = exc.evaluations, ""
             wallclock = time.perf_counter() - t0 if args.timing else 0.0
             lines.append(",".join(_fmt(v) for v in (
                 value, trial, exp.scheme, obj, gap, feas, iters, wallclock,

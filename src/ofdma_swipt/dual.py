@@ -17,11 +17,12 @@ evaluation yields a cut: its value and the subgradient (Q - Qbar, P_max -
 sum p). Kelley's method (J. SIAM 8(4), 1960) keeps the piecewise-linear model
 of all cuts and minimizes it by an LP over a box that grows whenever the
 minimizer lands on its upper face. That master LP is one warm HiGHS model
-per solve. Each cut is written in units of g at the start point and added
-once as a row that never changes. Two rules stop the loop, each certifying
-the best dual value g_min as an upper bound on the optimum to
-:data:`CONVERGENCE_TOL`; ``metadata["stop_reason"]`` names the one that
-fired:
+per solve, built at the first refused Newton point (below) with the cuts
+so far: most solves never solve a master. Each cut is written in units of g
+at the start point and added once as a row that never changes. Two rules
+stop the loop, each certifying the best dual value g_min as an upper bound
+on the optimum to :data:`CONVERGENCE_TOL`; ``metadata["stop_reason"]``
+names the one that fired:
 
 - *gap closed*, tested right after each evaluation (and the harvest LP,
   when it runs), before that iteration's next point: g_min - best_obj <=
@@ -64,7 +65,9 @@ bounds any cycle of Newton points.
 Primal recovery is one screen and one per-SC LP. Budget and harvest are
 linear in per-SC power, so an iterate that overspends is scaled onto P_max,
 its harvest with it; the screen then rejects it only if some ER falls short
-of its target by more than :data:`FEASIBILITY_TOL` of that target. The LP
+of its target by more than :data:`FEASIBILITY_TOL` of that target. Its
+score is ``model.weighted_sum_secrecy`` without the input checks, as the
+solve made every input itself. The LP
 mixes per-SC columns (Yu & Lui, IEEE Trans. Commun. 54(7), 2006): weights
 0 <= z <= 1 on columns of (SC, owner, power, rate), at most 1 in total on
 each SC, that maximize the rate within the budget and the harvest targets,
@@ -75,7 +78,8 @@ passes the screen proves the harvest targets reachable to within
 budget can deliver is met with that shortfall, not declared unreachable.
 Otherwise some target is positive, and the LP runs once, right after that
 evaluation, with one column per SC at full power: its infeasibility means
-no allocation can meet the targets, and its allocation is screened. When the
+no allocation can meet the targets (``InfeasibleProblemError`` then counts
+the evaluations run), and its allocation is screened. When the
 best screened primal's gap is still above :data:`CONVERGENCE_TOL` of |g|
 after the loop, it runs once more over the visited iterates. The best
 screened primal is returned; ``primal_source`` names it. Every LP runs on
@@ -101,8 +105,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .model import (LN2, Allocation, ChannelRealization, DomainError,
-                    SystemConfig, all_harvested_powers, optimal_split,
-                    secrecy_rate, weighted_sum_secrecy)
+                    SystemConfig, _weighted_sum_secrecy, all_harvested_powers,
+                    optimal_split)
 from . import vector
 
 _HIGHS_CORE = "scipy.optimize._highspy._core"
@@ -140,7 +144,12 @@ _Highs, HighsStatus, HighsModelStatus = (
 
 
 class InfeasibleProblemError(RuntimeError):
-    """No power allocation can satisfy the harvesting targets."""
+    """No power allocation can satisfy the harvesting targets.
+    ``evaluations`` counts the dual evaluations the solve ran first."""
+
+    def __init__(self, message: str, evaluations: int = 0):
+        super().__init__(message)
+        self.evaluations = evaluations
 
 
 #: stop once the best dual value is this close, relative to |g|, to the cut
@@ -159,14 +168,21 @@ class SolverOptions:
             raise ValueError("max_iterations must be >= 1")
 
 
-@dataclass
+#: one record per evaluation: the dual value and the screened primal (NaN
+#: where the screen rejected the iterate), both band-averaged, the total
+#: power minus P_max and the worst harvest shortfall (0 without ERs)
+TRACE_DTYPE = np.dtype([("dual", float), ("primal", float),
+                        ("power_excess", float), ("harvest_shortfall", float)])
+
+
+@dataclass(slots=True)
 class SolveReport:
     objective: float  # bits/s/Hz, band-averaged (divided by N)
     harvested: np.ndarray  # (K2,) watts
     duality_gap: float | None
     iterations: int
     allocation: Allocation
-    trace: list
+    trace: np.recarray  # TRACE_DTYPE records
     metadata: dict = field(default_factory=dict)
 
 
@@ -199,7 +215,7 @@ class _Engine:
         self.best_q: np.ndarray | None = None
         # evaluation index, "harvest LP" or "recovered"
         self.best_source: int | str | None = None
-        self.trace: list = []
+        self.trace: list = []  # per evaluation: a TRACE_DTYPE tuple
         self.lam: np.ndarray | None = None  # argmin of the visited dual values
         self.gamma: float | None = None
         # marginal-rate scale at equal power: rough inverse water level
@@ -237,24 +253,29 @@ class _Engine:
 
     def _consider_primal(self, alloc: Allocation, q: np.ndarray,
                          total: float, source: int | str) -> float:
-        pmax = self.cfg.total_power
-        if total > pmax:
+        """Screen one allocation with harvest ``q`` and total power
+        ``total``; returns its band-averaged objective, or NaN where it is
+        rejected. The allocation and its gains come from the solve, so the
+        score skips the input checks of ``weighted_sum_secrecy``."""
+        cfg = self.cfg
+        if total > cfg.total_power:
             # scaled even within the tolerance: an overspend would let the
             # primal exceed the dual bound and the gap go negative
-            scale = pmax / total
+            scale = cfg.total_power / total
             alloc = replace(alloc, sc_power=alloc.sc_power * scale)
             q = q * scale
-            total = pmax
-        target = self.cfg.harvest_target
+        target = cfg.harvest_target
         if np.any(q < target - FEASIBILITY_TOL * target):
             return math.nan
-        obj_raw = weighted_sum_secrecy(alloc, self.ch, self.cfg) * self.cfg.num_scs
+        obj_raw = _weighted_sum_secrecy(
+            alloc.owner, alloc.sc_power, alloc.sc_split, self.H, self.B,
+            cfg.weights, cfg.noise_power) * cfg.num_scs
         if obj_raw > self.best_obj:
             self.best_obj = obj_raw
             self.best_alloc = alloc
             self.best_q = q
             self.best_source = source
-        return obj_raw / self.cfg.num_scs
+        return obj_raw / cfg.num_scs
 
     # -- cutting plane -----------------------------------------------------
 
@@ -314,15 +335,18 @@ class _Engine:
         """Raise if no per-SC powers meet the harvest targets within the
         budget; else screen the mixture of one column per SC at ``p_eff``
         that maximizes sum_n max_k H[k, n] p_n, each SC given to the IR of
-        its largest weighted gain in the kernel's table. The loop calls it
-        only when the first iterate's primal misses a target."""
-        t = self.kernel.table
-        owners = t[np.argmax(self.cfg.weights[t] * self.H[t, self.cols], axis=0),
-                   self.cols]
+        its pinned IR or the first IR of its largest weighted gain, over
+        every IR: the kernel's table drops dominated pairs, which can tie
+        in weighted gain. The loop calls it only when the first iterate's
+        primal misses a target."""
+        pinned = self.kernel.skip_owner
+        owners = np.where(pinned >= 0, pinned,
+                          np.argmax(self.cfg.weights[:, None] * self.H, axis=0))
         if not self._mix(self.cols, np.full(self.cfg.num_scs, self.p_eff),
                          self.H.max(axis=0), owners, "harvest LP"):
             raise InfeasibleProblemError(
-                "harvesting targets unreachable under the power budget")
+                "harvesting targets unreachable under the power budget",
+                self.n_evals)
 
     def recover_primal(self):
         """Screen one mixture of the visited iterates (Yu & Lui), one column
@@ -423,29 +447,42 @@ def _optimal(h: _Highs) -> bool:
 
 class _MasterLP:
     """Kelley's master LP, min t over 0 <= y <= upper and s_i . y - t <= b_i
-    for every cut i, kept in one HiGHS model for the whole solve. A cut is
-    one added row that never changes; growing the box changes the bounds of
-    the grown columns only; the simplex restarts from the previous basis.
-    The cuts are also kept as arrays, to evaluate the model at a point."""
+    for every cut i, kept as arrays, to evaluate the model at a point, and
+    from its first :meth:`solve` on in one HiGHS model for the whole solve.
+    Most solves never solve a master, so that model is built only then,
+    with the cuts so far. A cut is one added row that never changes; growing
+    the box changes the bounds of the grown columns only; the simplex
+    restarts from the previous basis."""
 
     def __init__(self, upper: np.ndarray):
-        self._h = _highs()
-        self._inf = self._h.getInfinity()
         self.upper = np.array(upper, dtype=float)
-        m = self.upper.size
-        self._h.addVars(m + 1, np.append(np.zeros(m), -self._inf),
-                        np.append(self.upper, self._inf))  # y, then a free t
-        self._h.changeColCost(m, 1.0)
-        self._cols = np.arange(m + 1, dtype=np.int32)
+        self._h: _Highs | None = None
         self._s: list = []
         self._b: list = []
 
-    def cut(self, s: np.ndarray, b: float):
-        """Add the cut s . y - t <= b."""
+    def _build(self):
+        """Create the HiGHS model: y, then a free t, and a row per cut so
+        far."""
+        self._h = _highs()
+        self._inf = self._h.getInfinity()
+        m = self.upper.size
+        self._h.addVars(m + 1, np.append(np.zeros(m), -self._inf),
+                        np.append(self.upper, self._inf))
+        self._h.changeColCost(m, 1.0)
+        self._cols = np.arange(m + 1, dtype=np.int32)
+        for s, b in zip(self._s, self._b):
+            self._add_row(s, b)
+
+    def _add_row(self, s: np.ndarray, b: float):
         self._h.addRow(-self._inf, float(b), self._cols.size, self._cols,
                        np.append(s, -1.0))
+
+    def cut(self, s: np.ndarray, b: float):
+        """Add the cut s . y - t <= b."""
         self._s.append(s)
         self._b.append(b)
+        if self._h is not None:
+            self._add_row(s, b)
 
     def model(self, y: np.ndarray) -> float:
         """The cut model at ``y``: max_i s_i . y - b_i."""
@@ -460,6 +497,8 @@ class _MasterLP:
     def solve(self):
         """(y, min t) over the cuts so far, or None unless HiGHS reports the
         master optimal."""
+        if self._h is None:
+            self._build()
         if not _optimal(self._h):
             return None
         # HiGHS may return y a hair below its 0 bound
@@ -488,19 +527,21 @@ def solve_dual(config: SystemConfig, channels: ChannelRealization,
     if not eng.gap_closed():
         eng.recover_primal()
     if eng.best_alloc is None:
-        raise InfeasibleProblemError("no feasible allocation found")
+        raise InfeasibleProblemError("no feasible allocation found", eng.n_evals)
     n = config.num_scs
     gap = (eng.g_min - eng.best_obj) / n
     # how far below 0 rounding may take the gap (see the module docstring)
     gap_floor = float(4.0 * np.finfo(float).eps * abs(eng.g_min)
                       + eng.lam @ (FEASIBILITY_TOL * config.harvest_target)) / n
+    trace = np.recarray(len(eng.trace), TRACE_DTYPE)
+    trace[:] = eng.trace
     return SolveReport(
         objective=eng.best_obj / n,
         harvested=eng.best_q,
         duality_gap=gap,
         iterations=eng.n_evals,
         allocation=eng.best_alloc,
-        trace=eng.trace,
+        trace=trace,
         metadata={
             "converged": stop_reason in ("gap closed", "bound certified"),
             "stop_reason": stop_reason,

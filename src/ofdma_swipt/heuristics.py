@@ -18,8 +18,8 @@ import numpy as np
 from .model import (Allocation, ChannelRealization, SystemConfig,
                     _validate_rate_inputs, all_harvested_powers,
                     optimal_split, secrecy_rate, weighted_sum_secrecy)
-from .dual import (InfeasibleProblemError, SolveReport, SolverOptions,
-                   solve_dual)
+from .dual import (TRACE_DTYPE, InfeasibleProblemError, SolveReport,
+                   SolverOptions, solve_dual)
 
 
 class Scheme(NamedTuple):
@@ -98,7 +98,7 @@ def solve_suboptimal(config: SystemConfig,
         duality_gap=None,
         iterations=1,
         allocation=alloc,
-        trace=[],
+        trace=np.recarray(0, TRACE_DTYPE),
         metadata={"n1": n1, "n2": n2, "equal_power": p_eq},
     )
 

@@ -129,7 +129,7 @@ class ChannelRealization:
         return self.gains[self.num_irs:]
 
 
-@dataclass
+@dataclass(slots=True)
 class Allocation:
     """Per SC: the owning IR (-1 for none), transmit power and AN split, so
     no SC can have two owners. ``assign``, ``power`` and ``split`` are
@@ -267,13 +267,26 @@ def all_harvested_powers(alloc: Allocation, channels: ChannelRealization,
     return config.harvest_eff * (channels.er_gains @ alloc.sc_power)
 
 
+def _weighted_sum_secrecy(owner, power, split, ir_gains, eve_gains, weights,
+                          sigma2) -> float:
+    """Band-averaged weighted sum secrecy rate without input checks: (N,)
+    owners in [-1, K1), powers and splits, (K1, N) IR and eavesdropper
+    gains, (K1,) weights; the one sum formula."""
+    n = owner.size
+    at = owner * n + np.arange(n)  # flat (owner, SC) indexes
+    # an unassigned SC (owner -1) reads the last IR's entries; the sum runs
+    # over owned SCs only
+    rs = _secrecy_rate(power, split, ir_gains.take(at), eve_gains.take(at),
+                       sigma2)
+    owned = np.where(owner >= 0, weights.take(owner) * rs, 0.0)
+    return float(owned.sum()) / n
+
+
 def weighted_sum_secrecy(alloc: Allocation, channels: ChannelRealization,
                          config: SystemConfig) -> float:
     """Band-averaged weighted sum secrecy rate (bits/s/Hz, divided by N)."""
-    k, n = alloc.owner, np.arange(config.num_scs)
-    # an unassigned SC (k = -1) reads the last IR's entries; the sum runs
-    # over owned SCs only
-    rs = secrecy_rate(alloc.sc_power, alloc.sc_split, channels.ir_gains[k, n],
-                      channels.eve_gains[k, n], config.noise_power)
-    owned = np.where(k >= 0, config.weights[k] * rs, 0.0)
-    return float(owned.sum()) / config.num_scs
+    _validate_rate_inputs(alloc.sc_power, alloc.sc_split, config.noise_power,
+                          channels.ir_gains, channels.eve_gains)
+    return _weighted_sum_secrecy(alloc.owner, alloc.sc_power, alloc.sc_split,
+                                 channels.ir_gains, channels.eve_gains,
+                                 config.weights, config.noise_power)

@@ -8,9 +8,12 @@ split the polynomial is the quadratic with the split eliminated (a =
 optimal_split(p)), with a pinned split the fixed-split cubic (a quadratic
 at split 0 or 1). Each SC's subproblem of the dual decomposition (Yu & Lui,
 2006) is a maximum over the IRs that may own the SC: every IR, or only a
-pinned one (FSA's round robin). The kernel lists those pairs' candidates
-per SC in one table, and one first maximum over it picks every SC's
-winner; an SC skips where that value is not above 0. The dual loop builds
+pinned one (FSA's round robin). An IR that another beats in weight and
+both gains never wins that maximum, so the kernel keeps only each SC's
+undominated IRs (on the paper's draws, with equal weights, its strongest
+IR alone). It lists those pairs' candidates per SC in one table, and one
+first maximum over it picks every SC's winner; an SC skips where that
+value is not above 0. The dual loop builds
 one :class:`Kernel` per solve, which holds every price-independent quantity
 of the table's pairs, and calls it at each price vector; one pair is a
 kernel built from 1x1 gain arrays. The cap is finite, and a root is a
@@ -125,6 +128,50 @@ def _root_slopes(x, coef, d):
         return -num / dq
 
 
+def _undominated(H, B, w):
+    """(K1, N) mask of the pairs that no other IR on the same SC dominates.
+
+    IR k' dominates pair (k, n) when w' >= w, H' >= H and B' <= B, with one
+    of them strict or all three equal and k' < k. The secrecy rate rises
+    with H and falls with B at every (p, alpha), so at every price the
+    dominated pair's value is at most k''s, and the first maximum over the
+    pairs in index order never needs it. Every SC keeps at least one IR.
+    """
+    # k' (first axis) at least as good as k (second axis); all three equal
+    # where it holds both ways
+    ge = (w[:, None] >= w)[..., None] & (H[:, None] >= H) & (B[:, None] <= B)
+    earlier = np.arange(len(w))[:, None] < np.arange(len(w))
+    dominated = ge & (~ge.swapaxes(0, 1) | earlier[..., None])
+    return ~dominated.any(axis=0)
+
+
+def _joint_coefs(h, b, w):
+    """(k, d), each (3, rows): with alpha = optimal_split(p) the
+    stationarity quadratic, coefficients k + om d, highest power first:
+      LN2 om b^2 h p^2 + b (b h w + LN2 om (b + 2h)) p
+        + b w (h - b) + LN2 om (b + h)."""
+    return (np.array([np.zeros_like(h), b * b * h * w, b * w * (h - b)]),
+            np.array([LN2 * b * b * h, LN2 * b * (b + 2.0 * h),
+                      LN2 * (b + h)]))
+
+
+def _fixed_coefs(h, b, w, a):
+    """(k, d), each (4, rows), or (3, rows) where c = a (a - 1) is 0: at the
+    fixed split ``a`` the stationarity cubic, coefficients k + om d:
+      LN2 om b^2 h c p^3 + b (b h w c + LN2 om (h a^2 - b a - h)) p^2
+        + (2 b h w c - LN2 om (b (1 + a) + h (1 - a))) p
+        + (a - 1) (h - b) w - LN2 om,
+    a quadratic where c = 0."""
+    c = a * (a - 1.0)
+    k = [b * b * h * w * c, 2.0 * b * h * w * c, (a - 1.0) * (h - b) * w]
+    d = [LN2 * b * (h * a * a - b * a - h),
+         -LN2 * (b * (1.0 + a) + h * (1.0 - a)), np.full_like(h, -LN2)]
+    if c != 0.0:
+        k.insert(0, np.zeros_like(h))
+        d.insert(0, LN2 * b * b * h * c)
+    return np.array(k), np.array(d)
+
+
 class Kernel:
     """The per-SC maximization of one solve, built from the gains, weights,
     cap and optional pinned split and owners, then called with each price
@@ -135,18 +182,22 @@ class Kernel:
     total-power constraint implies); owner_fixed: (N,) owners in [0, K1); a
     call takes the (N,) prices.
 
-    ``table`` holds the IRs that may own each SC: (K1, N), or (1, N) when
-    pinned. Each table pair has one candidate row, in table order: the roots
+    ``table``, (T, N), holds the IRs that may own each SC: with free owners
+    its undominated IRs (see :func:`_undominated`) in index order, padded
+    to the largest count T by repeating the SC's first IR; (1, N) when
+    pinned. Each table pair has one candidate row, SC by SC: the roots
     of its stationarity polynomial (with a free split the quadratic with
     alpha = optimal_split(p), subregion i; else the fixed-split one), then
     its peak, the one price-free candidate. With a free split each h2 > b2
     pair has an alpha = 0 row after those: the two roots of subregion ii.
     ``order``, (C, N), gathers each SC's candidates from the flat (slot,
-    row) arrays, pair by pair in table order: the pair's row, then its
-    alpha = 0 roots, or its first slot twice where it has none. One first
-    maximum over it picks every SC's winner, so a tie goes to the earlier
-    pair and, within a pair, to its own row; a repeat never wins. A winner
-    worth <= 0 is a skip, owner ``skip_owner``: -1, or the pinned IR.
+    row) arrays, entry by entry in table order: the pair's row, then its
+    alpha = 0 roots, or its first slot twice where it has none; a padded
+    entry gathers its SC's first pair again, so it builds no row. One
+    first maximum over it picks every SC's winner, so a tie goes to the
+    earlier pair and, within a pair, to its own row; a repeat never wins. A
+    winner worth <= 0 is a skip, owner ``skip_owner``: -1, or the pinned
+    IR.
 
     Built once and read-only: the table, the rows' normalization, IRs,
     weights and caps, each row's coefficients as ``k + om d``, highest power
@@ -159,56 +210,50 @@ class Kernel:
         if not np.isfinite(p_peak):
             raise ValueError("the per-SC cap p_peak must be finite")
         H, B = np.asarray(H, dtype=float), np.asarray(B, dtype=float)
+        weights = np.array(weights, dtype=float)
         k1, n_sc = H.shape
         self.cols = np.arange(n_sc)
         if owner_fixed is None:
-            self.table = np.arange(k1)[:, None].repeat(n_sc, axis=1)
+            keep = _undominated(H, B, weights)
             self.skip_owner = np.full(n_sc, -1)
         else:
             self.skip_owner = np.array(owner_fixed, dtype=int)
-            self.table = self.skip_owner[None]
+            keep = self.skip_owner == np.arange(k1)[:, None]
         self.free = alpha_fixed is None
         self.a = a = 0.0 if self.free else float(alpha_fixed)
-        pairs = (self.table * n_sc + self.cols).ravel()
+        # the table pairs, SC by SC and each SC's in index order; entry t of
+        # SC n is the SC's pair t, or its first where it has no pair t
+        sc, ir = np.nonzero(keep.T)
+        count = keep.sum(axis=0)
+        t = np.arange(count.max())[:, None]
+        at = np.cumsum(count) - count + np.where(t < count, t, 0)
+        self.table = ir.take(at)
+        pairs = ir * n_sc + sc
         m = pairs.size
         # the row of each table pair's alpha = 0 roots: with a free split an
         # extra row after the pairs' rows where h2 > b2, else its own row
         alt = np.arange(m)
         if self.free:
             h2, b2 = H.ravel().take(pairs), B.ravel().take(pairs)
-            hgb = (h2 > b2) & ~np.isclose(h2, b2, rtol=GAIN_RTOL, atol=0.0)
+            hgb = h2 - b2 > GAIN_RTOL * b2  # above b2 by more than GAIN_RTOL
             alt[hgb] = m + np.arange(np.count_nonzero(hgb))
         rows = np.concatenate([pairs, pairs[alt >= m]])  # the pair of each row
         self.extra = rows[m:]
         self.ir, self.col = np.divmod(rows, n_sc)
         p0, h, b = normalized(H.ravel().take(rows), B.ravel().take(rows), sigma2)
         self.p0, self.h, self.b = p0, h, b
-        self.w = w = np.array(weights, dtype=float).take(self.ir)
+        self.w = w = weights.take(self.ir)
         self.pk = pk = p_peak / p0
-        # the stationarity polynomials, coefficients k + om d: with alpha =
-        # optimal_split(p) on a free split's first rows the quadratic
-        #   LN2 om b^2 h p^2 + b (b h w + LN2 om (b + 2h)) p
-        #     + b w (h - b) + LN2 om (b + h),
-        # with a fixed split on the others the cubic (c = a (a - 1))
-        #   LN2 om b^2 h c p^3 + b (b h w c + LN2 om (h a^2 - b a - h)) p^2
-        #     + (2 b h w c - LN2 om (b (1 + a) + h (1 - a))) p
-        #     + (a - 1) (h - b) w - LN2 om,
-        # a quadratic where c = 0
+        # the stationarity polynomials' coefficients, k + om d: a free
+        # split's first rows have the joint quadratic, the others the
+        # fixed-split one; only the parts with rows are computed
         self.fixed_from = j = m if self.free else 0  # the first fixed-split row
-        c = a * (a - 1.0)
-        hj, bj, wj, hf, bf, wf = h[:j], b[:j], w[:j], h[j:], b[j:], w[j:]
-        k = [np.concatenate(x) for x in zip(
-            (np.zeros(j), bj * bj * hj * wj, bj * wj * (hj - bj)),
-            (bf * bf * hf * wf * c, 2.0 * bf * hf * wf * c,
-             (a - 1.0) * (hf - bf) * wf))]
-        d = [np.concatenate(x) for x in zip(
-            (LN2 * bj * bj * hj, LN2 * bj * (bj + 2.0 * hj), LN2 * (bj + hj)),
-            (LN2 * bf * (hf * a * a - bf * a - hf),
-             -LN2 * (bf * (1.0 + a) + hf * (1.0 - a)), np.full_like(hf, -LN2)))]
-        if c != 0.0:
-            k.insert(0, np.zeros_like(hf))
-            d.insert(0, LN2 * bf * bf * hf * c)
-        self.k, self.d = np.array(k), np.array(d)
+        parts = []
+        if j:
+            parts.append(_joint_coefs(h[:j], b[:j], w[:j]))
+        if j < rows.size:
+            parts.append(_fixed_coefs(h[j:], b[j:], w[j:], a))
+        self.k, self.d = (np.concatenate(x, axis=1) for x in zip(*parts))
         # the price-free candidate: each row's peak
         self.p_fix = p_fix = pk[None]
         self.zero = np.zeros_like(p_fix)  # the price-free slopes
@@ -219,13 +264,13 @@ class Kernel:
         # pair (h2 < b2) at its peak reports split 0, not 1
         self.a_fix = (np.where(self.rate_fix > 0.0, a_fix, 0.0) if self.free
                       else a_fix)
-        # each SC's candidates: per table pair its slots (roots, then peak),
-        # then its alpha = 0 roots, or its first slot twice
+        # each SC's candidates: per table entry its pair's slots (roots, then
+        # peak), then its alpha = 0 roots, or its first slot twice
         n_row = rows.size
         own = np.arange(len(self.k))[:, None] * n_row + np.arange(m)
         if n_row > m:
             own = np.vstack([own, alt, np.where(alt >= m, alt + n_row, alt)])
-        self.order = own.reshape(-1, len(self.table), n_sc).swapaxes(0, 1).reshape(-1, n_sc)
+        self.order = own[:, at].swapaxes(0, 1).reshape(-1, n_sc)
         for v in vars(self).values():
             if isinstance(v, np.ndarray):
                 v.setflags(write=False)

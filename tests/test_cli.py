@@ -277,6 +277,20 @@ class TestSweepCommand:
         assert rows[0][5] == "1" and rows[1][5] == "0"
         assert rows[1][3] == "nan"
 
+    def test_infeasible_row_counts_its_evaluations(self, tmp_path):
+        # the solve evaluates the dual, then the harvest LP proves the
+        # target unreachable; the row records that evaluation
+        paper = os.path.join(os.path.dirname(__file__), "..", "configs",
+                             "paper.yaml")
+        out = tmp_path / "inf.csv"
+        assert main(["sweep", "--config", paper, "--axis", "Qbar",
+                     "--values", "1e12", "--trials", "1",
+                     "--out", str(out)]) == EXIT_OK
+        rows = [l.split(",") for l in out.read_text().splitlines()
+                if not l.startswith("#")][1:]
+        assert [r[5] for r in rows] == ["0"]
+        assert int(rows[0][6]) >= 1
+
     def test_objective_reproducible_by_solve(self, tmp_path):
         cfg = write_config(tmp_path)
         out_csv = tmp_path / "d.csv"

@@ -133,8 +133,21 @@ class TestSolveOptimal:
     def test_dual_trace_upper_bounds_primal(self):
         cfg = paper_system(n_sc=8)
         rep = solve(cfg, paper_channels(cfg, seed=3))
-        dual_values = [row[0] for row in rep.trace]
+        dual_values = rep.trace.dual
         assert min(dual_values) >= rep.objective - 1e-9
+
+    def test_trace_is_one_record_array(self):
+        # one TRACE_DTYPE record per evaluation, owning its memory; fields
+        # by name or by position; the dual-free heuristic has none
+        cfg = paper_system(n_sc=8)
+        ch = paper_channels(cfg, seed=3)
+        rep = solve(cfg, ch)
+        assert rep.trace.dtype.names == dual.TRACE_DTYPE.names
+        assert rep.trace.shape == (rep.iterations,) and rep.trace.base is None
+        assert rep.trace[0][0] == rep.trace.dual[0]
+        assert np.isnan(rep.trace.primal).sum() < rep.iterations
+        sub = solve(cfg, ch, "suboptimal").trace
+        assert sub.shape == (0,) and sub.dtype.names == dual.TRACE_DTYPE.names
 
     def test_infeasible_targets_raise(self):
         cfg = paper_system(n_sc=8, qbar_uw=1e9)
@@ -365,19 +378,43 @@ class TestHarvestLP:
         assert np.max(np.abs(z * eng.p_eff - ref.x)) <= 1e-12 * cfg.total_power
 
 
+    def test_owners_are_first_best_weighted_gain(self, monkeypatch):
+        # SC 0: IRs 0 and 1 tie in weight and gain, and IR 1's eavesdropper
+        # is weaker, so the kernel's table drops IR 0; the mixture still
+        # gives each SC the first IR of its largest weighted gain
+        cfg = paper_system(n_sc=8, k1=3)
+        ch = paper_channels(cfg, 0)
+        ch.gains[:2, 0] = 2.0 * ch.ir_gains[:, 0].max()
+        ch.eve_gains[1, 0] = 0.5 * ch.eve_gains[0, 0]
+        eng = dual._Engine(cfg, ch, SolverOptions())
+        assert 0 not in eng.kernel.table[:, 0]
+        owners = []
+        mix = dual._Engine._mix
+
+        def spy(eng, sc, power, rate, owner, source):
+            owners.append(owner)
+            return mix(eng, sc, power, rate, owner, source)
+
+        monkeypatch.setattr(dual._Engine, "_mix", spy)
+        eng.harvest_lp_primal()
+        assert owners[0].tolist() == np.argmax(ch.ir_gains, axis=0).tolist()
+        assert owners[0][0] == 0
+
+
 class TestMasterFailure:
     """A master that HiGHS does not solve to optimality ends the loop
     uncertified: the solve returns ``converged`` False and the CLI exits 4."""
 
     @pytest.fixture(autouse=True)
     def failing_master(self, monkeypatch):
-        init = dual._MasterLP.__init__
+        # the HiGHS model is built at the first master solve
+        build = dual._MasterLP._build
 
-        def out_of_time(self, upper):
-            init(self, upper)
+        def out_of_time(self):
+            build(self)
             self._h.setOptionValue("time_limit", 0.0)  # kTimeLimit at once
 
-        monkeypatch.setattr(dual._MasterLP, "__init__", out_of_time)
+        monkeypatch.setattr(dual._MasterLP, "_build", out_of_time)
 
     # noan refuses the Newton point at its first evaluation on these draws,
     # so its loop reaches the master there; optimal's Newton points close
@@ -467,7 +504,7 @@ class TestPrimalSource:
         rep = solve(cfg, paper_channels(cfg, 0))
         source = rep.metadata["primal_source"]
         assert isinstance(source, int) and 1 <= source <= rep.iterations
-        assert rep.trace[source - 1][1] == rep.objective
+        assert rep.trace[source - 1].primal == rep.objective
 
 
 class TestRecovery:

@@ -2,6 +2,8 @@
 domain and boundary cases, reuse of one kernel across prices, and an
 independent power-grid oracle for the fixed-split path."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -249,7 +251,10 @@ def test_extra_rows_at_scale(monkeypatch):
         edge = -w[ir] * b * (h - b) / (LN2 * s2 * (2.0 * h - b))
         prices.append(edge)
         kern = vector.Kernel(H, B, s2, w, cfg.total_power)
-        assert kern.extra.tolist() == sorted(ir * cfg.num_scs + sc)
+        # the table keeps each SC's strongest IR only, so its extra rows
+        # are in SC order
+        assert kern.table.tolist() == [ir.tolist()]
+        assert kern.extra.tolist() == (ir * cfg.num_scs + sc).tolist()
         for om in prices:
             owner, *got = kern(om)
             for j, k in enumerate(owner):
@@ -276,3 +281,118 @@ def test_extra_rows_at_scale(monkeypatch):
         ref = w[ir] * secrecy_rate(p_edge, 0.0, h, b, s2) + p_edge * edge
         assert cap.any() and np.all((v >= ref - 1e-12 * np.abs(ref))[cap])
     assert min(won.values()) > 0, won
+
+
+def _first_best(H, B, w, cap, alpha, om, j):
+    """SC ``j``'s (owner, p, alpha, value, dp/domega) as the first best of
+    its K1 one-pair kernels in index order, or the skip, and each pair's
+    value."""
+    outs = [vector.Kernel([[H[k, j]]], [[B[k, j]]], 1.0, [w[k]], cap,
+                          alpha)(om[j:j + 1]) for k in range(len(w))]
+    values = [o[3][0] for o in outs]
+    k = int(np.argmax(values))
+    best = [x[0] for x in outs[k]]
+    best[0] = k if best[0] == 0 else -1
+    return best, values
+
+
+def _ulps(x, y):
+    return abs(x - y) / np.spacing(max(abs(x), abs(y)))
+
+
+def test_undominated_table_is_first_best_over_one_pair_kernels(rng):
+    # the table keeps each SC's undominated IRs, so every SC is the first
+    # best of its K1 one-pair kernels, to the bit; where that winner has
+    # rate 0 (a peak scoring p omega) a dominated pair may tie it in real
+    # arithmetic, and the value and power agree within 4 ulps
+    cap, zero_rate = 10.0, 0
+    for i in range(400):
+        k1, n = int(rng.integers(1, 7)), int(rng.integers(1, 9))
+        H = 10.0 ** rng.uniform(-2, 2, size=(k1, n))
+        B = 10.0 ** rng.uniform(-2, 2, size=(k1, n))
+        w = rng.choice([0.5, 1.0, 2.0], size=k1)  # equal weights
+        if k1 > 1:
+            a, b = rng.choice(k1, size=2, replace=False)
+            j = int(rng.integers(n))
+            H[a, j] = H[b, j]  # an exactly equal gain
+            B[b, (j + 1) % n] = B[a, (j + 1) % n]
+            if i % 3 == 0:
+                H[a], B[a] = H[b], B[b]  # a duplicated IR
+        if n > 1 and i % 4 == 0:
+            H[:, -1], B[:, -1] = H[:, 0], B[:, 0]  # a duplicated SC
+        alpha = (None, 0.0, 0.5, float(rng.uniform()))[i % 4]
+        om = rng.uniform(-1.0, 1.0, size=n)
+        kern = vector.Kernel(H, B, 1.0, w, cap, alpha)
+        got = kern(om)
+        for j in range(n):
+            keep = [k for k in range(k1) if not any(
+                w[o] >= w[k] and H[o, j] >= H[k, j] and B[o, j] <= B[k, j]
+                and (o < k or (w[o], H[o, j], B[o, j]) != (w[k], H[k, j], B[k, j]))
+                for o in range(k1) if o != k)]
+            assert sorted(set(kern.table[:, j])) == keep
+            assert kern.table[:len(keep), j].tolist() == keep
+            ref, values = _first_best(H, B, w, cap, alpha, om, j)
+            out = [x[j] for x in got]
+            k = ref[0]
+            if k >= 0 and secrecy_rate(ref[1], ref[2], H[k, j], B[k, j],
+                                       1.0) == 0.0:
+                zero_rate += 1
+                assert out[0] >= 0 and _ulps(values[out[0]], ref[3]) <= 4
+                assert _ulps(out[1], ref[1]) <= 4 and _ulps(out[3], ref[3]) <= 4
+                assert (out[2], out[4]) == (ref[2], ref[4])
+                continue
+            assert [np.float64(x).tobytes() for x in out] == [
+                np.float64(x).tobytes() for x in ref], (i, j)
+    assert zero_rate > 0
+
+
+@pytest.mark.parametrize("k2", [4, 0])
+def test_paper_draws_keep_one_pair_per_sc(k2):
+    # with equal weights each SC's strongest IR dominates the others
+    cfg = paper_system(k2=k2)
+    for seed in range(20):
+        ch = paper_channels(cfg, seed)
+        kern = vector.Kernel(ch.ir_gains, ch.eve_gains, cfg.noise_power,
+                             cfg.weights, cfg.total_power)
+        assert kern.table.shape == (1, cfg.num_scs)
+        assert kern.table[0].tolist() == np.argmax(ch.ir_gains, axis=0).tolist()
+
+
+def test_padded_entries_repeat_their_first_pair(monkeypatch):
+    # unequal weights leave 1-3 IRs per SC; an SC with fewer than the most
+    # repeats its first pair's candidates after its own, so the first
+    # maximum never picks them, and the SC is the kernel of its own column,
+    # which has no padding, to the bit
+    cfg = replace(paper_system(), weights=np.array([1.0, 2.0, 0.5, 1.0]))
+    prices = []
+    call = vector.Kernel.__call__
+
+    def recording(kern, omega):
+        prices.append(np.array(omega))
+        return call(kern, omega)
+
+    monkeypatch.setattr(vector.Kernel, "__call__", recording)
+    ch = paper_channels(cfg, 0)
+    solve(cfg, ch)
+    monkeypatch.undo()
+    args = (ch.ir_gains, ch.eve_gains, cfg.noise_power, cfg.weights,
+            cfg.total_power)
+    for alpha in (None, 0.5):
+        kern = vector.Kernel(*args, alpha)
+        t = kern.table
+        padded = (np.arange(len(t))[:, None] > 0) & (t == t[0])
+        assert 0 < padded.sum() and len(t) > 1
+        # padded entries repeat the first pair's slots of the same SC
+        order = kern.order.reshape(len(t), -1, cfg.num_scs)
+        first = np.broadcast_to(order[:1], order.shape)
+        assert np.array_equal(order.swapaxes(1, 2)[padded],
+                              first.swapaxes(1, 2)[padded])
+        for om in prices:
+            got = kern(om)
+            for j in np.flatnonzero(padded.any(axis=0)):
+                one = vector.Kernel(*(x[:, j:j + 1] for x in args[:2]),
+                                    *args[2:], alpha)
+                assert one.table.shape[0] < len(t)
+                ref = one(om[j:j + 1])
+                assert [x[j].tobytes() for x in got] == [y[0].tobytes()
+                                                         for y in ref]
