@@ -66,8 +66,8 @@ Primal recovery is one screen and one per-SC LP. Budget and harvest are
 linear in per-SC power, so an iterate that overspends is scaled onto P_max,
 its harvest with it; the screen then rejects it only if some ER falls short
 of its target by more than :data:`FEASIBILITY_TOL` of that target. Its
-score is ``model.weighted_sum_secrecy`` without the input checks, as the
-solve made every input itself. The LP
+score is ``model.weighted_sum_secrecy`` before the division by N and
+without the input checks, as the solve made every input itself. The LP
 mixes per-SC columns (Yu & Lui, IEEE Trans. Commun. 54(7), 2006): weights
 0 <= z <= 1 on columns of (SC, owner, power, rate), at most 1 in total on
 each SC, that maximize the rate within the budget and the harvest targets,
@@ -171,8 +171,9 @@ class SolverOptions:
 #: one record per evaluation: the dual value and the screened primal (NaN
 #: where the screen rejected the iterate), both band-averaged, the total
 #: power minus P_max and the worst harvest shortfall (0 without ERs)
-TRACE_DTYPE = np.dtype([("dual", float), ("primal", float),
-                        ("power_excess", float), ("harvest_shortfall", float)])
+TRACE_DTYPE = np.dtype((np.record, [("dual", float), ("primal", float),
+                                    ("power_excess", float),
+                                    ("harvest_shortfall", float)]))
 
 
 @dataclass(slots=True)
@@ -182,7 +183,7 @@ class SolveReport:
     duality_gap: float | None
     iterations: int
     allocation: Allocation
-    trace: np.recarray  # TRACE_DTYPE records
+    trace: np.ndarray  # TRACE_DTYPE records
     metadata: dict = field(default_factory=dict)
 
 
@@ -269,7 +270,7 @@ class _Engine:
             return math.nan
         obj_raw = _weighted_sum_secrecy(
             alloc.owner, alloc.sc_power, alloc.sc_split, self.H, self.B,
-            cfg.weights, cfg.noise_power) * cfg.num_scs
+            cfg.weights, cfg.noise_power)
         if obj_raw > self.best_obj:
             self.best_obj = obj_raw
             self.best_alloc = alloc
@@ -365,31 +366,23 @@ class _Engine:
         to the owner of its largest weight at the mean power sum z power,
         with the optimal or the pinned split. Budget and harvest are linear
         in per-SC power, so the rounding keeps both."""
-        cfg, n, m, k = self.cfg, self.cfg.num_scs, self.cfg.num_ers, sc.size
-        first = np.unique(sc, return_index=True)[1]
-        shared = np.flatnonzero(np.bincount(sc, minlength=n)[sc] > 1)
-        # rows: one per SC of two or more columns, the budget, the harvest
-        # targets; each in units of its right-hand side
+        cfg, n = self.cfg, self.cfg.num_scs
+        scs, first, count = np.unique(sc, return_index=True, return_counts=True)
+        # rows: sum z <= 1 on each SC of two or more columns, the budget, the
+        # harvest targets; each in units of its right-hand side
         rhs = np.where(cfg.harvest_target > 0, cfg.harvest_target, 1.0)
-        values = np.concatenate([np.ones(shared.size), power / cfg.total_power,
-                                 (self.zg[:, sc] * power / rhs[:, None]).ravel()])
-        starts = np.append(np.unique(sc[shared], return_index=True)[1],
-                           shared.size + k * np.arange(m + 1))
-        c = starts.size - m  # convexity rows and the budget
-        h = _highs()
-        inf = h.getInfinity()
-        cols = np.arange(k, dtype=np.int32)
-        h.addVars(k, np.zeros(k), np.ones(k))
-        h.changeColsCost(k, cols, -rate)
-        h.addRows(c + m, np.append(np.full(c, -inf), cfg.harvest_target / rhs),
-                  np.append(np.ones(c), np.full(m, inf)), values.size,
-                  starts.astype(np.int32),
-                  np.concatenate([shared, np.tile(cols, m + 1)]).astype(np.int32),
-                  values)
-        if not _optimal(h):
+        shared = (sc == scs[count > 1, None]).astype(float)
+        h = _highs(np.zeros(sc.size), np.ones(sc.size), -rate)
+        _add_rows(h, np.concatenate([np.full(len(shared) + 1, -np.inf),
+                                     cfg.harvest_target / rhs]),
+                  np.concatenate([np.ones(len(shared) + 1),
+                                  np.full(cfg.num_ers, np.inf)]),
+                  np.vstack([shared, power / cfg.total_power,
+                             self.zg[:, sc] * power / rhs[:, None]]))
+        solution = _solve(h)
+        if solution is None:
             return False
-        # HiGHS may return z a hair below its 0 bound
-        z = np.maximum(h.getSolution().col_value, 0.0)
+        z = solution[0]
         # per SC, the column of the largest weight comes first; ties go to
         # the earliest column
         lead = np.lexsort((-z, sc))[first]
@@ -423,70 +416,72 @@ def _newton_point(y: np.ndarray, s: np.ndarray, hess: np.ndarray):
     return np.maximum(y + step, 0.0)
 
 
-def _highs() -> _Highs:
-    """An empty, silent HiGHS model with primal and dual feasibility
-    tolerances of 1e-10, on scipy's bundled binding: a private API, loaded
-    from its file by :func:`_load_highs_core` (see the scipy range in
-    pyproject.toml). The master and every per-SC LP share this setting:
-    the master works in units of g at its start point, and a per-SC LP has
-    no bound or right-hand side above 1, so both tolerances are relative,
-    well inside the screen's :data:`FEASIBILITY_TOL` share."""
+def _highs(lower: np.ndarray, upper: np.ndarray, cost: np.ndarray) -> _Highs:
+    """A silent HiGHS model, primal and dual feasibility tolerances 1e-10,
+    with one column per entry of ``lower``, ``upper`` and ``cost``, and no
+    rows; on scipy's bundled binding, a private API loaded from its file by
+    :func:`_load_highs_core` (see the scipy range in pyproject.toml), whose
+    infinite bound is ``inf``. The master and every per-SC LP share this
+    setting: the master works in units of g at its start point, and a
+    per-SC LP has no bound or right-hand side above 1, so both tolerances
+    are relative, well inside the screen's :data:`FEASIBILITY_TOL` share."""
     h = _Highs()
     for name, value in (("output_flag", False),
                         ("primal_feasibility_tolerance", 1e-10),
                         ("dual_feasibility_tolerance", 1e-10)):
         h.setOptionValue(name, value)
+    n = len(cost)
+    h.addVars(n, lower, upper)
+    h.changeColsCost(n, np.arange(n, dtype=np.int32), cost)
     return h
 
 
-def _optimal(h: _Highs) -> bool:
-    """Run ``h``; True when HiGHS reports the model optimal."""
-    return (h.run() != HighsStatus.kError
-            and h.getModelStatus() == HighsModelStatus.kOptimal)
+def _add_rows(h: _Highs, lower: np.ndarray, upper: np.ndarray,
+              rows: np.ndarray):
+    """Add the rows ``lower <= rows @ x <= upper`` to ``h``, ``rows`` a
+    dense (rows, columns) matrix of which only the nonzero entries are
+    sent."""
+    r, c = np.nonzero(rows)
+    starts = np.searchsorted(r, np.arange(len(rows)))
+    h.addRows(len(rows), lower, upper, r.size, starts.astype(np.int32),
+              c.astype(np.int32), rows[r, c])
+
+
+def _solve(h: _Highs):
+    """Run ``h``: its solution, clipped at 0 (HiGHS may return a column a
+    hair below its 0 bound), and its objective value; None unless HiGHS
+    reports the model optimal."""
+    if (h.run() == HighsStatus.kError
+            or h.getModelStatus() != HighsModelStatus.kOptimal):
+        return None
+    return (np.maximum(h.getSolution().col_value, 0.0),
+            h.getObjectiveValue())
 
 
 class _MasterLP:
     """Kelley's master LP, min t over 0 <= y <= upper and s_i . y - t <= b_i
-    for every cut i, kept as arrays, to evaluate the model at a point, and
-    from its first :meth:`solve` on in one HiGHS model for the whole solve.
-    Most solves never solve a master, so that model is built only then,
-    with the cuts so far. A cut is one added row that never changes; growing
-    the box changes the bounds of the grown columns only; the simplex
-    restarts from the previous basis."""
+    for every cut i. :meth:`cut` stores the row (s_i, -1) and its bound
+    b_i, which :meth:`model` evaluates at a point. Most solves never solve
+    a master, so its HiGHS model is created at the first :meth:`solve`;
+    each solve adds the cuts stored since the previous one as rows that
+    never change and restarts the simplex from the previous basis. Growing
+    the box changes the bounds of the grown columns only."""
 
     def __init__(self, upper: np.ndarray):
         self.upper = np.array(upper, dtype=float)
         self._h: _Highs | None = None
-        self._s: list = []
+        self._rows: list = []
         self._b: list = []
-
-    def _build(self):
-        """Create the HiGHS model: y, then a free t, and a row per cut so
-        far."""
-        self._h = _highs()
-        self._inf = self._h.getInfinity()
-        m = self.upper.size
-        self._h.addVars(m + 1, np.append(np.zeros(m), -self._inf),
-                        np.append(self.upper, self._inf))
-        self._h.changeColCost(m, 1.0)
-        self._cols = np.arange(m + 1, dtype=np.int32)
-        for s, b in zip(self._s, self._b):
-            self._add_row(s, b)
-
-    def _add_row(self, s: np.ndarray, b: float):
-        self._h.addRow(-self._inf, float(b), self._cols.size, self._cols,
-                       np.append(s, -1.0))
 
     def cut(self, s: np.ndarray, b: float):
         """Add the cut s . y - t <= b."""
-        self._s.append(s)
+        self._rows.append(np.append(s, -1.0))
         self._b.append(b)
-        if self._h is not None:
-            self._add_row(s, b)
 
     def model(self, y: np.ndarray) -> float:
         """The cut model at ``y``: max_i s_i . y - b_i."""
-        return float(np.max(np.array(self._s) @ y - np.array(self._b)))
+        return float(np.max(np.array(self._rows)[:, :-1] @ y
+                            - np.array(self._b)))
 
     def grow(self, on_face: np.ndarray):
         """Quadruple the box on the faces ``on_face`` marks."""
@@ -496,14 +491,17 @@ class _MasterLP:
 
     def solve(self):
         """(y, min t) over the cuts so far, or None unless HiGHS reports the
-        master optimal."""
+        master optimal. t is free, so it is read from the objective."""
         if self._h is None:
-            self._build()
-        if not _optimal(self._h):
-            return None
-        # HiGHS may return y a hair below its 0 bound
-        y = np.maximum(self._h.getSolution().col_value[:-1], 0.0)
-        return y, self._h.getObjectiveValue()
+            m = self.upper.size
+            self._h = _highs(np.append(np.zeros(m), -np.inf),
+                             np.append(self.upper, np.inf),
+                             np.append(np.zeros(m), 1.0))
+        new = slice(self._h.getNumRow(), None)  # cuts since the last solve
+        _add_rows(self._h, np.full(len(self._b[new]), -np.inf),
+                  np.array(self._b[new]), np.array(self._rows[new]))
+        solution = _solve(self._h)
+        return None if solution is None else (solution[0][:-1], solution[1])
 
 
 def solve_dual(config: SystemConfig, channels: ChannelRealization,
@@ -533,15 +531,13 @@ def solve_dual(config: SystemConfig, channels: ChannelRealization,
     # how far below 0 rounding may take the gap (see the module docstring)
     gap_floor = float(4.0 * np.finfo(float).eps * abs(eng.g_min)
                       + eng.lam @ (FEASIBILITY_TOL * config.harvest_target)) / n
-    trace = np.recarray(len(eng.trace), TRACE_DTYPE)
-    trace[:] = eng.trace
     return SolveReport(
         objective=eng.best_obj / n,
         harvested=eng.best_q,
         duality_gap=gap,
         iterations=eng.n_evals,
         allocation=eng.best_alloc,
-        trace=trace,
+        trace=np.array(eng.trace, TRACE_DTYPE),
         metadata={
             "converged": stop_reason in ("gap closed", "bound certified"),
             "stop_reason": stop_reason,

@@ -98,7 +98,7 @@ def solve_suboptimal(config: SystemConfig,
         duality_gap=None,
         iterations=1,
         allocation=alloc,
-        trace=np.recarray(0, TRACE_DTYPE),
+        trace=np.array([], TRACE_DTYPE),
         metadata={"n1": n1, "n2": n2, "equal_power": p_eq},
     )
 

@@ -91,14 +91,9 @@ def eavesdropper_gains(gains: np.ndarray, num_irs: int | None = None) -> np.ndar
         raise DomainError("need at least two receivers for an eavesdropper to exist")
     if num_irs is None:
         num_irs = K
-    # top-2 values per column; max-of-others is the runner-up for the argmax row
-    order = np.argsort(gains, axis=0)
-    top = gains[order[-1], np.arange(gains.shape[1])]
-    second = gains[order[-2], np.arange(gains.shape[1])]
-    out = np.broadcast_to(top, (num_irs, gains.shape[1])).copy()
-    is_top = order[-1][None, :] == np.arange(num_irs)[:, None]
-    out[is_top] = np.broadcast_to(second, out.shape)[is_top]
-    return out
+    # max-of-others is the top value, or the runner-up on the row holding it
+    second, top = np.sort(gains, axis=0)[-2:]
+    return np.where(gains[:num_irs] == top, second, top)
 
 
 @dataclass
@@ -216,7 +211,7 @@ def threshold_x(alpha, h2, b2, sigma2):
 
 def _threshold(alpha, h2, b2, sigma2):
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        finite = (sigma2 / alpha) * (1.0 / h2 - 1.0 / b2)
+        finite = np.divide(sigma2, alpha) * (1.0 / h2 - 1.0 / b2)
     at_zero = np.where(b2 >= h2, np.inf, -np.inf)
     return np.where(alpha == 0.0, at_zero, finite)
 
@@ -249,16 +244,17 @@ def secrecy_rate(p, alpha, h2, b2, sigma2):
 
 
 def optimal_split(p, h2, b2, sigma2):
-    """Best split ratio at fixed power: [1/2 + (s/2p)(1/h2 - 1/b2)] clipped
-    to [0, 1].
+    """Best split ratio at fixed power: a = 1/2 + (s/2p)(1/h2 - 1/b2),
+    clipped at 0, and 0 where a >= 1.
 
-    Values above one only arise inside the zero-rate region, where the
-    secrecy rate is zero whatever the split, so the clip is harmless there;
-    wherever the rate is positive the result is below one.
+    a >= 1 exactly where p <= s (1/h2 - 1/b2), the zero-rate region, where
+    no split has secrecy rate: sending no artificial noise there costs
+    nothing, so the split is 0, the one rule for a rate-free SC. Wherever
+    the rate is positive, a < 1.
     """
     with np.errstate(divide="ignore", invalid="ignore"):
         a = 0.5 + (sigma2 / (2.0 * p)) * (1.0 / h2 - 1.0 / b2)
-    return np.clip(a, 0.0, 1.0)
+    return np.maximum(np.where(a >= 1.0, 0.0, a), 0.0)
 
 
 def all_harvested_powers(alloc: Allocation, channels: ChannelRealization,
@@ -269,9 +265,9 @@ def all_harvested_powers(alloc: Allocation, channels: ChannelRealization,
 
 def _weighted_sum_secrecy(owner, power, split, ir_gains, eve_gains, weights,
                           sigma2) -> float:
-    """Band-averaged weighted sum secrecy rate without input checks: (N,)
-    owners in [-1, K1), powers and splits, (K1, N) IR and eavesdropper
-    gains, (K1,) weights; the one sum formula."""
+    """Weighted sum secrecy rate over the band, not divided by N, without
+    input checks: (N,) owners in [-1, K1), powers and splits, (K1, N) IR
+    and eavesdropper gains, (K1,) weights; the one sum formula."""
     n = owner.size
     at = owner * n + np.arange(n)  # flat (owner, SC) indexes
     # an unassigned SC (owner -1) reads the last IR's entries; the sum runs
@@ -279,7 +275,7 @@ def _weighted_sum_secrecy(owner, power, split, ir_gains, eve_gains, weights,
     rs = _secrecy_rate(power, split, ir_gains.take(at), eve_gains.take(at),
                        sigma2)
     owned = np.where(owner >= 0, weights.take(owner) * rs, 0.0)
-    return float(owned.sum()) / n
+    return float(owned.sum())
 
 
 def weighted_sum_secrecy(alloc: Allocation, channels: ChannelRealization,
@@ -289,4 +285,5 @@ def weighted_sum_secrecy(alloc: Allocation, channels: ChannelRealization,
                           channels.ir_gains, channels.eve_gains)
     return _weighted_sum_secrecy(alloc.owner, alloc.sc_power, alloc.sc_split,
                                  channels.ir_gains, channels.eve_gains,
-                                 config.weights, config.noise_power)
+                                 config.weights,
+                                 config.noise_power) / config.num_scs

@@ -257,13 +257,9 @@ class Kernel:
         # the price-free candidate: each row's peak
         self.p_fix = p_fix = pk[None]
         self.zero = np.zeros_like(p_fix)  # the price-free slopes
-        a_fix = (optimal_split(p_fix, h, b, 1.0) if self.free
-                 else np.full_like(p_fix, a))
-        self.rate_fix = self.w * _secrecy_rate(p_fix, a_fix, h, b, 1.0)
-        # a free split sends no noise without secrecy rate: an energy-only
-        # pair (h2 < b2) at its peak reports split 0, not 1
-        self.a_fix = (np.where(self.rate_fix > 0.0, a_fix, 0.0) if self.free
-                      else a_fix)
+        self.a_fix = (optimal_split(p_fix, h, b, 1.0) if self.free
+                      else np.full_like(p_fix, a))
+        self.rate_fix = self.w * _secrecy_rate(p_fix, self.a_fix, h, b, 1.0)
         # each SC's candidates: per table entry its pair's slots (roots, then
         # peak), then its alpha = 0 roots, or its first slot twice
         n_row = rows.size

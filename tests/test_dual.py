@@ -133,7 +133,7 @@ class TestSolveOptimal:
     def test_dual_trace_upper_bounds_primal(self):
         cfg = paper_system(n_sc=8)
         rep = solve(cfg, paper_channels(cfg, seed=3))
-        dual_values = rep.trace.dual
+        dual_values = rep.trace["dual"]
         assert min(dual_values) >= rep.objective - 1e-9
 
     def test_trace_is_one_record_array(self):
@@ -144,8 +144,8 @@ class TestSolveOptimal:
         rep = solve(cfg, ch)
         assert rep.trace.dtype.names == dual.TRACE_DTYPE.names
         assert rep.trace.shape == (rep.iterations,) and rep.trace.base is None
-        assert rep.trace[0][0] == rep.trace.dual[0]
-        assert np.isnan(rep.trace.primal).sum() < rep.iterations
+        assert rep.trace[0][0] == rep.trace["dual"][0]
+        assert np.isnan(rep.trace["primal"]).sum() < rep.iterations
         sub = solve(cfg, ch, "suboptimal").trace
         assert sub.shape == (0,) and sub.dtype.names == dual.TRACE_DTYPE.names
 
@@ -353,8 +353,8 @@ class TestHarvestLP:
         models = []
         make = dual._highs
 
-        def recording():
-            models.append(make())
+        def recording(*args):
+            models.append(make(*args))
             return models[-1]
 
         monkeypatch.setattr(dual, "_highs", recording)
@@ -407,14 +407,21 @@ class TestMasterFailure:
 
     @pytest.fixture(autouse=True)
     def failing_master(self, monkeypatch):
-        # the HiGHS model is built at the first master solve
-        build = dual._MasterLP._build
+        # the master's HiGHS model is created at its first solve; only that
+        # model runs out of time, not the harvest LP's
+        make, solve = dual._highs, dual._MasterLP.solve
 
-        def out_of_time(self):
-            build(self)
-            self._h.setOptionValue("time_limit", 0.0)  # kTimeLimit at once
+        def out_of_time(*args):
+            h = make(*args)
+            h.setOptionValue("time_limit", 0.0)  # kTimeLimit at once
+            return h
 
-        monkeypatch.setattr(dual._MasterLP, "_build", out_of_time)
+        def failing(self):
+            with monkeypatch.context() as m:
+                m.setattr(dual, "_highs", out_of_time)
+                return solve(self)
+
+        monkeypatch.setattr(dual._MasterLP, "solve", failing)
 
     # noan refuses the Newton point at its first evaluation on these draws,
     # so its loop reaches the master there; optimal's Newton points close
@@ -525,6 +532,29 @@ class TestRecovery:
         rep.allocation.validate(cfg)
         q = all_harvested_powers(rep.allocation, ch, cfg)
         assert np.all(q >= cfg.harvest_target * (1.0 - dual.FEASIBILITY_TOL))
+
+    @pytest.mark.parametrize("scheme, qbar_uw, seed, objective", [
+        ("optimal", 900.0, 0, 2.7517168287173224),
+        ("fsa", 900.0, 5, 1.905779426480568),
+        ("fsa", 1000.0, 1, 2.9448952566043713)],
+        ids=["optimal-900uW-draw-0", "fsa-900uW-draw-5", "fsa-1000uW-draw-1"])
+    def test_rate_free_scs_send_no_noise(self, scheme, qbar_uw, seed,
+                                         objective):
+        # the rounded mixture takes each SC's split from optimal_split, which
+        # is 0 where the SC has no secrecy rate at its power; on these draws
+        # one owned SC has none, and the objective is as before
+        cfg = paper_system(qbar_uw=qbar_uw)
+        ch = paper_channels(cfg, seed)
+        rep = solve(cfg, ch, scheme)
+        assert rep.metadata["primal_source"] == "recovered"
+        assert rep.objective == objective
+        alloc = rep.allocation
+        on = np.flatnonzero(alloc.owner >= 0)
+        rate = secrecy_rate(alloc.sc_power[on], alloc.sc_split[on],
+                            ch.ir_gains[alloc.owner[on], on],
+                            ch.eve_gains[alloc.owner[on], on], cfg.noise_power)
+        assert np.count_nonzero(rate == 0.0) >= 1
+        assert np.all(alloc.sc_split[on[rate == 0.0]] == 0.0)
 
     def test_not_run_once_gap_closed(self, monkeypatch):
         calls = []

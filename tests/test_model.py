@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from ofdma_swipt import (Allocation, ChannelRealization, DomainError,
                          SystemConfig, eavesdropper_gains,
                          noncancel_secrecy_rate, rate_eve, rate_ir,
-                         secrecy_rate, threshold_x, weighted_sum_secrecy)
+                         secrecy_rate, threshold_x, vector,
+                         weighted_sum_secrecy)
 from ofdma_swipt.model import all_harvested_powers
 
 log_gain = st.floats(min_value=-4.0, max_value=4.0).map(lambda e: 10.0 ** e)
@@ -74,6 +75,11 @@ class TestThreshold:
 
     def test_equal_gains(self):
         assert threshold_x(0.7, 3.0, 3.0, 1.0) == 0.0
+
+    def test_python_float_split_zero(self):
+        # unchecked callers pass the split as a Python float: at 0 the
+        # threshold is +inf (b2 >= h2) and the rate 0, not a ZeroDivisionError
+        assert vector._value(1.0, 0.0, 0.5, 2.0, 1.0, 0.0) == 0.0
 
     @pytest.mark.parametrize("args", [(1.5, 1.0, 2.0, 1.0), (-0.1, 1.0, 2.0, 1.0),
                                       (0.5, 0.0, 2.0, 1.0), (0.5, 1.0, -2.0, 1.0),

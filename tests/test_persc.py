@@ -93,6 +93,25 @@ class TestOptimalAlpha:
             if p > x_plus:
                 assert a < 1.0
 
+    def test_split_zero_exactly_where_no_split_has_rate(self, rng):
+        # the unclipped form is >= 1 exactly in the zero-rate region: the
+        # split is 0 there and the [0, 1] clip elsewhere, and the rate at
+        # either split is the same, bit for bit
+        zeros = 0
+        for _ in range(300):
+            ctx = random_context(rng)
+            p = ctx.p_peak * rng.uniform(0.0, 1.0, size=32)
+            with np.errstate(divide="ignore"):
+                a = 0.5 + (ctx.sigma2 / (2.0 * p)) * (1.0 / ctx.h2 - 1.0 / ctx.b2)
+            got = optimal_split(p, ctx.h2, ctx.b2, ctx.sigma2)
+            clip = np.clip(a, 0.0, 1.0)
+            assert np.array_equal(got, np.where(a >= 1.0, 0.0, clip))
+            assert np.array_equal(
+                secrecy_rate(p, got, ctx.h2, ctx.b2, ctx.sigma2),
+                secrecy_rate(p, clip, ctx.h2, ctx.b2, ctx.sigma2))
+            zeros += np.count_nonzero(a >= 1.0)
+        assert zeros > 0
+
 
 class TestCubicCandidates:
     def test_alpha_zero_reduces_degree(self, rng):
