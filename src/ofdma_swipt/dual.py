@@ -62,12 +62,16 @@ stop rule: the cuts and the screened primals certify the bound, only a
 master iteration can certify it by the cut model, and the evaluation cap
 bounds any cycle of Newton points.
 
-Primal recovery is one screen and one per-SC LP. Budget and harvest are
-linear in per-SC power, so an iterate that overspends is scaled onto P_max,
-its harvest with it; the screen then rejects it only if some ER falls short
-of its target by more than :data:`FEASIBILITY_TOL` of that target. Its
-score is ``model.weighted_sum_secrecy`` before the division by N and
-without the input checks, as the solve made every input itself. The LP
+Primal recovery is one screen and one per-SC LP. The screen takes per-SC
+owner, power and split vectors, of an evaluation or of a rounded LP
+mixture, and computes their harvest and total power, which an evaluation
+reuses for its cut. Budget and harvest are linear in per-SC power, so a
+primal that overspends is scaled onto P_max, its harvest with it; the
+screen then rejects it only if some ER falls short of its target by more
+than :data:`FEASIBILITY_TOL` of that target. Its score is
+``model.weighted_sum_secrecy`` before the division by N and without the
+input checks, as the solve made every input itself, and only a new best
+primal becomes an :class:`Allocation`. The LP
 mixes per-SC columns (Yu & Lui, IEEE Trans. Commun. 54(7), 2006): weights
 0 <= z <= 1 on columns of (SC, owner, power, rate), at most 1 in total on
 each SC, that maximize the rate within the budget and the harvest targets,
@@ -77,9 +81,11 @@ passes the screen proves the harvest targets reachable to within
 :data:`FEASIBILITY_TOL`: a target less than that share above what the
 budget can deliver is met with that shortfall, not declared unreachable.
 Otherwise some target is positive, and the LP runs once, right after that
-evaluation, with one column per SC at full power: its infeasibility means
-no allocation can meet the targets (``InfeasibleProblemError`` then counts
-the evaluations run), and its allocation is screened. When the
+evaluation, with one column per SC at full power, given to the first IR of
+the largest weighted gain w H in the kernel's table and worth that gain:
+its infeasibility means no allocation can meet the targets
+(``InfeasibleProblemError`` then counts the evaluations run), and its
+allocation is screened. When the
 best screened primal's gap is still above :data:`CONVERGENCE_TOL` of |g|
 after the loop, it runs once more over the visited iterates. The best
 screened primal is returned; ``primal_source`` names it. Every LP runs on
@@ -100,13 +106,12 @@ import importlib.util
 import math
 import os
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .model import (LN2, Allocation, ChannelRealization, DomainError,
-                    SystemConfig, _weighted_sum_secrecy, all_harvested_powers,
-                    optimal_split)
+                    SystemConfig, _weighted_sum_secrecy, optimal_split)
 from . import vector
 
 _HIGHS_CORE = "scipy.optimize._highspy._core"
@@ -236,15 +241,12 @@ class _Engine:
         self.n_evals += 1
         omega = -gamma + lam @ self.zg
         owner, p, a, val, dp = self.kernel(omega)
-        alloc = Allocation(owner, p, a, self.cfg.num_irs)
         g_raw = (float(val.sum()) - float(lam @ self.cfg.harvest_target)
                  + gamma * self.cfg.total_power)
         if g_raw < self.g_min:
             self.g_min, self.lam, self.gamma = g_raw, lam, gamma
         self.visited.append((owner, p, val - p * omega))
-        q = all_harvested_powers(alloc, self.ch, self.cfg)
-        total = float(p.sum())
-        primal_norm = self._consider_primal(alloc, q, total, self.n_evals)
+        q, total, primal_norm = self._screen(owner, p, a, self.n_evals)
         qv = float(np.max(self.cfg.harvest_target - q)) if self.cfg.num_ers else 0.0
         self.trace.append((g_raw / self.cfg.num_scs, primal_norm,
                            total - self.cfg.total_power, qv))
@@ -252,31 +254,34 @@ class _Engine:
         return g_raw, np.append(q - self.cfg.harvest_target,
                                 self.cfg.total_power - total), hess
 
-    def _consider_primal(self, alloc: Allocation, q: np.ndarray,
-                         total: float, source: int | str) -> float:
-        """Screen one allocation with harvest ``q`` and total power
-        ``total``; returns its band-averaged objective, or NaN where it is
-        rejected. The allocation and its gains come from the solve, so the
+    def _screen(self, owner: np.ndarray, power: np.ndarray,
+                split: np.ndarray, source: int | str):
+        """Screen the primal of per-SC ``owner``, ``power`` and ``split``
+        from ``source``. Returns its harvest and total power, both before
+        any scaling onto P_max, and its band-averaged objective, or NaN
+        where it is rejected; an :class:`Allocation` is built only for a
+        new best primal. The vectors and gains come from the solve, so the
         score skips the input checks of ``weighted_sum_secrecy``."""
         cfg = self.cfg
+        q = cfg.harvest_eff * (self.ch.er_gains @ power)
+        total = float(power.sum())
+        p_scaled, q_scaled = power, q
         if total > cfg.total_power:
             # scaled even within the tolerance: an overspend would let the
             # primal exceed the dual bound and the gap go negative
             scale = cfg.total_power / total
-            alloc = replace(alloc, sc_power=alloc.sc_power * scale)
-            q = q * scale
+            p_scaled, q_scaled = power * scale, q * scale
         target = cfg.harvest_target
-        if np.any(q < target - FEASIBILITY_TOL * target):
-            return math.nan
-        obj_raw = _weighted_sum_secrecy(
-            alloc.owner, alloc.sc_power, alloc.sc_split, self.H, self.B,
-            cfg.weights, cfg.noise_power)
+        if np.any(q_scaled < target - FEASIBILITY_TOL * target):
+            return q, total, math.nan
+        obj_raw = _weighted_sum_secrecy(owner, p_scaled, split, self.H, self.B,
+                                        cfg.weights, cfg.noise_power)
         if obj_raw > self.best_obj:
             self.best_obj = obj_raw
-            self.best_alloc = alloc
-            self.best_q = q
+            self.best_alloc = Allocation(owner, p_scaled, split, cfg.num_irs)
+            self.best_q = q_scaled
             self.best_source = source
-        return obj_raw / cfg.num_scs
+        return q, total, obj_raw / cfg.num_scs
 
     # -- cutting plane -----------------------------------------------------
 
@@ -335,16 +340,17 @@ class _Engine:
     def harvest_lp_primal(self):
         """Raise if no per-SC powers meet the harvest targets within the
         budget; else screen the mixture of one column per SC at ``p_eff``
-        that maximizes sum_n max_k H[k, n] p_n, each SC given to the IR of
-        its pinned IR or the first IR of its largest weighted gain, over
-        every IR: the kernel's table drops dominated pairs, which can tie
-        in weighted gain. The loop calls it only when the first iterate's
-        primal misses a target."""
-        pinned = self.kernel.skip_owner
-        owners = np.where(pinned >= 0, pinned,
-                          np.argmax(self.cfg.weights[:, None] * self.H, axis=0))
+        that maximizes sum_n w_k H[k, n] p_n, each SC given to the first IR
+        of its largest weighted gain w_k H[k, n] in the kernel's table (its
+        pinned IR, or its undominated IRs), and that gain the column's
+        value. The loop calls it only when the first iterate's primal
+        misses a target."""
+        table = self.kernel.table
+        wh = self.cfg.weights[table] * self.H[table, self.cols]
+        first = np.argmax(wh, axis=0)
         if not self._mix(self.cols, np.full(self.cfg.num_scs, self.p_eff),
-                         self.H.max(axis=0), owners, "harvest LP"):
+                         wh[first, self.cols], table[first, self.cols],
+                         "harvest LP"):
             raise InfeasibleProblemError(
                 "harvesting targets unreachable under the power budget",
                 self.n_evals)
@@ -394,9 +400,7 @@ class _Engine:
         a = (optimal_split(p_sc, self.H[owners, self.cols],
                            self.B[owners, self.cols], cfg.noise_power)
              if self.kernel.free else self.kernel.a)
-        alloc = Allocation(owners, p_sc, np.where(on, a, 0.0), cfg.num_irs)
-        q = all_harvested_powers(alloc, self.ch, cfg)
-        self._consider_primal(alloc, q, float(p_sc.sum()), source)
+        self._screen(owners, p_sc, np.where(on, a, 0.0), source)
         return True
 
 

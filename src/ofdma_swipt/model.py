@@ -20,6 +20,8 @@ LN2 = np.log(2.0)
 
 #: relative tolerance for gain equality tests (|h|^2 == |beta|^2)
 GAIN_RTOL = 1e-12
+#: absolute slack, in watts, of the power budgets in Allocation.validate
+POWER_ATOL = 1e-9
 
 
 class DomainError(ValueError):
@@ -112,10 +114,6 @@ class ChannelRealization:
         self.eve_gains = eavesdropper_gains(self.gains, self.num_irs)
 
     @property
-    def num_scs(self) -> int:
-        return self.gains.shape[1]
-
-    @property
     def ir_gains(self) -> np.ndarray:
         return self.gains[: self.num_irs]
 
@@ -142,7 +140,7 @@ class Allocation:
         self.sc_power = np.asarray(self.sc_power, dtype=float)
         self.sc_split = np.asarray(self.sc_split, dtype=float)
 
-    def validate(self, config: SystemConfig, tol: float = 1e-9) -> None:
+    def validate(self, config: SystemConfig) -> None:
         _check(self.num_irs == config.num_irs
                and np.all((self.owner >= -1) & (self.owner < config.num_irs)),
                "owner must lie in [-1, K1)")
@@ -150,9 +148,9 @@ class Allocation:
         _check(np.all(self.sc_power[off] == 0) and np.all(self.sc_split[off] == 0),
                "power/split must be zero on unassigned SCs")
         _check(np.all(self.sc_power >= 0), "negative power")
-        _check(np.all(self.sc_power <= config.peak_power * (1 + 1e-12) + tol),
+        _check(np.all(self.sc_power <= config.peak_power * (1 + 1e-12) + POWER_ATOL),
                "peak power exceeded")
-        _check(self.sc_power.sum() <= config.total_power + tol,
+        _check(self.sc_power.sum() <= config.total_power + POWER_ATOL,
                "total power exceeded")
         _check(np.all((self.sc_split >= 0) & (self.sc_split <= 1)),
                "split outside [0,1]")

@@ -88,6 +88,8 @@ class TestSolveCommand:
         cfg = write_config(tmp_path, solver={"max_iter": 2})
         assert main(["solve", "--config", cfg,
                      "--out", str(tmp_path / "r.json")]) == EXIT_NOT_CONVERGED
+        assert main(["profile", "--config", cfg,
+                     "--out", str(tmp_path / "p.csv")]) == EXIT_NOT_CONVERGED
 
     @pytest.mark.parametrize("scheme", SCHEMES)
     def test_report_names_configured_scheme(self, tmp_path, scheme):
@@ -117,6 +119,8 @@ class TestSolveCommand:
     ({"system": {"P_max_dBm": math.inf}}, ["solve"]),
     ({"system": {"sigma2_dBm": math.inf}}, ["solve"]),
     ({"system": {"weights": math.inf}}, ["solve"]),
+    ({"system": {"P_max_dBm": "abc"}}, ["solve"]),
+    ({"system": {"weights": "abc"}}, ["solve"]),
     ({}, ["solve", "--seed", "-1"]),
     ({}, ["sweep", "--axis", "Qbar", "--values", "100", "--seed", "-1"]),
     ({}, ["profile", "--seed", "-1"]),
@@ -151,7 +155,8 @@ class TestSolveCommand:
     ({"scenario": {"num_taps": 1e20}}, ["solve"]),
     ({}, ["sweep", "--axis", "N", "--values", "1e20"]),
 ], ids=["values-abc", "N-1e400", "N-8.5", "K2-2.5", "K2-nan", "Pmax-inf", "Qbar-inf",
-        "P_max_dBm-inf", "sigma2_dBm-inf", "weights-inf", "solve-seed-neg",
+        "P_max_dBm-inf", "sigma2_dBm-inf", "weights-inf", "P_max_dBm-abc",
+        "weights-abc", "solve-seed-neg",
         "sweep-seed-neg", "profile-seed-neg", "sweep-trials-0", "sweep-trials-neg",
         "K1-2.7", "K1-inf", "K2-1.5", "N-8.5-config", "num_taps-2.5",
         "max_iter-2.5", "max_iter-inf", "convergence_tol-nan",

@@ -18,8 +18,9 @@ from scipy.optimize import linprog
 from ofdma_swipt import (ChannelRealization, DomainError,
                          InfeasibleProblemError, SystemConfig, dual,
                          secrecy_rate, solve, solve_dual, vector)
-from ofdma_swipt.cli import EXIT_NOT_CONVERGED, main
+from ofdma_swipt.cli import EXIT_INFEASIBLE, EXIT_NOT_CONVERGED, main
 from ofdma_swipt.dual import SolverOptions
+from ofdma_swipt.heuristics import round_robin_assignment
 from ofdma_swipt.model import (Allocation, all_harvested_powers,
                                weighted_sum_secrecy)
 
@@ -219,6 +220,13 @@ class TestCuttingPlane:
         assert rep.metadata["stop_reason"] == "gap closed"
         assert rep.iterations <= 12
 
+    def test_newton_point_refused_on_non_finite_curvature(self):
+        y, s_ = np.array([1.0, 0.5]), np.array([0.1, -0.2])
+        for bad in (np.inf, np.nan):
+            hess = np.array([[1.0, 0.0], [0.0, bad]])
+            assert dual._newton_point(y, s_, hess) is None
+        assert dual._newton_point(y, s_, np.eye(2)).tolist() == [0.9, 0.7]
+
     def test_multipliers_stay_nonnegative(self):
         # one draw where harvesting binds (large lambda) and one where not;
         # on the noan draws the master LP returns a lambda a hair below 0
@@ -377,28 +385,55 @@ class TestHarvestLP:
         z = np.array(models[0].getSolution().col_value)
         assert np.max(np.abs(z * eng.p_eff - ref.x)) <= 1e-12 * cfg.total_power
 
+    @staticmethod
+    def _spy_mix(monkeypatch):
+        """The (owner, rate) arguments of every ``_mix`` call."""
+        calls = []
+        mix = dual._Engine._mix
+
+        def spy(eng, sc, power, rate, owner, source):
+            calls.append((owner, rate))
+            return mix(eng, sc, power, rate, owner, source)
+
+        monkeypatch.setattr(dual._Engine, "_mix", spy)
+        return calls
 
     def test_owners_are_first_best_weighted_gain(self, monkeypatch):
         # SC 0: IRs 0 and 1 tie in weight and gain, and IR 1's eavesdropper
-        # is weaker, so the kernel's table drops IR 0; the mixture still
-        # gives each SC the first IR of its largest weighted gain
+        # is weaker, so the kernel's table drops IR 0; the mixture gives
+        # each SC the first IR of its largest weighted gain in the table,
+        # so SC 0 goes to IR 1 and every other SC to its strongest IR
         cfg = paper_system(n_sc=8, k1=3)
         ch = paper_channels(cfg, 0)
         ch.gains[:2, 0] = 2.0 * ch.ir_gains[:, 0].max()
         ch.eve_gains[1, 0] = 0.5 * ch.eve_gains[0, 0]
         eng = dual._Engine(cfg, ch, SolverOptions())
         assert 0 not in eng.kernel.table[:, 0]
-        owners = []
-        mix = dual._Engine._mix
-
-        def spy(eng, sc, power, rate, owner, source):
-            owners.append(owner)
-            return mix(eng, sc, power, rate, owner, source)
-
-        monkeypatch.setattr(dual._Engine, "_mix", spy)
+        calls = self._spy_mix(monkeypatch)
         eng.harvest_lp_primal()
-        assert owners[0].tolist() == np.argmax(ch.ir_gains, axis=0).tolist()
-        assert owners[0][0] == 0
+        expected = np.argmax(ch.ir_gains, axis=0)
+        assert expected[0] == 0
+        expected[0] = 1
+        owners, rate = calls[0]
+        assert owners.tolist() == expected.tolist()
+        assert rate.tolist() == ch.ir_gains.max(axis=0).tolist()
+
+    def test_pinned_columns_value_the_pinned_ir(self, monkeypatch):
+        # FSA pins each SC's IR: the harvest LP's column on SC n is worth
+        # w H of the pinned IR, not the largest gain of any IR
+        cfg = replace(paper_system(qbar_uw=400.0),
+                      weights=np.array([1.0, 2.0, 0.5, 1.0]))
+        ch = paper_channels(cfg, 8)
+        pinned = round_robin_assignment(cfg)
+        eng = dual._Engine(cfg, ch, SolverOptions(), fixed_assign=pinned)
+        calls = self._spy_mix(monkeypatch)
+        eng.harvest_lp_primal()
+        owners, rate = calls[0]
+        cols = np.arange(cfg.num_scs)
+        assert owners.tolist() == pinned.tolist()
+        assert rate.tolist() == (cfg.weights[pinned]
+                                 * ch.ir_gains[pinned, cols]).tolist()
+        assert np.any(rate != ch.ir_gains.max(axis=0))
 
 
 class TestMasterFailure:
@@ -478,10 +513,10 @@ class TestPrimalSource:
         eng.best_obj = -np.inf
         over = Allocation(lp.owner, 1.5 * lp.sc_power, lp.sc_split,
                           cfg.num_irs)
-        q = all_harvested_powers(over, ch, cfg)
-        total = float(over.sc_power.sum())
+        q, total, obj = eng._screen(lp.owner, over.sc_power, lp.sc_split, 7)
+        assert np.array_equal(q, all_harvested_powers(over, ch, cfg))
+        assert total == float(over.sc_power.sum())
         assert total > 1.4 * cfg.total_power
-        obj = eng._consider_primal(over, q, total, 7)
         assert eng.best_source == 7
         kept = eng.best_alloc
         assert kept.sc_power.sum() == pytest.approx(cfg.total_power, rel=1e-15)
@@ -498,7 +533,7 @@ class TestPrimalSource:
         heavy = Allocation(owner, p, np.zeros_like(p), cfg.num_irs)
         q = all_harvested_powers(heavy, ch, cfg)
         assert np.all(q >= cfg.harvest_target)
-        assert np.isnan(eng._consider_primal(heavy, q, float(p.sum()), 8))
+        assert np.isnan(eng._screen(heavy.owner, p, heavy.sc_split, 8)[2])
         assert eng.best_source == 7
         # harvest binds hard on this draw: the harvest LP's allocation alone
         # scores 1.134 against a bound of 12.28
@@ -512,6 +547,44 @@ class TestPrimalSource:
         source = rep.metadata["primal_source"]
         assert isinstance(source, int) and 1 <= source <= rep.iterations
         assert rep.trace[source - 1].primal == rep.objective
+
+
+class TestNoPrimal:
+    """A solve whose screen accepts no primal raises, with the evaluations
+    it ran, and the CLI exits infeasible."""
+
+    @pytest.fixture(autouse=True)
+    def rejecting_screen(self, monkeypatch):
+        evaluations = []
+        screen, evaluate = dual._Engine._screen, dual._Engine.evaluate
+
+        def reject(eng, *args):
+            # the cut still needs the harvest and total; no primal is kept
+            q, total, _ = screen(eng, *args)
+            eng.best_obj, eng.best_alloc = -np.inf, None
+            return q, total, np.nan
+
+        def counted(eng, *args):
+            evaluations.append(eng.n_evals)
+            return evaluate(eng, *args)
+
+        monkeypatch.setattr(dual._Engine, "_screen", reject)
+        monkeypatch.setattr(dual._Engine, "evaluate", counted)
+        return evaluations
+
+    def test_raises_with_evaluations(self, rejecting_screen):
+        cfg = paper_system(n_sc=8)
+        with pytest.raises(InfeasibleProblemError,
+                           match="no feasible allocation found") as err:
+            solve(cfg, paper_channels(cfg, 0))
+        assert err.value.evaluations == len(rejecting_screen) > 0
+
+    def test_cli_exits_infeasible(self, capsys):
+        paper = Path(__file__).parents[1] / "configs" / "paper.yaml"
+        assert main(["solve", "--config", str(paper)]) == EXIT_INFEASIBLE
+        err = capsys.readouterr().err
+        assert err.startswith("infeasible: no feasible allocation found")
+        assert "Traceback" not in err
 
 
 class TestRecovery:
@@ -657,6 +730,17 @@ def test_gap_above_its_floor(scheme, reference_reports):
     # binding rows of optimal and alpha05 come closest, at 39 % of it
     for qbar_uw, seed, rep in reference_reports(scheme):
         assert rep.duality_gap >= -rep.metadata["gap_floor"], (qbar_uw, seed)
+
+
+@pytest.mark.parametrize("scheme", DUAL_SCHEMES)
+def test_reference_reports_certified(scheme, reference_reports):
+    # every feasible reference row ends by a stopping rule that certifies
+    # its bound, never by the evaluation cap or a failed master
+    for qbar_uw, seed, rep in reference_reports(scheme):
+        m = rep.metadata
+        assert m["converged"] is True, (qbar_uw, seed)
+        assert m["stop_reason"] in ("gap closed", "bound certified"), (
+            qbar_uw, seed)
 
 
 @pytest.mark.parametrize("qbar_uw, seed", [(100.0, 0), (900.0, 0), (700.0, 11)])
