@@ -39,26 +39,45 @@ names the one that fired:
   CONVERGENCE_TOL of t, relative to |g| at the start point (>= g_min).
 
 The master is solved only on an iteration whose Newton point (below) is
-refused; an iteration that takes the Newton point adds its cut and goes
-straight to the next evaluation, without the master, its stop test or box
-growth. The loop ends uncertified, with ``converged`` False, when HiGHS
-does not solve a master (*master LP failed*) or after ``max_iterations``
-evaluations (*evaluation cap*). ``metadata["master_solves"]`` counts the
-masters and ``metadata["newton_steps"]`` the Newton points taken, so
+refused; an iteration that takes the Newton point, or halves it, adds its
+cut and goes straight to the next evaluation, without the master, its stop
+test or box growth. The loop ends uncertified, with ``converged`` False,
+when HiGHS does not solve a master (*master LP failed*) or after
+``max_iterations`` evaluations (*evaluation cap*).
+``metadata["master_solves"]`` counts the masters and
+``metadata["newton_steps"]`` the Newton points taken and the halvings, so
 every evaluation but one that closes the gap is followed by exactly one
 of them.
+
+The loop starts at lambda = 0 and gamma at the water level: at the optimum
+gamma is the common marginal weighted secrecy rate of every SC in use
+(Yu & Lui), so the start is that rate averaged over the SCs at equal power
+p_eq = min(P_max / N, P_peak), each SC's for its best IR in the
+kernel's table there (:meth:`vector.Kernel.marginal_rates`, read from the
+kernel's stationarity rows). Where every SC's rate at p_eq is 0 (``noan``
+on the paper's pairs) it starts at ``gamma0``, the mean over all pairs of
+w H / (ln 2 (sigma^2 + H P_max / N)); ``gamma0`` and ``lam_scale`` stay
+the units of the normalized multipliers. ``metadata["gamma_init"]`` is the
+start.
 
 The points are picked as in a bundle-Newton method (Luksan & Vlcek, Math.
 Program. 83, 1998). Where the winners of an evaluation do not switch, g is
 smooth with Hessian sum_n p'_n c_n c_n^T, where p'_n is the owner's
 dp/domega from the kernel and c_n = d omega_n / d(lambda, gamma). The next
-point is the projected Newton point from the current one (a step on the
-coordinates that are positive or have a negative subgradient, clipped at
-0) when it lies in the box, differs from the current point, and the cut
-model there is below the best dual value plus :data:`CONVERGENCE_TOL`, a
-margin for rounding, as at the optimum the two are equal; else the master's
-minimizer. Curvature only picks points, and skipping the master changes no
-stop rule: the cuts and the screened primals certify the bound, only a
+point is the projected Newton point from the current one (Bertsekas, SIAM
+J. Control Optim. 20(2), 1982): a Newton step on the coordinates that are
+positive or have a negative subgradient, re-solved without every
+coordinate at 0 whose step is negative until none is (each solve but
+the last drops one, so at most one solve per multiplier), then clipped
+at 0. It is taken when it lies in the box, differs from the current
+point, and the cut model there is below the best dual value plus
+:data:`CONVERGENCE_TOL`, a margin for rounding, as at the optimum the two
+are equal; else the master's minimizer is. When
+a Newton point's g exceeds the best value before it, the loop steps
+halfway back toward the point it left, at most twice in a row, each
+halving counted as a Newton step; after that the rule above picks the
+next point. Curvature only picks points, and skipping the master changes
+no stop rule: the cuts and the screened primals certify the bound, only a
 master iteration can certify it by the cut model, and the evaluation cap
 bounds any cycle of Newton points.
 
@@ -224,13 +243,18 @@ class _Engine:
         self.trace: list = []  # per evaluation: a TRACE_DTYPE tuple
         self.lam: np.ndarray | None = None  # argmin of the visited dual values
         self.gamma: float | None = None
-        # marginal-rate scale at equal power: rough inverse water level
+        # marginal-rate scale at equal power: the unit of gamma
         p_eq = config.total_power / config.num_scs
         slopes = (config.weights[:, None] * self.H
                   / (LN2 * (config.noise_power + self.H * p_eq)))
         self.gamma0 = float(np.mean(slopes))
         gbar = channels.er_gains.mean(axis=1)
         self.lam_scale = self.gamma0 / (config.harvest_eff * gbar)
+        # the start: the water level, each SC's marginal weighted rate at
+        # equal power averaged over the SCs; the unit where it is 0
+        level = float(np.mean(
+            self.kernel.marginal_rates(min(p_eq, self.p_eff))[1]))
+        self.y_start = level / self.gamma0 or 1.0
 
     def evaluate(self, lam: np.ndarray, gamma: float):
         """Inner maximization at one dual point; updates bound and primal.
@@ -293,17 +317,20 @@ class _Engine:
 
     def cutting_plane(self) -> str:
         """Kelley's cutting plane on the dual in normalized multipliers
-        y = (lambda / lam_scale, gamma / gamma0), with Newton steps choosing
-        the points; the master runs only where the Newton point is refused
+        y = (lambda / lam_scale, gamma / gamma0) from the water level, with
+        Newton steps, halved at most twice where g rose, choosing the
+        points; the master runs only where the Newton point is refused
         (see the module docstring). Returns why it stopped: "gap closed" or
         "bound certified", which certify the bound to
         :data:`CONVERGENCE_TOL`, or "evaluation cap" or "master LP
         failed"."""
         unit = np.append(self.lam_scale, self.gamma0)
-        y = np.append(np.zeros(self.cfg.num_ers), 1.0)
+        y = np.append(np.zeros(self.cfg.num_ers), self.y_start)
         master = _MasterLP(np.full(y.size, 4.0))
         scale = None
+        left, halvings = None, 0  # the point a Newton step left, its halvings
         for _ in range(self.opt.max_iterations):
+            g_before = self.g_min
             g, sub, hess = self.evaluate(y[:-1] * unit[:-1], y[-1] * unit[-1])
             if self.n_evals == 1 and self.best_alloc is None:
                 # the first iterate misses a target, which must then be
@@ -317,13 +344,22 @@ class _Engine:
             scale = scale or g
             s = unit * sub / scale
             master.cut(s, s @ y - g / scale)
+            if left is not None and g > g_before and halvings < 2:
+                # the Newton step rose above the best value before it:
+                # halfway back toward the point it left
+                halvings += 1
+                self.newton_steps += 1
+                y = 0.5 * (y + left)
+                continue
             y_newton = _newton_point(y, s, unit * hess * unit[:, None] / scale)
             if (y_newton is not None and np.all(y_newton <= master.upper)
                     and master.model(y_newton) < self.g_min / scale + CONVERGENCE_TOL
                     and not np.array_equal(y_newton, y)):
                 self.newton_steps += 1
+                left, halvings = y, 0
                 y = y_newton
                 continue
+            left = None
             self.master_solves += 1
             solution = master.solve()
             if solution is None:
@@ -406,17 +442,27 @@ class _Engine:
 
 def _newton_point(y: np.ndarray, s: np.ndarray, hess: np.ndarray):
     """The projected Newton point from ``y`` with gradient ``s`` and Hessian
-    ``hess``: a step on the free coordinates (y > 0, or at 0 with s < 0),
-    clipped at 0; None where the free block is singular or not finite."""
+    ``hess`` (Bertsekas, SIAM J. Control Optim. 20(2), 1982): a step on the
+    free coordinates (y > 0, or at 0 with s < 0), re-solved on the rest
+    after dropping every coordinate at 0 whose step is negative, until none
+    is, so at most one solve per coordinate; then clipped at 0. ``y``
+    itself where every coordinate drops; None where a free block is
+    singular or not finite."""
     free = (y > 0) | (s < 0)
     step = np.zeros_like(y)
-    block = hess[np.ix_(free, free)]
-    if not np.all(np.isfinite(block)):
-        return None
-    try:
-        step[free] = np.linalg.solve(block, -s[free])
-    except np.linalg.LinAlgError:
-        return None
+    while free.any():
+        block = hess[np.ix_(free, free)]
+        if not np.all(np.isfinite(block)):
+            return None
+        try:
+            step[free] = np.linalg.solve(block, -s[free])
+        except np.linalg.LinAlgError:
+            return None
+        drop = free & (y == 0) & (step < 0)
+        if not drop.any():
+            break
+        free &= ~drop
+        step[drop] = 0.0
     return np.maximum(y + step, 0.0)
 
 
@@ -545,7 +591,7 @@ def solve_dual(config: SystemConfig, channels: ChannelRealization,
         metadata={
             "converged": stop_reason in ("gap closed", "bound certified"),
             "stop_reason": stop_reason,
-            "gamma_init": eng.gamma0,
+            "gamma_init": eng.y_start * eng.gamma0,
             "lambda": eng.lam.tolist(),
             "gamma": float(eng.gamma),
             "primal_source": eng.best_source,

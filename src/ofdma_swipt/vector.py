@@ -281,6 +281,40 @@ class Kernel:
         r = (_quad_roots if len(coef) == 3 else _cubic_roots)(*coef)
         return r, _root_slopes(r, coef, self.d)
 
+    def marginal_rates(self, p):
+        """Each SC's first best table IR at the power ``p`` (watts) and
+        that IR's weighted marginal secrecy rate w dR/dp there, (N,) each.
+        The best IR has the largest w R(p, alpha), with alpha the optimal
+        split at p or the pinned one; by the envelope theorem its marginal
+        rate is the derivative at that fixed split. It is read from the
+        pair's stationarity row as the price at which p is a root, -om =
+        k(x) / d(x) at x = p / p0 (with a free split, the alpha = 0 row
+        where optimal_split(p) is 0), and is 0 where the rate at p is."""
+        x = p / self.p0
+        m = self.fixed_from
+        a = np.full_like(x, self.a)
+        a[:m] = optimal_split(x[:m], self.h[:m], self.b[:m], 1.0)
+        rate = self.w * _secrecy_rate(x, a, self.h, self.b, 1.0)
+        k = d = 0.0
+        for kc, dc in zip(self.k, self.d):
+            k, d = k * x + kc, d * x + dc
+        slope = np.where(rate > 0.0, k / d, 0.0) / self.p0
+        # a pair whose optimal split at p is 0 takes its alpha = 0 row's
+        # slope; those rows follow the pairs' own in the order of their pairs
+        n = self.ir.size - self.extra.size
+        if self.extra.size:
+            alt = np.flatnonzero(np.isin(self.ir[:n] * self.cols.size
+                                         + self.col[:n], self.extra))
+            at_0 = a[alt] == 0.0
+            slope[alt[at_0]] = slope[n:][at_0]
+        ir, col = self.ir[:n], self.col[:n]
+        best = np.full((ir.max() + 1, self.cols.size), -np.inf)
+        best[ir, col] = rate[:n]
+        owner = np.argmax(best, axis=0)
+        grid = np.zeros_like(best)
+        grid[ir, col] = slope[:n]
+        return owner, grid[owner, self.cols]
+
     def __call__(self, omega):
         """Each SC's (owner, p, alpha, value, dp/domega) at the (N,) prices:
         its first best candidate in ``order``, or the skip where that value

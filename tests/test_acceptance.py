@@ -197,11 +197,15 @@ def test_duality_gap_magnitude_at_64_subcarriers():
 
 @pytest.mark.xfail(
     strict=False,
-    reason="Under the reference geometry the harvest constraints never bind "
-           "(every dual price stays at zero), so the gap is already at "
-           "numerical zero for 8 and 16 subcarriers; the residual at 32/64 "
-           "comes from assignment degeneracy at the optimal power price, not "
-           "from problem size, so no strictly decreasing trend exists.")
+    reason="The gap comes from each subcarrier's rate being non-concave in "
+           "its power: rho_n, the largest distance between the SC's best "
+           "weighted rate and its concave envelope over [0, p_eff], is about "
+           "0.1996 bits on every SC of paper draw 0 (the limit rho* = 0.19963 "
+           "as h = sqrt(H/B) falls), and the gap of a separable problem with "
+           "m = K2 + 1 coupling rows is at most the sum of the m + 1 largest "
+           "rho_n. That bound falls as 1/N, but each draw's gap is wherever "
+           "the cut lands below it, at numerical zero for 8 and 16 SCs, so "
+           "the mean over 20 draws need not fall strictly with N.")
 def test_duality_gap_strictly_decreasing_in_subcarrier_count():
     means = []
     for n in (8, 16, 32, 64):

@@ -1,6 +1,7 @@
 """Batched per-subcarrier kernel: shapes, batch consistency, pinned owners,
-domain and boundary cases, reuse of one kernel across prices, and an
-independent power-grid oracle for the fixed-split path."""
+domain and boundary cases, reuse of one kernel across prices, an
+independent power-grid oracle for the fixed-split path, and the marginal
+rates of the dual's start against central differences of the rate."""
 
 from dataclasses import replace
 
@@ -8,7 +9,8 @@ import numpy as np
 import pytest
 
 from ofdma_swipt import solve, vector
-from ofdma_swipt.model import LN2, secrecy_rate
+from ofdma_swipt.model import (LN2, _secrecy_rate, optimal_split,
+                               secrecy_rate, threshold_x)
 
 from conftest import (Ctx, paper_channels, paper_system, random_context,
                       solve_one)
@@ -396,3 +398,72 @@ def test_padded_entries_repeat_their_first_pair(monkeypatch):
                 ref = one(om[j:j + 1])
                 assert [x[j].tobytes() for x in got] == [y[0].tobytes()
                                                          for y in ref]
+
+
+def _marginal_oracle(h2, b2, sigma2, w, p, alpha):
+    """w dR/dp of ``model._secrecy_rate`` at power ``p`` > its zero-rate
+    threshold and the fixed split ``alpha``: a five-point central
+    difference whose stencil stays above the threshold."""
+    step = 1e-3 * min(p, p - max(threshold_x(alpha, h2, b2, sigma2), 0.0))
+    f = [w * _secrecy_rate(p + k * step, alpha, h2, b2, sigma2)
+         for k in (-2, -1, 1, 2)]
+    return (f[0] - 8.0 * f[1] + 8.0 * f[2] - f[3]) / (12.0 * step)
+
+
+def _check_marginal_rates(H, B, sigma2, w, p, alpha, p_peak):
+    """Check ``Kernel.marginal_rates(p)`` SC by SC: the owner's weighted
+    rate at p is the largest of any IR's, with the optimal split at p where
+    ``alpha`` is None, and its slope is the oracle's to 1e-6, or 0 where the
+    rate is. Returns the SCs whose rate is 0 and those whose optimal split
+    at p is 0 with h2 > b2."""
+    owner, slope = vector.Kernel(H, B, sigma2, w, p_peak, alpha
+                                 ).marginal_rates(p)
+    zero = split_0 = 0
+    for n, k in enumerate(owner):
+        splits = (optimal_split(p, H[:, n], B[:, n], sigma2) if alpha is None
+                  else np.full(len(w), alpha))
+        rates = w * _secrecy_rate(p, splits, H[:, n], B[:, n], sigma2)
+        assert rates[k] == rates.max(), (n, k, rates)
+        if rates[k] == 0.0:
+            assert slope[n] == 0.0, n
+            zero += 1
+            continue
+        split_0 += bool(splits[k] == 0.0 and H[k, n] > B[k, n])
+        ref = _marginal_oracle(H[k, n], B[k, n], sigma2, w[k], p, splits[k])
+        assert slope[n] == pytest.approx(ref, rel=1e-6), (n, k)
+    return zero, split_0
+
+
+@pytest.mark.parametrize("alpha", [None, 0.5, 0.0])
+def test_marginal_rates_on_paper_draws(alpha):
+    # the dual's start reads these at equal power p_eq; with split 0 no
+    # paper pair has a rate (h2 < b2 everywhere), so every slope is 0, and
+    # at split 0.5 a few SCs are below their zero-rate threshold
+    cfg = paper_system()
+    p_eq = cfg.total_power / cfg.num_scs
+    zeros = 0
+    for seed in range(20):
+        ch = paper_channels(cfg, seed)
+        zeros += _check_marginal_rates(ch.ir_gains, ch.eve_gains,
+                                       cfg.noise_power, cfg.weights, p_eq,
+                                       alpha, cfg.total_power)[0]
+    assert (zeros == 20 * cfg.num_scs) == (alpha == 0.0)
+
+
+@pytest.mark.parametrize("alpha", [None, 0.5, 0.0])
+def test_marginal_rates_on_random_pairs(rng, alpha):
+    # gains over six decades, so about half the pairs have h2 > b2, and
+    # unequal weights, so an SC keeps several undominated IRs
+    zeros = split_0 = 0
+    for _ in range(100):
+        sigma2 = 1.0 if rng.integers(2) == 0 else 5e-12
+        H = sigma2 * 10.0 ** rng.uniform(-3.0, 3.0, size=(3, 6))
+        B = sigma2 * 10.0 ** rng.uniform(-3.0, 3.0, size=(3, 6))
+        w = 10.0 ** rng.uniform(-1.0, 1.0, size=3)
+        p = sigma2 * 10.0 ** rng.uniform(-2.0, 2.0)
+        z, s0 = _check_marginal_rates(H, B, sigma2, w, p, alpha, 10.0 * p)
+        zeros += z
+        split_0 += s0
+    assert zeros > 0
+    # the free split's alpha = 0 rows, and split 0's own rows
+    assert (split_0 > 0) == (alpha != 0.5)
