@@ -53,7 +53,7 @@ def dbm_to_watts(x: float) -> float:
 
 
 def watts_to_dbm(w: float) -> float:
-    if w <= 0:
+    if not w > 0:  # True for NaN too
         raise DomainError("power must be positive to express in dBm")
     return 10.0 * np.log10(w) + 30.0
 
@@ -61,8 +61,8 @@ def watts_to_dbm(w: float) -> float:
 def path_loss(d: float, spec: ScenarioSpec) -> float:
     """Linear power gain at distance d: free-space anchor at 1 m, then
     exponent decay."""
-    if np.any(np.asarray(d) < D_REF):
-        raise DomainError(f"distance below reference {D_REF} m")
+    if not np.all(np.asarray(d) >= D_REF):  # True for NaN too
+        raise DomainError(f"distance below reference {D_REF} m or NaN")
     g0 = (SPEED_OF_LIGHT / (4.0 * np.pi * spec.carrier * D_REF)) ** 2
     return g0 * (D_REF / d) ** spec.pathloss_exp
 

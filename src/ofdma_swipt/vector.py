@@ -12,21 +12,25 @@ pinned one (FSA's round robin). An IR that another beats in weight and
 both gains never wins that maximum, so the kernel keeps only each SC's
 undominated IRs (on the paper's draws, with equal weights, its strongest
 IR alone). It lists those pairs' candidates per SC in one table, and one
-first maximum over it picks every SC's winner; an SC skips where that
-value is not above 0. The dual loop builds
-one :class:`Kernel` per solve, which holds every price-independent quantity
-of the table's pairs, and calls it at each price vector; one pair is a
+first maximum over it picks every SC's winner; an SC skips, owner -1,
+where that value is not above 0. The dual loop builds one :class:`Kernel`
+per solve, which holds every price-independent quantity of the table's
+pairs, and calls it at each price vector; one pair is a
 kernel built from 1x1 gain arrays. The cap is finite, and a root is a
 candidate when its power lies in (0, P_peak]. Below the zero-rate threshold
 a root scores p * omega, which the cap (omega > 0) or the skip (omega <= 0)
 matches or beats, so no second window on the threshold is needed.
 
 The roots come in rows, one polynomial each, whose coefficients are linear
-in the price. Every table pair has one row; with a free split only a pair
-with h2 > b2 has a second, the alpha = 0 quadratic of its split-0
-subregion, because elsewhere that subregion has no secrecy rate. On the
-paper's draws the energy receivers sit near the base station and no pair
-has h2 > b2, so a call there computes no split-0 candidates at all.
+in the price. The rows are the table's m pairs, SC by SC. With a free split
+and a pair with h2 > b2 the same pairs repeat at rows m..2m-1 for the
+alpha = 0 quadratic of the split-0 subregion; only an h2 > b2 pair takes
+candidates from there, because elsewhere that subregion has no secrecy
+rate, and any other pair's row there copies its own. On the paper's draws
+the energy receivers sit near the base station and no pair has h2 > b2, so
+a kernel there has one row per pair and computes no split-0 candidates at
+all. Each row's candidates are its roots and its peak, every one priced by
+one split rule and one value formula.
 
 All computations run in normalized units per element: power scaled by
 sigma^2/sqrt(h2*b2), so the effective gains are sqrt(h2/b2) and its inverse
@@ -185,25 +189,26 @@ class Kernel:
     ``table``, (T, N), holds the IRs that may own each SC: with free owners
     its undominated IRs (see :func:`_undominated`) in index order, padded
     to the largest count T by repeating the SC's first IR; (1, N) when
-    pinned. Each table pair has one candidate row, SC by SC: the roots
-    of its stationarity polynomial (with a free split the quadratic with
-    alpha = optimal_split(p), subregion i; else the fixed-split one), then
-    its peak, the one price-free candidate. With a free split each h2 > b2
-    pair has an alpha = 0 row after those: the two roots of subregion ii.
-    ``order``, (C, N), gathers each SC's candidates from the flat (slot,
-    row) arrays, entry by entry in table order: the pair's row, then its
-    alpha = 0 roots, or its first slot twice where it has none; a padded
-    entry gathers its SC's first pair again, so it builds no row. One
-    first maximum over it picks every SC's winner, so a tie goes to the
-    earlier pair and, within a pair, to its own row; a repeat never wins. A
-    winner worth <= 0 is a skip, owner ``skip_owner``: -1, or the pinned
-    IR.
+    pinned. ``at``, (T, N), maps each table entry to its pair's row: the m
+    table pairs are rows 0..m-1, SC by SC, and a padded entry maps to its
+    SC's first pair. A row's stationarity polynomial is the joint one (the
+    split eliminated, alpha = optimal_split(p)) with a free split, else the
+    fixed-split one. With a free split and a pair with h2 > b2 the same m
+    pairs repeat at rows m..2m-1 for their alpha = 0 roots: an h2 > b2
+    pair's row there has the alpha = 0 polynomial, any other pair's is a
+    copy of its own row (``joint``), whose candidates tie its own and so
+    never win. Each row's candidates are its roots, then its peak.
+    ``order``, (C, N), gathers each SC's candidates entry by entry in table
+    order: the pair's roots and peak, then, where there is a second block,
+    its roots there. One first maximum over it picks every SC's winner, so
+    a tie goes to the earlier pair and, within a pair, to its own row; a
+    padded entry never wins. A winner worth <= 0 is a skip, owner -1.
 
-    Built once and read-only: the table, the rows' normalization, IRs,
-    weights and caps, each row's coefficients as ``k + om d``, highest power
-    first (``k`` the price-free part, ``d`` the rate of change in the
-    price), the peaks with their splits and weighted rates, and the order.
-    A call adds the roots, their slopes and every value."""
+    Built once and read-only: the table and ``at``, the rows' normalization,
+    IRs, weights and peaks, each row's coefficients as ``k + om d``, highest
+    power first (``k`` the price-free part, ``d`` the rate of change in the
+    price), and the order. A call adds the roots, their slopes, the splits
+    and every value."""
 
     def __init__(self, H, B, sigma2, weights, p_peak, alpha_fixed=None,
                  owner_fixed=None):
@@ -213,12 +218,8 @@ class Kernel:
         weights = np.array(weights, dtype=float)
         k1, n_sc = H.shape
         self.cols = np.arange(n_sc)
-        if owner_fixed is None:
-            keep = _undominated(H, B, weights)
-            self.skip_owner = np.full(n_sc, -1)
-        else:
-            self.skip_owner = np.array(owner_fixed, dtype=int)
-            keep = self.skip_owner == np.arange(k1)[:, None]
+        keep = (_undominated(H, B, weights) if owner_fixed is None
+                else np.asarray(owner_fixed) == np.arange(k1)[:, None])
         self.free = alpha_fixed is None
         self.a = a = 0.0 if self.free else float(alpha_fixed)
         # the table pairs, SC by SC and each SC's in index order; entry t of
@@ -226,46 +227,34 @@ class Kernel:
         sc, ir = np.nonzero(keep.T)
         count = keep.sum(axis=0)
         t = np.arange(count.max())[:, None]
-        at = np.cumsum(count) - count + np.where(t < count, t, 0)
+        self.at = at = np.cumsum(count) - count + np.where(t < count, t, 0)
         self.table = ir.take(at)
         pairs = ir * n_sc + sc
-        m = pairs.size
-        # the row of each table pair's alpha = 0 roots: with a free split an
-        # extra row after the pairs' rows where h2 > b2, else its own row
-        alt = np.arange(m)
-        if self.free:
-            h2, b2 = H.ravel().take(pairs), B.ravel().take(pairs)
-            hgb = h2 - b2 > GAIN_RTOL * b2  # above b2 by more than GAIN_RTOL
-            alt[hgb] = m + np.arange(np.count_nonzero(hgb))
-        rows = np.concatenate([pairs, pairs[alt >= m]])  # the pair of each row
-        self.extra = rows[m:]
+        self.m = m = pairs.size
+        # with a free split, the pairs above b2 by more than GAIN_RTOL; where
+        # there is one, the pairs repeat at rows m..2m-1
+        h2, b2 = H.ravel().take(pairs), B.ravel().take(pairs)
+        hgb = self.free & (h2 - b2 > GAIN_RTOL * b2)
+        rows = np.tile(pairs, 1 + hgb.any())
+        # the rows whose split is the optimal one
+        self.joint = np.concatenate([np.full(m, self.free), ~hgb])[:rows.size]
         self.ir, self.col = np.divmod(rows, n_sc)
         p0, h, b = normalized(H.ravel().take(rows), B.ravel().take(rows), sigma2)
         self.p0, self.h, self.b = p0, h, b
         self.w = w = weights.take(self.ir)
-        self.pk = pk = p_peak / p0
-        # the stationarity polynomials' coefficients, k + om d: a free
-        # split's first rows have the joint quadratic, the others the
-        # fixed-split one; only the parts with rows are computed
-        self.fixed_from = j = m if self.free else 0  # the first fixed-split row
-        parts = []
-        if j:
-            parts.append(_joint_coefs(h[:j], b[:j], w[:j]))
-        if j < rows.size:
-            parts.append(_fixed_coefs(h[j:], b[j:], w[j:], a))
-        self.k, self.d = (np.concatenate(x, axis=1) for x in zip(*parts))
-        # the price-free candidate: each row's peak
-        self.p_fix = p_fix = pk[None]
-        self.zero = np.zeros_like(p_fix)  # the price-free slopes
-        self.a_fix = (optimal_split(p_fix, h, b, 1.0) if self.free
-                      else np.full_like(p_fix, a))
-        self.rate_fix = self.w * _secrecy_rate(p_fix, self.a_fix, h, b, 1.0)
-        # each SC's candidates: per table entry its pair's slots (roots, then
-        # peak), then its alpha = 0 roots, or its first slot twice
-        n_row = rows.size
-        own = np.arange(len(self.k))[:, None] * n_row + np.arange(m)
-        if n_row > m:
-            own = np.vstack([own, alt, np.where(alt >= m, alt + n_row, alt)])
+        self.p_fix = p_peak / p0[None]  # the peak, the price-free candidate
+        # the stationarity polynomials' coefficients, k + om d, and each
+        # table pair's slots in the (slot, row) candidates: its roots and
+        # peak, then its roots at offset m, whose rows have the alpha = 0
+        # polynomial where h2 > b2 and copy the pair's own elsewhere
+        self.k, self.d = (_joint_coefs(h, b, w) if self.free
+                          else _fixed_coefs(h, b, w, a))
+        n_root = len(self.k) - 1
+        own = np.arange(n_root + 1)[:, None] * rows.size + np.arange(m)
+        if rows.size > m:
+            self.k, self.d = (np.where(self.joint, x, y) for x, y in
+                              zip((self.k, self.d), _fixed_coefs(h, b, w, 0.0)))
+            own = np.vstack([own, own[:n_root] + m])
         self.order = own[:, at].swapaxes(0, 1).reshape(-1, n_sc)
         for v in vars(self).values():
             if isinstance(v, np.ndarray):
@@ -281,6 +270,15 @@ class Kernel:
         r = (_quad_roots if len(coef) == 3 else _cubic_roots)(*coef)
         return r, _root_slopes(r, coef, self.d)
 
+    def _split(self, x):
+        """The rows' splits at normalized powers ``x`` (leading axes free):
+        the optimal one on the ``joint`` rows, else the pinned one (0 on a
+        free split's alpha = 0 rows)."""
+        if self.free:
+            return np.where(self.joint, optimal_split(x, self.h, self.b, 1.0),
+                            self.a)
+        return np.full_like(x, self.a)
+
     def marginal_rates(self, p):
         """Each SC's first best table IR at the power ``p`` (watts) and
         that IR's weighted marginal secrecy rate w dR/dp there, (N,) each.
@@ -288,59 +286,44 @@ class Kernel:
         split at p or the pinned one; by the envelope theorem its marginal
         rate is the derivative at that fixed split. It is read from the
         pair's stationarity row as the price at which p is a root, -om =
-        k(x) / d(x) at x = p / p0 (with a free split, the alpha = 0 row
+        k(x) / d(x) at x = p / p0 (with a free split, its row at offset m
         where optimal_split(p) is 0), and is 0 where the rate at p is."""
         x = p / self.p0
-        m = self.fixed_from
-        a = np.full_like(x, self.a)
-        a[:m] = optimal_split(x[:m], self.h[:m], self.b[:m], 1.0)
+        a = self._split(x)
         rate = self.w * _secrecy_rate(x, a, self.h, self.b, 1.0)
         k = d = 0.0
         for kc, dc in zip(self.k, self.d):
             k, d = k * x + kc, d * x + dc
         slope = np.where(rate > 0.0, k / d, 0.0) / self.p0
-        # a pair whose optimal split at p is 0 takes its alpha = 0 row's
-        # slope; those rows follow the pairs' own in the order of their pairs
-        n = self.ir.size - self.extra.size
-        if self.extra.size:
-            alt = np.flatnonzero(np.isin(self.ir[:n] * self.cols.size
-                                         + self.col[:n], self.extra))
-            at_0 = a[alt] == 0.0
-            slope[alt[at_0]] = slope[n:][at_0]
-        ir, col = self.ir[:n], self.col[:n]
-        best = np.full((ir.max() + 1, self.cols.size), -np.inf)
-        best[ir, col] = rate[:n]
-        owner = np.argmax(best, axis=0)
-        grid = np.zeros_like(best)
-        grid[ir, col] = slope[:n]
-        return owner, grid[owner, self.cols]
+        first = np.argmax(rate.take(self.at), axis=0)
+        pair = self.at.take(first * self.cols.size + self.cols)
+        if slope.size > self.m:
+            pair = np.where(a.take(pair) == 0.0, pair + self.m, pair)
+        return self.ir.take(pair), slope.take(pair)
 
     def __call__(self, omega):
         """Each SC's (owner, p, alpha, value, dp/domega) at the (N,) prices:
         its first best candidate in ``order``, or the skip where that value
-        is <= 0: all 0, owner ``skip_owner``. dp/domega is -dQ/domega /
-        dQ/dp of the stationarity polynomial Q whose root won, else 0."""
+        is <= 0: all 0, owner -1. dp/domega is -dQ/domega / dQ/dp of the
+        stationarity polynomial Q whose root won, else 0."""
         om = np.asarray(omega, dtype=float).take(self.col) * self.p0
-        p, slope = self.roots(om)
-        a = (optimal_split(p, self.h, self.b, 1.0) if self.free
-             else np.empty_like(p))
-        a[:, self.fixed_from:] = self.a  # the fixed-split rows' split
-        p = np.where((p > 0) & (p <= self.pk), p, np.nan)
-        P = np.concatenate([p, self.p_fix])
-        A = np.concatenate([a, self.a_fix])
-        V = np.concatenate([_value(p, a, self.h, self.b, self.w, om),
-                            self.rate_fix + self.p_fix * om])
-        D = np.concatenate([slope, self.zero])
+        x, slope = self.roots(om)
+        # the candidates: each row's roots in (0, P_peak], then its peak
+        x = np.concatenate([np.where((x > 0) & (x <= self.p_fix), x, np.nan),
+                            self.p_fix])
+        slope = np.concatenate([slope, np.zeros_like(self.p_fix)])
+        a = self._split(x)
+        v = _value(x, a, self.h, self.b, self.w, om)
         # absent candidates (NaN power) and non-finite values never win
-        V = np.where(np.isfinite(V), V, -np.inf)
-        first = np.argmax(V.take(self.order), axis=0)
+        v = np.where(np.isfinite(v), v, -np.inf)
+        first = np.argmax(v.take(self.order), axis=0)
         best = self.order.take(first * self.cols.size + self.cols)
         row = best % self.ir.size
-        p, a, v, d = (X.take(best) for X in (P, A, V, D))
+        p, a, v, d = (X.take(best) for X in (x, a, v, slope))
         # the skip fallback (0, 0) has value 0
         skip = ~(v > 0.0)
         # normalized to physical units: p = p0 x and omega = om / p0
         p0 = self.p0.take(row)
-        return (np.where(skip, self.skip_owner, self.ir.take(row)),
+        return (np.where(skip, -1, self.ir.take(row)),
                 np.where(skip, 0.0, p) * p0, np.where(skip, 0.0, a),
                 np.where(skip, 0.0, v), np.where(skip, 0.0, d) * (p0 * p0))

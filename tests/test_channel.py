@@ -34,6 +34,10 @@ class TestDbmConversion:
         with pytest.raises(DomainError):
             watts_to_dbm(0.0)
 
+    def test_nan_watts_rejected(self):
+        with pytest.raises(DomainError):
+            watts_to_dbm(float("nan"))
+
 
 class TestPathLoss:
     def test_reference_anchor(self):
@@ -54,6 +58,17 @@ class TestPathLoss:
     def test_below_reference_rejected(self):
         with pytest.raises(DomainError):
             path_loss(0.5, ScenarioSpec())
+
+    @pytest.mark.parametrize("d", [np.nan, [2.0, np.nan]])
+    def test_nan_distance_rejected(self, d):
+        with pytest.raises(DomainError):
+            path_loss(d, ScenarioSpec())
+
+    def test_takes_arrays(self):
+        spec = ScenarioSpec()
+        d = np.array([1.0, 2.0, 200.0])
+        assert path_loss(d, spec) == pytest.approx(
+            [path_loss(float(x), spec) for x in d], rel=1e-12)
 
 
 class TestGenerateScenario:

@@ -836,6 +836,20 @@ def test_reference_reports_certified(scheme, reference_reports):
             qbar_uw, seed)
 
 
+def test_dark_subcarriers_have_no_owner(reference_reports):
+    # one rule for every primal source, pinned owners (fsa) included: an SC
+    # is owned exactly where it carries power
+    sources = set()
+    for scheme in DUAL_SCHEMES:
+        for qbar_uw, seed, rep in reference_reports(scheme):
+            a = rep.allocation
+            assert np.array_equal(a.owner == -1, a.sc_power == 0), (
+                scheme, qbar_uw, seed)
+            source = rep.metadata["primal_source"]
+            sources.add("evaluation" if isinstance(source, int) else source)
+    assert sources == {"evaluation", "recovered", "harvest LP"}
+
+
 @pytest.mark.parametrize("qbar_uw, seed", [(100.0, 0), (900.0, 0), (700.0, 11)])
 def test_gap_floor_reported(qbar_uw, seed):
     # 4 ulps of the bound g, plus what the screen's share FEASIBILITY_TOL of

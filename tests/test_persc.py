@@ -184,7 +184,7 @@ class TestQuadraticCandidates:
     def test_kept_roots_stationary_at_nonzero_prices(self, rng):
         # every root the kernel keeps zeroes the derivative of its own
         # function: a joint root at its split where that lies in (0, 1),
-        # an alpha = 0 root of the extra row (h2 > b2) at split 0
+        # an alpha = 0 root of its row at offset m (h2 > b2) at split 0
         checked = {"joint": 0, "alpha0": 0}
         for _ in range(3000):
             ctx = random_context(rng)

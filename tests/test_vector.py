@@ -57,10 +57,10 @@ def test_batch_shapes_and_consistency(rng):
 
 
 def test_pinned_owner_is_its_pairs_kernel(rng):
-    # a pinned SC is its pinned pair's 1x1 kernel to the bit, and keeps
-    # its owner where that pair skips; the kernel has rows for the pinned
-    # pairs only, and with a free split an alpha = 0 row for each pinned
-    # pair with h2 > b2
+    # a pinned SC is its pinned pair's 1x1 kernel to the bit, with owner -1
+    # where that pair skips; the kernel has rows for the pinned pairs only,
+    # and with a free split (some pinned pair has h2 > b2) a second block of
+    # them for the alpha = 0 roots
     k1, n, cap = 4, 64, 10.0
     h = 10.0 ** rng.uniform(-2, 2, size=(k1, n))
     b = 10.0 ** rng.uniform(-2, 2, size=(k1, n))
@@ -71,14 +71,15 @@ def test_pinned_owner_is_its_pairs_kernel(rng):
     for alpha in (None, 0.0, 0.5, 1.0):
         om = rng.uniform(-0.5, 0.5, size=n)
         kern = vector.Kernel(h, b, 1.0, w, cap, alpha, pin)
-        assert kern.p0.size == n + (hgb if alpha is None else 0)
+        assert kern.p0.size == (2 * n if alpha is None else n)
         owner, *got = kern(om)
-        assert owner.tolist() == pin.tolist()
         assert np.any(got[0] == 0.0) and np.any(got[0] > 0.0)
         for j, k in enumerate(pin):
             ref = vector.Kernel([[h[k, j]]], [[b[k, j]]], 1.0, [w[k]], cap,
-                                alpha)(om[j:j + 1])[1:]
-            assert [x[j].tobytes() for x in got] == [y[0].tobytes() for y in ref]
+                                alpha)(om[j:j + 1])
+            assert owner[j] == (k if ref[0][0] == 0 else -1)
+            assert [x[j].tobytes() for x in got] == [y[0].tobytes()
+                                                     for y in ref[1:]]
 
 
 @pytest.mark.parametrize("a2", [1e-20, 1e-14, 1.0])
@@ -174,8 +175,9 @@ def _winner(kern, om):
 
 
 # root slots of each kind: with a free split the joint quadratic's two on
-# the pair's row and the alpha = 0 quadratic's two on its extra row (h2 >
-# b2); with a pinned split the cubic's three (at split 0 a quadratic's two)
+# the pair's row and the alpha = 0 quadratic's two on its row at offset m
+# (h2 > b2); with a pinned split the cubic's three (at split 0 a
+# quadratic's two)
 @pytest.mark.parametrize("alpha, slots", [
     (None, (0, 1)), (None, (2, 3)), (0.5, (0, 1, 2)), (0.0, (0, 1))],
     ids=["free-joint", "free-alpha0", "alpha05-cubic", "noan-quadratic"])
@@ -224,8 +226,9 @@ def test_power_slope_zero_on_boundary_and_skip_winners(rng, alpha):
 
 
 def test_extra_rows_at_scale(monkeypatch):
-    # without energy receivers a quarter of the pairs have h2 > b2 and so an
-    # extra (alpha = 0) row; at the prices of a real solve, and where the
+    # without energy receivers a quarter of the pairs have h2 > b2, every
+    # SC's strongest IR among them, so the table's pairs repeat at offset m
+    # with alpha = 0 rows; at the prices of a real solve, and where the
     # kinds of root nearly tie, each SC is its winning pair's 1x1 kernel to
     # the bit, and each kind of root wins somewhere
     cfg = paper_system(k2=0)
@@ -253,10 +256,13 @@ def test_extra_rows_at_scale(monkeypatch):
         edge = -w[ir] * b * (h - b) / (LN2 * s2 * (2.0 * h - b))
         prices.append(edge)
         kern = vector.Kernel(H, B, s2, w, cfg.total_power)
-        # the table keeps each SC's strongest IR only, so its extra rows
-        # are in SC order
-        assert kern.table.tolist() == [ir.tolist()]
-        assert kern.extra.tolist() == (ir * cfg.num_scs + sc).tolist()
+        # the table keeps each SC's strongest IR only, one pair per SC, so
+        # the alpha = 0 block at offset m holds the same pairs in SC order
+        m = cfg.num_scs
+        assert kern.table.tolist() == [ir.tolist()] and kern.m == m
+        assert kern.p0.size == 2 * m and not kern.joint[m:].any()
+        assert kern.ir[m:].tolist() == ir.tolist()
+        assert kern.col[m:].tolist() == sc.tolist()
         for om in prices:
             owner, *got = kern(om)
             for j, k in enumerate(owner):
@@ -360,12 +366,14 @@ def test_paper_draws_keep_one_pair_per_sc(k2):
         assert kern.table[0].tolist() == np.argmax(ch.ir_gains, axis=0).tolist()
 
 
-def test_padded_entries_repeat_their_first_pair(monkeypatch):
+@pytest.mark.parametrize("k2", [4, 0])
+def test_padded_entries_repeat_their_first_pair(monkeypatch, k2):
     # unequal weights leave 1-3 IRs per SC; an SC with fewer than the most
     # repeats its first pair's candidates after its own, so the first
     # maximum never picks them, and the SC is the kernel of its own column,
-    # which has no padding, to the bit
-    cfg = replace(paper_system(), weights=np.array([1.0, 2.0, 0.5, 1.0]))
+    # which has no padding, to the bit; without energy receivers a free
+    # split adds the alpha = 0 block as well
+    cfg = replace(paper_system(k2=k2), weights=np.array([1.0, 2.0, 0.5, 1.0]))
     prices = []
     call = vector.Kernel.__call__
 
@@ -384,8 +392,13 @@ def test_padded_entries_repeat_their_first_pair(monkeypatch):
         t = kern.table
         padded = (np.arange(len(t))[:, None] > 0) & (t == t[0])
         assert 0 < padded.sum() and len(t) > 1
-        # padded entries repeat the first pair's slots of the same SC
+        assert (kern.p0.size > kern.m) == (alpha is None and k2 == 0)
+        # each entry's candidates are rows of its pair, at ``at`` or at
+        # offset m, so padded entries repeat the first pair's slots of the
+        # same SC
         order = kern.order.reshape(len(t), -1, cfg.num_scs)
+        assert np.array_equal(order % kern.p0.size % kern.m,
+                              np.broadcast_to(kern.at[:, None], order.shape))
         first = np.broadcast_to(order[:1], order.shape)
         assert np.array_equal(order.swapaxes(1, 2)[padded],
                               first.swapaxes(1, 2)[padded])
@@ -398,6 +411,31 @@ def test_padded_entries_repeat_their_first_pair(monkeypatch):
                 ref = one(om[j:j + 1])
                 assert [x[j].tobytes() for x in got] == [y[0].tobytes()
                                                          for y in ref]
+
+
+def test_near_tie_pair_in_a_mixed_table():
+    # SC 0's pair has h2 = 10 b2, so the kernel has an alpha = 0 block; SC
+    # 1's is above b2 by less than GAIN_RTOL, so its row there copies its
+    # own: its marginal rate where its optimal split is 0, and every call
+    # output, are its 1x1 kernel's to the bit, never NaN
+    H, B = np.array([[10.0, 1.0 + 5e-13]]), np.ones((1, 2))
+    kern = vector.Kernel(H, B, 1.0, [1.0], 10.0)
+    ones = [vector.Kernel(H[:, j:j + 1], B[:, j:j + 1], 1.0, [1.0], 10.0)
+            for j in range(2)]
+    assert kern.p0.size == 4 and kern.joint.tolist() == [1, 1, 0, 1]
+    assert [one.p0.size for one in ones] == [2, 1]
+    for p in (1e-13, 1e-14):
+        assert optimal_split(p, H[0], B[0], 1.0).tolist() == [0.0, 0.0]
+        owner, slope = kern.marginal_rates(p)
+        assert owner.tolist() == [0, 0]
+        for j, one in enumerate(ones):
+            assert slope[j].tobytes() == one.marginal_rates(p)[1][0].tobytes()
+        assert np.all(np.isfinite(slope) & (slope > 0.0))
+    for om in (-1.0, -0.3, -0.1, -0.03, -1e-3, -1e-12, 0.0, 1e-3, 0.5):
+        got = kern(np.full(2, om))
+        for j, one in enumerate(ones):
+            assert [x[j].tobytes() for x in got] == [
+                y[0].tobytes() for y in one(np.array([om]))]
 
 
 def _marginal_oracle(h2, b2, sigma2, w, p, alpha):
