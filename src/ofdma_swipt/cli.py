@@ -20,8 +20,9 @@ import time
 
 import numpy as np
 
-from .channel import dbm_to_watts, generate_scenario
-from .config import ConfigError, ExperimentConfig, load_config, parse_count
+from .channel import generate_scenario
+from .config import (AXES, ConfigError, ExperimentConfig, load_config,
+                     parse_config, read_config, with_axis)
 from .dual import InfeasibleProblemError
 from .heuristics import solve
 from .model import DomainError
@@ -30,8 +31,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_INFEASIBLE = 3
 EXIT_NOT_CONVERGED = 4
-
-AXES = ("Qbar", "Pmax", "N", "K2")
 
 
 def _fmt(x) -> str:
@@ -46,50 +45,6 @@ def run_scheme(exp: ExperimentConfig, seed: int):
     spec = dataclasses.replace(exp.scenario, seed=seed)
     channels = generate_scenario(exp.system, spec)
     return solve(exp.system, channels, exp.scheme, exp.solver)
-
-
-def _resize(v: np.ndarray, k: int, fill: float) -> np.ndarray:
-    """First k entries of v, padded with v[0] (or fill when v is empty)."""
-    pad = np.full(max(k - v.size, 0), v[0] if v.size else fill)
-    return np.concatenate([v[:k], pad])
-
-
-def apply_axis(exp: ExperimentConfig, axis: str, value: float) -> ExperimentConfig:
-    """Rebuild the config with one swept parameter replaced."""
-    s = exp.system
-    kw = {}
-    if axis == "Qbar":
-        kw["harvest_target"] = np.full(s.num_ers, value * 1e-6)
-    elif axis == "Pmax":
-        kw["total_power"] = dbm_to_watts(value)
-    elif axis == "N":
-        kw["num_scs"] = parse_count(value, axis)
-    elif axis == "K2":
-        k2 = parse_count(value, axis)
-        kw["num_ers"] = k2
-        # configured ERs keep their values, as they keep their channel
-        # streams; appended ERs copy ER 0
-        kw["harvest_eff"] = _resize(s.harvest_eff, k2, 0.6)
-        kw["harvest_target"] = _resize(s.harvest_target, k2, 0.0)
-    else:
-        raise ConfigError(f"axis must be one of {AXES}")
-    return dataclasses.replace(exp, system=dataclasses.replace(s, **kw))
-
-
-def _report_dict(report, seed: int) -> dict:
-    return {
-        "seed": seed,
-        "objective_bps_hz": report.objective,
-        "harvested_w": [float(q) for q in np.atleast_1d(report.harvested)],
-        "duality_gap_bps_hz": report.duality_gap,
-        "iterations": report.iterations,
-        "allocation": {
-            "assign": report.allocation.assign.tolist(),
-            "power_w": report.allocation.power.tolist(),
-            "split": report.allocation.split.tolist(),
-        },
-        "metadata": report.metadata,
-    }
 
 
 def _write_out(out: str, mode: str, text: str = ""):
@@ -123,18 +78,46 @@ def _emit(text: str, out: str | None):
         sys.stdout.write(text)
 
 
-def cmd_solve(args) -> int:
+def _report_json(exp: ExperimentConfig, report, seed: int) -> str:
+    alloc = report.allocation
+    return json.dumps({
+        "seed": seed,
+        "objective_bps_hz": report.objective,
+        "harvested_w": [float(q) for q in np.atleast_1d(report.harvested)],
+        "duality_gap_bps_hz": report.duality_gap,
+        "iterations": report.iterations,
+        "allocation": {
+            "assign": alloc.assign.tolist(),
+            "power_w": alloc.power.tolist(),
+            "split": alloc.split.tolist(),
+        },
+        "metadata": report.metadata,
+    }, indent=2, sort_keys=True) + "\n"
+
+
+def _profile_csv(exp: ExperimentConfig, report, seed: int) -> str:
+    alloc = report.allocation
+    lines = [
+        f"# ofdma-swipt profile scheme={exp.scheme} seed={seed}",
+        "sc,assigned_ir,power,alpha,info_power",
+    ]
+    for n, (k, p, a) in enumerate(zip(alloc.owner, alloc.sc_power,
+                                      alloc.sc_split)):
+        lines.append(",".join(_fmt(v) for v in (n, k, p, a, (1.0 - a) * p)))
+    return "\n".join(lines) + "\n"
+
+
+def cmd_one(args) -> int:
+    """The solve and profile commands: one draw, emitted by ``args.render``."""
     exp = load_config(args.config)
     report = run_scheme(exp, args.seed)
-    _emit(json.dumps(_report_dict(report, args.seed), indent=2, sort_keys=True) + "\n",
-          args.out)
-    if not report.metadata.get("converged", True):
-        return EXIT_NOT_CONVERGED
-    return EXIT_OK
+    _emit(args.render(exp, report, args.seed), args.out)
+    return EXIT_OK if report.metadata.get("converged", True) else EXIT_NOT_CONVERGED
 
 
 def cmd_sweep(args) -> int:
-    exp = load_config(args.config)
+    data = read_config(args.config)
+    exp = parse_config(data)  # the file as written must parse, swept key too
     if args.trials < 1:
         raise ConfigError(f"--trials: expected at least 1, got {args.trials}")
     try:
@@ -149,7 +132,7 @@ def cmd_sweep(args) -> int:
         "converged,stop_reason",
     ]
     for value in values:
-        exp_v = apply_axis(exp, args.axis, value)
+        exp_v = parse_config(with_axis(data, args.axis, value))
         for trial in range(args.trials):
             row_seed = args.seed + trial
             t0 = time.perf_counter()
@@ -170,23 +153,6 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def cmd_profile(args) -> int:
-    exp = load_config(args.config)
-    report = run_scheme(exp, args.seed)
-    alloc = report.allocation
-    lines = [
-        f"# ofdma-swipt profile scheme={exp.scheme} seed={args.seed}",
-        "sc,assigned_ir,power,alpha,info_power",
-    ]
-    for n, (k, p, a) in enumerate(zip(alloc.owner, alloc.sc_power,
-                                      alloc.sc_split)):
-        lines.append(",".join(_fmt(v) for v in (n, k, p, a, (1.0 - a) * p)))
-    _emit("\n".join(lines) + "\n", args.out)
-    if not report.metadata.get("converged", True):
-        return EXIT_NOT_CONVERGED
-    return EXIT_OK
-
-
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="ofdma-swipt",
                                  description=__doc__.splitlines()[0])
@@ -199,7 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_solve = sub.add_parser("solve", help="one scheme on one realization")
     common(p_solve)
-    p_solve.set_defaults(func=cmd_solve)
+    p_solve.set_defaults(func=cmd_one, render=_report_json)
 
     p_sweep = sub.add_parser("sweep", help="Monte-Carlo sweep along one axis")
     common(p_sweep)
@@ -213,7 +179,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_prof = sub.add_parser("profile", help="per-SC power/split of one solve")
     common(p_prof)
-    p_prof.set_defaults(func=cmd_profile)
+    p_prof.set_defaults(func=cmd_one, render=_profile_csv)
     return ap
 
 

@@ -25,19 +25,26 @@ scheme: optimal    # a name in heuristics.SCHEMES
 Powers are dBm in files and watts internally; a dBm value whose watts
 overflow a float is rejected. Booleans are not numbers: ``true`` is
 rejected wherever a number is expected. Counts (K1, K2, N, num_taps,
-max_iter) must be whole numbers: 2.7 or .inf is rejected, not truncated,
-and so is a count too big for a numpy index, such as 1e20.
+max_iter) must be nonnegative whole numbers: -1, 2.7 or .inf is rejected,
+not truncated, and so is a count too big for a numpy index, such as 1e20.
 Radii, the carrier and the path-loss exponent must be positive and
 finite. The solver's tolerances are not settings: both are fixed at 1e-9
 (``dual.CONVERGENCE_TOL``, ``dual.FEASIBILITY_TOL``). Unknown keys are
 rejected at every level; the channel seed is not a config key but the
 CLI's --seed.
+
+A swept value is read as the key it replaces (``AXES``), in the file's
+units: Qbar in microwatts, Pmax in dBm. ``with_axis`` writes it into a copy
+of the mapping, which ``parse_config`` then validates as if it had been in
+the file. On the K2 axis the per-ER lists follow the count: configured ERs
+keep their values, an appended ER copies ER 0's, and an empty list gives
+way to the key's default.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 import yaml
@@ -46,6 +53,10 @@ from .channel import ScenarioSpec, dbm_to_watts
 from .dual import SolverOptions
 from .heuristics import DEFAULT_SCHEME, SCHEMES
 from .model import SystemConfig
+
+
+AXES = {"Qbar": "Qbar_uW", "Pmax": "P_max_dBm", "N": "N", "K2": "K2"}
+_SCENARIO_KEYS = {f.name for f in fields(ScenarioSpec)} - {"seed"}
 
 
 class ConfigError(ValueError):
@@ -79,10 +90,10 @@ def _as_vector(value, count, name):
 
 
 def parse_count(value, name: str) -> int:
-    """``value`` as an int; ConfigError unless it is a finite whole number
-    that fits a numpy index (at most ``np.iinfo(np.intp).max``)."""
+    """``value`` as an int; ConfigError unless it is a nonnegative whole
+    number that fits a numpy index (at most ``np.iinfo(np.intp).max``)."""
     number = _number(value, name, "a count")
-    if not number.is_integer() or number > np.iinfo(np.intp).max:
+    if not number.is_integer() or not 0 <= number <= np.iinfo(np.intp).max:
         raise ConfigError(f"{name}: bad value {value!r}, expected a count")
     return int(number)
 
@@ -120,15 +131,12 @@ def parse_config(data: dict) -> ExperimentConfig:
                               noise_power=sigma2, weights=weights,
                               harvest_eff=zeta, harvest_target=qbar)
         sc_d = dict(data.get("scenario", {}))
-        scenario = ScenarioSpec(
-            cell_radius=_number(sc_d.pop("cell_radius", 200.0), "cell_radius"),
-            er_radius=_number(sc_d.pop("er_radius", 2.0), "er_radius"),
-            carrier=_number(sc_d.pop("carrier", 900e6), "carrier"),
-            pathloss_exp=_number(sc_d.pop("pathloss_exp", 3.0), "pathloss_exp"),
-            num_taps=parse_count(sc_d.pop("num_taps", 8), "num_taps"),
-        )
-        if sc_d:
-            raise ConfigError(f"unknown scenario keys: {sorted(sc_d)}")
+        unknown = set(sc_d) - _SCENARIO_KEYS
+        if unknown:
+            raise ConfigError(f"unknown scenario keys: {sorted(unknown)}")
+        scenario = ScenarioSpec(**{  # keys not in the file keep their defaults
+            key: (parse_count if key == "num_taps" else _number)(value, key)
+            for key, value in sc_d.items()})
         so_d = dict(data.get("solver", {}))
         solver = SolverOptions(max_iterations=parse_count(
             so_d.pop("max_iter", SolverOptions.max_iterations), "max_iter"))
@@ -145,10 +153,31 @@ def parse_config(data: dict) -> ExperimentConfig:
                             solver=solver, scheme=scheme)
 
 
-def load_config(path: str) -> ExperimentConfig:
+def with_axis(data: dict, axis: str, value) -> dict:
+    """A copy of the config mapping ``data`` with the key of the swept
+    ``axis`` set to ``value``; on the K2 axis the per-ER lists follow the
+    count, as the module docstring states."""
+    sys_d = dict(data["system"])
+    sys_d[AXES[axis]] = value
+    if axis == "K2":
+        k2 = parse_count(value, "K2")
+        for key in ("zeta", "Qbar_uW"):
+            ers = sys_d.get(key)
+            if ers == []:
+                del sys_d[key]
+            elif isinstance(ers, list):
+                sys_d[key] = (ers + ers[:1] * k2)[:k2]
+    return {**data, "system": sys_d}
+
+
+def read_config(path: str):
+    """The YAML document in ``path``, unparsed."""
     try:
         with open(path) as fh:
-            data = yaml.safe_load(fh)
+            return yaml.safe_load(fh)
     except (OSError, yaml.YAMLError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    return parse_config(data)
+
+
+def load_config(path: str) -> ExperimentConfig:
+    return parse_config(read_config(path))

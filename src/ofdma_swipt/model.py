@@ -243,16 +243,18 @@ def secrecy_rate(p, alpha, h2, b2, sigma2):
 
 def optimal_split(p, h2, b2, sigma2):
     """Best split ratio at fixed power: a = 1/2 + (s/2p)(1/h2 - 1/b2),
-    clipped at 0, and 0 where a >= 1.
+    clipped at 0, and 0 where a >= 1 or p = 0.
 
     a >= 1 exactly where p <= s (1/h2 - 1/b2), the zero-rate region, where
     no split has secrecy rate: sending no artificial noise there costs
-    nothing, so the split is 0, the one rule for a rate-free SC. Wherever
-    the rate is positive, a < 1.
+    nothing, so the split is 0, the one rule for a rate-free SC. No split
+    has rate at p = 0 either, so the split is 0 there at any gains, also
+    where h2 = b2 and the formula reads inf * 0. Wherever the rate is
+    positive, a < 1.
     """
     with np.errstate(divide="ignore", invalid="ignore"):
-        a = 0.5 + (sigma2 / (2.0 * p)) * (1.0 / h2 - 1.0 / b2)
-    return np.maximum(np.where(a >= 1.0, 0.0, a), 0.0)
+        a = 0.5 + np.divide(sigma2, 2.0 * p) * (1.0 / h2 - 1.0 / b2)
+    return np.maximum(np.where((a >= 1.0) | (p == 0), 0.0, a), 0.0)
 
 
 def all_harvested_powers(alloc: Allocation, channels: ChannelRealization,

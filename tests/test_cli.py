@@ -10,8 +10,8 @@ import yaml
 
 from ofdma_swipt import cli
 from ofdma_swipt.cli import (EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_NOT_CONVERGED,
-                             EXIT_OK, apply_axis, main, run_scheme)
-from ofdma_swipt.config import load_config
+                             EXIT_OK, main, run_scheme)
+from ofdma_swipt.config import load_config, parse_config, read_config, with_axis
 from ofdma_swipt.heuristics import SCHEMES
 
 
@@ -154,6 +154,8 @@ class TestSolveCommand:
     ({"system": {"N": 2 ** 63}}, ["solve"]),
     ({"scenario": {"num_taps": 1e20}}, ["solve"]),
     ({}, ["sweep", "--axis", "N", "--values", "1e20"]),
+    ({"system": {"K2": -1}}, ["solve"]),
+    ({}, ["sweep", "--axis", "K2", "--values", "-1"]),
 ], ids=["values-abc", "N-1e400", "N-8.5", "K2-2.5", "K2-nan", "Pmax-inf", "Qbar-inf",
         "P_max_dBm-inf", "sigma2_dBm-inf", "weights-inf", "P_max_dBm-abc",
         "weights-abc", "solve-seed-neg",
@@ -164,7 +166,8 @@ class TestSolveCommand:
         "cell_radius-nan", "er_radius-nan", "cell_radius-inf", "carrier-neg",
         "P_max_dBm-4000", "P_peak_dBm-4000", "sigma2_dBm-4000", "Pmax-4000",
         "K1-true", "P_max_dBm-true", "weights-true", "cell_radius-true",
-        "N-1e20-config", "N-2to63-config", "num_taps-1e20", "N-1e20"])
+        "N-1e20-config", "N-2to63-config", "num_taps-1e20", "N-1e20",
+        "K2-neg-config", "K2-neg"])
 def test_bad_numbers_exit_config(tmp_path, capsys, overrides, argv):
     cfg = write_config(tmp_path, **overrides)
     assert main(argv[:1] + ["--config", cfg] + argv[1:]) == EXIT_CONFIG
@@ -296,28 +299,45 @@ class TestSweepCommand:
         assert [r[5] for r in rows] == ["0"]
         assert int(rows[0][6]) >= 1
 
-    def test_objective_reproducible_by_solve(self, tmp_path):
-        cfg = write_config(tmp_path)
+    @pytest.mark.parametrize("axis, value, seed, base, written", [
+        ("N", "8", 9, {}, {"N": 8}),
+        ("Qbar", "250", 9, {"zeta": [0.5, 0.7], "Qbar_uW": [100, 300]},
+         {"Qbar_uW": 250}),
+        ("Pmax", "30", 9, {}, {"P_max_dBm": 30}),
+        ("K2", "3", 9, {"zeta": [0.5, 0.7], "Qbar_uW": [100, 300]},
+         {"K2": 3, "zeta": [0.5, 0.7, 0.5], "Qbar_uW": [100, 300, 100]}),
+        # the file's scalar target holds for the ERs the sweep adds
+        ("K2", "2", 0, {"K2": 0, "Qbar_uW": 900}, {"K2": 2}),
+    ], ids=["N", "Qbar-per-er", "Pmax", "K2-per-er", "K2-from-0"])
+    def test_objective_reproducible_by_solve(self, tmp_path, axis, value, seed,
+                                             base, written):
+        # a swept value reads as its key written in the file
+        cfg = write_config(tmp_path, system=base)
         out_csv = tmp_path / "d.csv"
-        main(["sweep", "--config", cfg, "--axis", "N", "--values", "8",
-              "--trials", "1", "--seed", "9", "--out", str(out_csv)])
+        assert main(["sweep", "--config", cfg, "--axis", axis, "--values", value,
+                     "--trials", "1", "--seed", str(seed),
+                     "--out", str(out_csv)]) == EXIT_OK
         row = [l.split(",") for l in out_csv.read_text().splitlines()
                if not l.startswith("#")][1]
         out_json = tmp_path / "d.json"
-        main(["solve", "--config", cfg, "--seed", "9", "--out", str(out_json)])
-        report = json.loads(out_json.read_text())
-        assert float(row[3]) == pytest.approx(report["objective_bps_hz"],
-                                              rel=1e-8)
+        file_cfg = write_config(tmp_path, "file.yaml", system={**base, **written})
+        code = main(["solve", "--config", file_cfg, "--seed", str(seed),
+                     "--out", str(out_json)])
+        assert row[5] == ("0" if code == EXIT_INFEASIBLE else "1")
+        if code != EXIT_INFEASIBLE:
+            report = json.loads(out_json.read_text())
+            assert float(row[3]) == pytest.approx(report["objective_bps_hz"],
+                                                  rel=1e-8)
 
     def test_k2_axis_keeps_per_er_values(self, tmp_path):
         # configured ERs keep their own efficiency and target; an appended
         # ER copies ER 0's, as its channel stream is appended too
-        exp = load_config(write_config(
+        data = read_config(write_config(
             tmp_path, system={"zeta": [0.5, 0.7], "Qbar_uW": [100, 300]}))
-        swept = apply_axis(exp, "K2", 2).system
+        swept = parse_config(with_axis(data, "K2", 2)).system
         assert swept.harvest_eff.tolist() == [0.5, 0.7]
         assert swept.harvest_target.tolist() == pytest.approx([100e-6, 300e-6])
-        swept = apply_axis(exp, "K2", 3).system
+        swept = parse_config(with_axis(data, "K2", 3)).system
         assert swept.num_ers == 3
         assert swept.harvest_eff.tolist() == [0.5, 0.7, 0.5]
         assert swept.harvest_target.tolist() == pytest.approx(

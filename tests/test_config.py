@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from ofdma_swipt.config import ConfigError, load_config, parse_config
+from ofdma_swipt.config import ConfigError, load_config, parse_config, with_axis
 from ofdma_swipt.heuristics import SCHEMES
 
 
@@ -105,6 +105,32 @@ class TestParseConfig:
         exp = parse_config(base_config())
         assert exp.scenario.cell_radius == 200.0
         assert exp.solver.max_iterations == 5000
+
+    @pytest.mark.parametrize("section, key", [
+        ("system", "K1"), ("system", "K2"), ("system", "N"),
+        ("scenario", "num_taps"), ("solver", "max_iter")])
+    def test_negative_count_rejected(self, section, key):
+        data = base_config()
+        data.setdefault(section, {})[key] = -1
+        with pytest.raises(ConfigError, match=f"{key}: .*expected a count"):
+            parse_config(data)
+
+
+class TestWithAxis:
+    def test_mapping_left_unchanged(self):
+        # every swept value starts from the file's own mapping
+        data = base_config()
+        data["system"]["zeta"] = [0.5, 0.7]
+        for k2 in (3, 1):
+            with_axis(data, "K2", k2)
+        assert data["system"] == {**base_config()["system"], "zeta": [0.5, 0.7]}
+
+    def test_k2_from_empty_lists_takes_defaults(self):
+        data = base_config()
+        data["system"].update(K2=0, zeta=[], Qbar_uW=[])
+        system = parse_config(with_axis(data, "K2", 2)).system
+        assert system.harvest_eff.tolist() == [0.6, 0.6]
+        assert system.harvest_target.tolist() == [0.0, 0.0]
 
 
 class TestLoadConfig:

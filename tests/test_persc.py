@@ -81,6 +81,11 @@ class TestOptimalAlpha:
 
     def test_clamped_to_zero(self):
         assert optimal_split(0.5, 10.0, 1.0, 1.0) == 0.0
+        # no split has rate at zero power, at any gains; a NaN power stays NaN
+        for h2 in (0.5, 1.0, 2.0):
+            assert optimal_split(0.0, h2, 1.0, 1.0) == 0.0
+            got = optimal_split(np.array([0.0, math.nan]), h2, 1.0, 1.0)
+            assert got[0] == 0.0 and math.isnan(got[1])
 
     def test_always_below_one_in_valid_region(self, rng):
         # whenever the chosen power clears the zero-rate threshold, the
