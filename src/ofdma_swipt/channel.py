@@ -41,6 +41,10 @@ class ScenarioSpec:
         for name in ("cell_radius", "er_radius", "carrier", "pathloss_exp"):
             if not 0 < getattr(self, name) < np.inf:  # False for NaN too
                 raise DomainError(f"{name} must be positive and finite")
+        for name in ("cell_radius", "er_radius"):
+            # receivers are dropped at distances in [D_REF, radius]
+            if getattr(self, name) < D_REF:
+                raise DomainError(f"{name} below the reference distance {D_REF} m")
         if self.num_taps < 1:
             raise DomainError("need at least one fading tap")
 

@@ -27,11 +27,12 @@ overflow a float is rejected. Booleans are not numbers: ``true`` is
 rejected wherever a number is expected. Counts (K1, K2, N, num_taps,
 max_iter) must be nonnegative whole numbers: -1, 2.7 or .inf is rejected,
 not truncated, and so is a count too big for a numpy index, such as 1e20.
-Radii, the carrier and the path-loss exponent must be positive and
-finite. The solver's tolerances are not settings: both are fixed at 1e-9
-(``dual.CONVERGENCE_TOL``, ``dual.FEASIBILITY_TOL``). Unknown keys are
-rejected at every level; the channel seed is not a config key but the
-CLI's --seed.
+The carrier and the path-loss exponent must be positive and finite, and
+the radii finite and at least the 1 m path-loss reference distance
+(``channel.D_REF``). The solver's tolerances are not settings: both are
+fixed at 1e-9 (``dual.CONVERGENCE_TOL``, ``dual.FEASIBILITY_TOL``).
+Unknown keys are rejected at every level; the channel seed is not a
+config key but the CLI's --seed.
 
 A swept value is read as the key it replaces (``AXES``), in the file's
 units: Qbar in microwatts, Pmax in dBm. ``with_axis`` writes it into a copy

@@ -407,19 +407,25 @@ class _Engine:
         sum z rate within the budget and the harvest targets; SC n then goes
         to the owner of its largest weight at the mean power sum z power,
         with the optimal or the pinned split. Budget and harvest are linear
-        in per-SC power, so the rounding keeps both."""
+        in per-SC power, so the rounding keeps both. The per-SC rows are
+        sent by their structure, one nonzero per column, and the budget and
+        harvest rows by :func:`_add_rows`, so the LP's size is linear in its
+        columns."""
         cfg, n = self.cfg, self.cfg.num_scs
-        scs, first, count = np.unique(sc, return_index=True, return_counts=True)
-        # rows: sum z <= 1 on each SC of two or more columns, the budget, the
-        # harvest targets; each in units of its right-hand side
+        _, first, count = np.unique(sc, return_index=True, return_counts=True)
+        # rows: sum z <= 1 on each SC of two or more columns, whose columns
+        # are consecutive; then the budget and the harvest targets, each in
+        # units of its right-hand side
         rhs = np.where(cfg.harvest_target > 0, cfg.harvest_target, 1.0)
-        shared = (sc == scs[count > 1, None]).astype(float)
+        lens = count[count > 1]  # the lengths of the sum z <= 1 rows
+        shared = np.flatnonzero(np.repeat(count > 1, count)).astype(np.int32)
         h = _highs(np.zeros(sc.size), np.ones(sc.size), -rate)
-        _add_rows(h, np.concatenate([np.full(len(shared) + 1, -np.inf),
-                                     cfg.harvest_target / rhs]),
-                  np.concatenate([np.ones(len(shared) + 1),
-                                  np.full(cfg.num_ers, np.inf)]),
-                  np.vstack([shared, power / cfg.total_power,
+        h.addRows(lens.size, np.full(lens.size, -np.inf), np.ones(lens.size),
+                  shared.size, (np.cumsum(lens) - lens).astype(np.int32),
+                  shared, np.ones(shared.size))
+        _add_rows(h, np.concatenate([[-np.inf], cfg.harvest_target / rhs]),
+                  np.concatenate([[1.0], np.full(cfg.num_ers, np.inf)]),
+                  np.vstack([power / cfg.total_power,
                              self.zg[:, sc] * power / rhs[:, None]]))
         solution = _solve(h)
         if solution is None:

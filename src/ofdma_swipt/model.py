@@ -55,9 +55,6 @@ class SystemConfig:
         self.weights = np.atleast_1d(np.asarray(self.weights, dtype=float))
         self.harvest_eff = np.atleast_1d(np.asarray(self.harvest_eff, dtype=float))
         self.harvest_target = np.atleast_1d(np.asarray(self.harvest_target, dtype=float))
-        if self.num_ers == 0:
-            self.harvest_eff = self.harvest_eff[:0]
-            self.harvest_target = self.harvest_target[:0]
         _check(self.num_irs >= 1, "need at least one IR")
         _check(self.num_ers >= 0, "num_ers must be nonnegative")
         _check(self.num_scs >= 1, "need at least one subcarrier")

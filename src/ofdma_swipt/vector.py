@@ -79,15 +79,17 @@ def _quad_roots(a2, b2, c2):
 
 
 def _cubic_roots(a, b, c, d):
-    """Real roots of a x^3 + b x^2 + c x + d elementwise; NaN-padded (3, ...)."""
+    """Real roots of a x^3 + b x^2 + c x + d elementwise; NaN-padded (3, ...).
+
+    One case split: where |a| <= ``_TINY``, the quadratic's roots (see
+    :func:`_quad_roots`); elsewhere, for the depressed cubic t^3 + pt + q
+    with x = t - b/(3a), the three trigonometric roots where its
+    discriminant is <= 0, else Cardano's one real root.
+    """
     a, b, c, d = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (a, b, c, d)))
     cubic = np.abs(a) > _TINY
-    out = np.full((3,) + a.shape, np.nan)
-    # quadratic/linear fallback
-    qr = _quad_roots(b, c, d)
-    out[0] = np.where(~cubic, qr[0], np.nan)
-    out[1] = np.where(~cubic, qr[1], np.nan)
-    # depressed cubic t^3 + pt + q with x = t - b/(3a)
+    nan = np.full(a.shape, np.nan)
+    quad = [*_quad_roots(b, c, d), nan]
     with np.errstate(divide="ignore", invalid="ignore"):
         an = np.where(cubic, a, 1.0)
         bb, cc, dd = b / an, c / an, d / an
@@ -95,41 +97,25 @@ def _cubic_roots(a, b, c, d):
         pp = cc - bb * bb / 3.0
         qq = 2.0 * bb ** 3 / 27.0 - bb * cc / 3.0 + dd
         disc = (qq / 2.0) ** 2 + (pp / 3.0) ** 3
-        # one real root (disc > 0)
         sq = np.sqrt(np.maximum(disc, 0.0))
-        u = np.cbrt(-qq / 2.0 + sq)
-        v = np.cbrt(-qq / 2.0 - sq)
-        t_single = u + v
-        # three real roots (disc <= 0): trigonometric form
+        cardano = [np.cbrt(-qq / 2.0 + sq) + np.cbrt(-qq / 2.0 - sq), nan, nan]
         m = np.sqrt(np.maximum(-pp / 3.0, 0.0))
         big = m > _TINY
         cosarg = np.clip(np.where(big, -qq / (2.0 * np.where(big, m ** 3, 1.0)), 0.0),
                          -1.0, 1.0)
         theta = np.arccos(cosarg) / 3.0
-        t0 = 2.0 * m * np.cos(theta)
-        t1 = 2.0 * m * np.cos(theta - 2.0 * np.pi / 3.0)
-        t2 = 2.0 * m * np.cos(theta - 4.0 * np.pi / 3.0)
-    three = cubic & (disc <= 0)
-    single = cubic & (disc > 0)
-    out[0] = np.where(three, t0 - shift, out[0])
-    out[1] = np.where(three, t1 - shift, out[1])
-    out[2] = np.where(three, t2 - shift, np.nan)
-    out[0] = np.where(single, t_single - shift, out[0])
-    return out
+        trig = [2.0 * m * np.cos(theta - k * np.pi / 3.0) for k in (0.0, 2.0, 4.0)]
+        # a NaN discriminant gives Cardano's NaN
+        return np.where(cubic, np.where(disc <= 0, trig, cardano) - shift, quad)
 
 
-def _root_slopes(x, coef, d):
-    """dx/dom = -(dQ/dom) / (dQ/dx) at roots ``x`` (leading axis) of the
-    polynomials Q with coefficients ``coef``, highest power first, that move
-    with om at the rates ``d``; NaN where a root is absent."""
-    deg = len(coef) - 1
-    num = dq = 0.0
-    with np.errstate(all="ignore"):
-        for i, (c, dc) in enumerate(zip(coef, d)):
-            num = num * x + dc
-            if i < deg:
-                dq = dq * x + (deg - i) * c
-        return -num / dq
+def _horner(coef, x):
+    """The polynomial with coefficients ``coef``, highest power first along
+    the leading axis, at ``x``."""
+    y = 0.0
+    for c in coef:
+        y = y * x + c
+    return y
 
 
 def _undominated(H, B, w):
@@ -265,10 +251,13 @@ class Kernel:
         prices ``om`` and the powers' rates of change in ``om``, each
         (roots, rows), NaN where absent: the roots of each row's
         stationarity polynomial Q, coefficients ``k + om d``. A root x moves
-        at -(dQ/dom) / (dQ/dx)."""
+        at -(dQ/dom) / (dQ/dx) = -d(x) / dQ/dx, both by :func:`_horner`."""
         coef = self.k + om * self.d
         r = (_quad_roots if len(coef) == 3 else _cubic_roots)(*coef)
-        return r, _root_slopes(r, coef, self.d)
+        deg = len(coef) - 1
+        with np.errstate(all="ignore"):
+            dq = [(deg - i) * c for i, c in enumerate(coef[:-1])]
+            return r, -_horner(self.d, r) / _horner(dq, r)
 
     def _split(self, x):
         """The rows' splits at normalized powers ``x`` (leading axes free):
@@ -291,10 +280,8 @@ class Kernel:
         x = p / self.p0
         a = self._split(x)
         rate = self.w * _secrecy_rate(x, a, self.h, self.b, 1.0)
-        k = d = 0.0
-        for kc, dc in zip(self.k, self.d):
-            k, d = k * x + kc, d * x + dc
-        slope = np.where(rate > 0.0, k / d, 0.0) / self.p0
+        slope = np.where(rate > 0.0, _horner(self.k, x) / _horner(self.d, x),
+                         0.0) / self.p0
         first = np.argmax(rate.take(self.at), axis=0)
         pair = self.at.take(first * self.cols.size + self.cols)
         if slope.size > self.m:

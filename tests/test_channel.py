@@ -177,6 +177,13 @@ class TestScenarioSpecValidation:
         with pytest.raises(DomainError, match=name):
             ScenarioSpec(**{name: value})
 
+    @pytest.mark.parametrize("name", ["cell_radius", "er_radius"])
+    def test_radius_below_reference_distance(self, name):
+        # receivers are dropped at distances in [D_REF, radius]
+        with pytest.raises(DomainError, match=name):
+            ScenarioSpec(**{name: 0.5})
+        assert getattr(ScenarioSpec(**{name: D_REF}), name) == D_REF
+
     def test_bad_taps(self):
         with pytest.raises(DomainError):
             ScenarioSpec(num_taps=0)

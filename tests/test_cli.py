@@ -156,6 +156,7 @@ class TestSolveCommand:
     ({}, ["sweep", "--axis", "N", "--values", "1e20"]),
     ({"system": {"K2": -1}}, ["solve"]),
     ({}, ["sweep", "--axis", "K2", "--values", "-1"]),
+    ({"scenario": {"er_radius": 0.5}}, ["solve"]),
 ], ids=["values-abc", "N-1e400", "N-8.5", "K2-2.5", "K2-nan", "Pmax-inf", "Qbar-inf",
         "P_max_dBm-inf", "sigma2_dBm-inf", "weights-inf", "P_max_dBm-abc",
         "weights-abc", "solve-seed-neg",
@@ -167,7 +168,7 @@ class TestSolveCommand:
         "P_max_dBm-4000", "P_peak_dBm-4000", "sigma2_dBm-4000", "Pmax-4000",
         "K1-true", "P_max_dBm-true", "weights-true", "cell_radius-true",
         "N-1e20-config", "N-2to63-config", "num_taps-1e20", "N-1e20",
-        "K2-neg-config", "K2-neg"])
+        "K2-neg-config", "K2-neg", "er_radius-0.5"])
 def test_bad_numbers_exit_config(tmp_path, capsys, overrides, argv):
     cfg = write_config(tmp_path, **overrides)
     assert main(argv[:1] + ["--config", cfg] + argv[1:]) == EXIT_CONFIG
@@ -263,6 +264,13 @@ class TestSweepCommand:
         assert all(r[7] == "0" for r in rows)  # no timing by default
         assert all(r[8] == "1" for r in rows)
         assert all(r[9] in ("gap closed", "bound certified") for r in rows)
+        # timed: every row's wallclock is positive, every other column equal
+        out3 = tmp_path / "t.csv"
+        assert main(argv + ["--timing", "--out", str(out3)]) == EXIT_OK
+        timed = [l.split(",") for l in out3.read_text().strip().splitlines()
+                 if not l.startswith("#")][1:]
+        assert all(float(r[7]) > 0 for r in timed)
+        assert [r[:7] + r[8:] for r in timed] == [r[:7] + r[8:] for r in rows]
 
     def test_capped_rows_flagged_not_converged(self, tmp_path):
         cfg = write_config(tmp_path, solver={"max_iter": 2})

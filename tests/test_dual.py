@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -731,6 +732,24 @@ class TestRecovery:
         assert rep.duality_gap <= dual.CONVERGENCE_TOL * abs(
             rep.objective + rep.duality_gap)
         assert calls == []
+
+    def test_lp_memory_linear_in_columns(self):
+        # 20 iterates on 512 SCs give 5038 columns; a dense (SC, column)
+        # matrix of the sum z <= 1 rows alone would take about 20 MiB
+        cfg = paper_system(n_sc=512, qbar_uw=900.0)
+        eng = dual._Engine(cfg, paper_channels(cfg, 0), SolverOptions())
+        for gamma in np.linspace(0.5, 2.0, 20) * eng.gamma0:
+            eng.evaluate(np.zeros(cfg.num_ers), gamma)
+        columns = sum(np.count_nonzero(p > 0) for _, p, _ in eng.visited)
+        assert columns == 5038
+        tracemalloc.start()
+        try:
+            eng.recover_primal()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert eng.best_source == "recovered"
+        assert peak < 4 * 2 ** 20, peak
 
 
 class TestHarvestFeasibilityCheck:

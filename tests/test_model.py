@@ -282,3 +282,14 @@ class TestAllocationValidate:
                            sc_split=np.zeros(2), num_irs=1)
         with pytest.raises(DomainError):
             alloc.validate(cfg)
+
+
+class TestSystemConfigShapes:
+    @pytest.mark.parametrize("num_ers", [0, 1])
+    def test_er_vectors_must_match_count(self, num_ers):
+        # two ER entries fit neither count: K2 = 0 truncates nothing
+        with pytest.raises(DomainError, match="harvest_eff shape mismatch"):
+            SystemConfig(num_irs=1, num_ers=num_ers, num_scs=2,
+                         total_power=1.0, peak_power=1.0, noise_power=1.0,
+                         weights=np.ones(1), harvest_eff=[0.5, 0.7],
+                         harvest_target=[1e-4, 1e-4])
