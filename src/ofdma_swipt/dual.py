@@ -24,13 +24,14 @@ stop the loop, each certifying the best dual value g_min as an upper bound
 on the optimum to :data:`CONVERGENCE_TOL`; ``metadata["stop_reason"]``
 names the one that fired:
 
-- *gap closed*, tested right after each evaluation (and the harvest LP,
-  when it runs), before that iteration's next point: g_min - best_obj <=
-  CONVERGENCE_TOL * |g_min|. By weak duality every screened primal is at
-  most the optimum, which is at most g_min. The screen's harvest shortfall
-  of :data:`FEASIBILITY_TOL` per target lets a primal exceed g_min by at
-  most lambda . (FEASIBILITY_TOL * Qbar) at g_min's lambda: the floor of a
-  negative gap, reported with 4 ulps of g_min for rounding as
+- *gap closed*, tested right after each evaluation and right after the
+  harvest LP, when it runs, before that iteration's next point: g_min -
+  best_obj <= CONVERGENCE_TOL * |g_min|. By weak duality every screened
+  primal is at most the optimum, which is at most g_min. The screen's
+  harvest shortfall of :data:`FEASIBILITY_TOL` per target lets a primal
+  exceed g_min by at most lambda . (FEASIBILITY_TOL * Qbar) at g_min's
+  lambda: the floor of a negative gap, reported with 4 ulps of g_min for
+  rounding as
   ``metadata["gap_floor"]``. ``solve_dual`` runs the recovery LP exactly
   when this test fails after the loop; both places call one method.
 - *bound certified*, tested on the iterations that solve the master: when
@@ -95,18 +96,22 @@ mixes per-SC columns (Yu & Lui, IEEE Trans. Commun. 54(7), 2006): weights
 0 <= z <= 1 on columns of (SC, owner, power, rate), at most 1 in total on
 each SC, that maximize the rate within the budget and the harvest targets,
 every row in units of its right-hand side; its mixture, rounded per SC to
-the heaviest owner at the mean power, is screened. A first iterate that
+the heaviest owner at the mean power, is screened. Any iterate that
 passes the screen proves the harvest targets reachable to within
-:data:`FEASIBILITY_TOL`: a target less than that share above what the
-budget can deliver is met with that shortfall, not declared unreachable.
-Otherwise some target is positive, and the LP runs once, right after that
-evaluation, with one column per SC at full power, given to the first IR of
-the largest weighted gain w H in the kernel's table and worth that gain:
-its infeasibility means no allocation can meet the targets
-(``InfeasibleProblemError`` then counts the evaluations run), and its
-allocation is screened. When the
-best screened primal's gap is still above :data:`CONVERGENCE_TOL` of |g|
-after the loop, it runs once more over the visited iterates. The best
+:data:`FEASIBILITY_TOL` (weak duality): a target less than that share
+above what the budget can deliver is met with that shortfall, not declared
+unreachable. Otherwise some target is positive, and the harvest LP runs
+once, where the loop first lacks a primal: on the iteration about to solve
+the master while no iterate has passed, or after a loop that hit the
+evaluation cap without one. It has one column per SC at full power, given
+to the first IR of the largest weighted gain w H in the kernel's table and
+worth that gain: its infeasibility means no allocation can meet the
+targets (``InfeasibleProblemError`` then counts the evaluations run), and
+its allocation is screened, which sets the best primal and nothing of the
+dual trajectory. ``metadata["harvest_lp_runs"]`` is 1 where it ran, else
+0. When the best screened primal's gap is still above
+:data:`CONVERGENCE_TOL` of |g| after the loop, the per-SC LP runs once
+more, over the visited iterates (the recovery LP). The best
 screened primal is returned; ``primal_source`` names it. Every LP runs on
 scipy's bundled HiGHS binding, ``scipy.optimize._highspy._core``, which
 this module loads from its file in scipy's install directory instead of
@@ -169,7 +174,9 @@ _Highs, HighsStatus, HighsModelStatus = (
 
 class InfeasibleProblemError(RuntimeError):
     """No power allocation can satisfy the harvesting targets.
-    ``evaluations`` counts the dual evaluations the solve ran first."""
+    ``evaluations`` counts the dual evaluations the solve ran first: those
+    before the harvest LP's verdict, which runs at the first master without
+    a screened primal or after the evaluation cap."""
 
     def __init__(self, message: str, evaluations: int = 0):
         super().__init__(message)
@@ -233,6 +240,7 @@ class _Engine:
         self.n_evals = 0
         self.newton_steps = 0
         self.master_solves = 0
+        self.harvest_lp_runs = 0
         self.visited: list = []  # per evaluation: per-SC owner, power, rate
         self.g_min = math.inf
         self.best_obj = -math.inf  # unnormalized weighted sum rate
@@ -320,7 +328,9 @@ class _Engine:
         y = (lambda / lam_scale, gamma / gamma0) from the water level, with
         Newton steps, halved at most twice where g rose, choosing the
         points; the master runs only where the Newton point is refused
-        (see the module docstring). Returns why it stopped: "gap closed" or
+        (see the module docstring), and the harvest LP before the first
+        master that has no screened primal to go with it, at most once per
+        solve. Returns why it stopped: "gap closed" or
         "bound certified", which certify the bound to
         :data:`CONVERGENCE_TOL`, or "evaluation cap" or "master LP
         failed"."""
@@ -332,11 +342,6 @@ class _Engine:
         for _ in range(self.opt.max_iterations):
             g_before = self.g_min
             g, sub, hess = self.evaluate(y[:-1] * unit[:-1], y[-1] * unit[-1])
-            if self.n_evals == 1 and self.best_alloc is None:
-                # the first iterate misses a target, which must then be
-                # positive: the harvest LP decides whether any allocation
-                # meets them and seeds the screen
-                self.harvest_lp_primal()
             if self.gap_closed():
                 return "gap closed"
             # cut in units of g at the start point (>= gamma0 * P_max > 0):
@@ -360,6 +365,13 @@ class _Engine:
                 y = y_newton
                 continue
             left = None
+            if self.best_alloc is None and not self.harvest_lp_runs:
+                # no iterate has passed the screen, so some target is
+                # positive: the harvest LP decides whether any allocation
+                # meets them and seeds the screen before the master runs
+                self.harvest_lp_primal()
+                if self.gap_closed():
+                    return "gap closed"
             self.master_solves += 1
             solution = master.solve()
             if solution is None:
@@ -379,8 +391,10 @@ class _Engine:
         that maximizes sum_n w_k H[k, n] p_n, each SC given to the first IR
         of its largest weighted gain w_k H[k, n] in the kernel's table (its
         pinned IR, or its undominated IRs), and that gain the column's
-        value. The loop calls it only when the first iterate's primal
-        misses a target."""
+        value. A solve calls it at most once, only while no primal has
+        passed the screen: before the loop's first master, or after a loop
+        that hit the evaluation cap."""
+        self.harvest_lp_runs += 1
         table = self.kernel.table
         wh = self.cfg.weights[table] * self.H[table, self.cols]
         first = np.argmax(wh, axis=0)
@@ -578,6 +592,8 @@ def solve_dual(config: SystemConfig, channels: ChannelRealization,
     eng = _Engine(config, channels, options, alpha_fixed=alpha_fixed,
                   fixed_assign=fixed_assign)
     stop_reason = eng.cutting_plane()
+    if eng.best_alloc is None and not eng.harvest_lp_runs:
+        eng.harvest_lp_primal()  # the evaluation cap, with no primal
     if not eng.gap_closed():
         eng.recover_primal()
     if eng.best_alloc is None:
@@ -603,6 +619,7 @@ def solve_dual(config: SystemConfig, channels: ChannelRealization,
             "primal_source": eng.best_source,
             "newton_steps": eng.newton_steps,
             "master_solves": eng.master_solves,
+            "harvest_lp_runs": eng.harvest_lp_runs,
             "gap_floor": gap_floor,
         },
     )

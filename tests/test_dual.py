@@ -585,11 +585,14 @@ def lp_calls(monkeypatch):
 
 class TestPrimalSource:
     def test_harvest_lp_fallback_named(self, lp_calls):
-        # every noan iterate scores 0: the first misses a target, so the LP
-        # runs after it, and its primal, screened before any other, stays
+        # every noan iterate scores 0: the first misses a target and its
+        # Newton point is refused, so the LP runs before the first master,
+        # right after that evaluation, and its primal, screened before any
+        # other, stays
         cfg = paper_system()
         rep = solve(cfg, paper_channels(cfg, 1), "noan")
         assert lp_calls == [1]
+        assert rep.metadata["harvest_lp_runs"] == 1
         assert rep.metadata["primal_source"] == "harvest LP"
         assert rep.objective == 0.0
 
@@ -669,6 +672,17 @@ class TestNoPrimal:
                            match="no feasible allocation found") as err:
             solve(cfg, paper_channels(cfg, 0))
         assert err.value.evaluations == len(rejecting_screen) > 0
+
+    def test_harvest_lp_runs_once(self, rejecting_screen, lp_calls):
+        # noan solves a master after each of its 3 evaluations here, each
+        # without a primal; the LP runs before the first of them only,
+        # though its mixture too is rejected
+        cfg = paper_system(n_sc=8)
+        with pytest.raises(InfeasibleProblemError,
+                           match="no feasible allocation found"):
+            solve(cfg, paper_channels(cfg, 0), "noan")
+        assert len(rejecting_screen) == 3
+        assert lp_calls == [1]
 
     def test_cli_exits_infeasible(self, capsys):
         paper = Path(__file__).parents[1] / "configs" / "paper.yaml"
@@ -804,6 +818,39 @@ class TestHarvestFeasibilityCheck:
             solve(cfg, paper_channels(cfg, seed))
         assert lp_calls == []
 
+    @pytest.mark.parametrize("qbar_uw, seed", [
+        (400.0, 8), (400.0, 9), (500.0, 8), (500.0, 9), (500.0, 11)])
+    def test_not_run_where_an_iterate_passes(self, lp_calls, qbar_uw, seed):
+        # binding sweep rows whose first iterate misses a target: a later
+        # iterate passes the screen before the loop needs a master, or the
+        # loop never solves one, so no LP has to prove the targets reachable
+        cfg = paper_system(qbar_uw=qbar_uw)
+        rep = solve(cfg, paper_channels(cfg, seed))
+        assert rep.trace[0].harvest_shortfall > 0.0
+        assert lp_calls == []
+        assert rep.metadata["harvest_lp_runs"] == 0
+
+    def test_run_at_the_first_master_without_a_primal(self, lp_calls):
+        # 400 uW draw 10: no iterate passes before the fourth evaluation,
+        # whose Newton point is refused, so the LP runs there
+        cfg = paper_system(qbar_uw=400.0)
+        rep = solve(cfg, paper_channels(cfg, 10))
+        assert lp_calls == [4]
+        assert rep.metadata["harvest_lp_runs"] == 1
+        assert rep.metadata["master_solves"] >= 1
+        assert np.all(np.isnan(rep.trace["primal"][:4]))
+
+    def test_run_after_the_evaluation_cap_without_a_primal(self, lp_calls):
+        # the cap ends the loop before any master, with no primal: the LP
+        # runs after it, and its allocation is returned
+        cfg = paper_system(qbar_uw=400.0)
+        rep = solve(cfg, paper_channels(cfg, 10),
+                    options=SolverOptions(max_iterations=1))
+        assert lp_calls == [1]
+        assert rep.metadata["stop_reason"] == "evaluation cap"
+        assert rep.metadata["master_solves"] == 0
+        assert rep.metadata["primal_source"] == "harvest LP"
+
 
 #: the reference rows: Qbar = 100 uW on paper draws 0-19 and 300, 400, ...,
 #: 1000 uW on draws 0-11
@@ -834,6 +881,48 @@ def reference_reports():
         return cache[scheme]
 
     return reports
+
+
+@pytest.mark.parametrize("scheme", DUAL_SCHEMES)
+def test_harvest_lp_runs_at_most_once(scheme, lp_calls):
+    # on every reference row, infeasible ones included; where it runs, no
+    # earlier evaluation passed the screen
+    for qbar_uw, seed in REFERENCE_ROWS:
+        cfg = paper_system(qbar_uw=qbar_uw)
+        lp_calls.clear()
+        try:
+            rep = solve(cfg, paper_channels(cfg, seed), scheme)
+        except InfeasibleProblemError as err:
+            assert lp_calls == [err.evaluations], (qbar_uw, seed)
+            continue
+        assert len(lp_calls) == rep.metadata["harvest_lp_runs"] <= 1, (
+            qbar_uw, seed)
+        if lp_calls:
+            assert np.all(np.isnan(rep.trace["primal"][:lp_calls[0]])), (
+                qbar_uw, seed)
+
+
+@pytest.mark.parametrize("scheme", DUAL_SCHEMES)
+def test_infeasible_exactly_where_linprog_is(scheme):
+    # an independent verdict: a feasibility LP over per-SC powers in
+    # [0, p_eff] with the budget row and the harvest rows
+    for qbar_uw in range(300, 1501, 200):
+        cfg = paper_system(qbar_uw=float(qbar_uw))
+        n, p_eff = cfg.num_scs, min(cfg.peak_power, cfg.total_power)
+        for seed in range(12):
+            ch = paper_channels(cfg, seed)
+            ref = linprog(c=np.zeros(n), A_ub=np.vstack(
+                [np.ones(n), -cfg.harvest_eff[:, None] * ch.er_gains]),
+                b_ub=np.append(cfg.total_power, -cfg.harvest_target),
+                bounds=[(0.0, p_eff)] * n, method="highs")
+            assert ref.status in (0, 2), (qbar_uw, seed, ref.message)
+            try:
+                solve(cfg, ch, scheme)
+            except InfeasibleProblemError as err:
+                assert ref.status == 2, (qbar_uw, seed)
+                assert err.evaluations >= 1
+            else:
+                assert ref.status == 0, (qbar_uw, seed)
 
 
 @pytest.mark.parametrize("scheme", DUAL_SCHEMES)
