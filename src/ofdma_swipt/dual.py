@@ -25,14 +25,14 @@ on the optimum to :data:`CONVERGENCE_TOL`; ``metadata["stop_reason"]``
 names the one that fired:
 
 - *gap closed*, tested right after each evaluation and right after the
-  harvest LP, when it runs, before that iteration's next point: g_min -
+  per-SC LP, when it runs, before that iteration's next point: g_min -
   best_obj <= CONVERGENCE_TOL * |g_min|. By weak duality every screened
   primal is at most the optimum, which is at most g_min. The screen's
   harvest shortfall of :data:`FEASIBILITY_TOL` per target lets a primal
   exceed g_min by at most lambda . (FEASIBILITY_TOL * Qbar) at g_min's
   lambda: the floor of a negative gap, reported with 4 ulps of g_min for
   rounding as
-  ``metadata["gap_floor"]``. ``solve_dual`` runs the recovery LP exactly
+  ``metadata["gap_floor"]``. ``solve_dual`` runs the per-SC LP exactly
   when this test fails after the loop; both places call one method.
 - *bound certified*, tested on the iterations that solve the master: when
   its minimizer is inside the box, the model's minimum t is, by convexity, a
@@ -96,31 +96,33 @@ mixes per-SC columns (Yu & Lui, IEEE Trans. Commun. 54(7), 2006): weights
 0 <= z <= 1 on columns of (SC, owner, power, rate), at most 1 in total on
 each SC, that maximize the rate within the budget and the harvest targets,
 every row in units of its right-hand side; its mixture, rounded per SC to
-the heaviest owner at the mean power, is screened. Any iterate that
-passes the screen proves the harvest targets reachable to within
-:data:`FEASIBILITY_TOL` (weak duality): a target less than that share
-above what the budget can deliver is met with that shortfall, not declared
-unreachable. Otherwise some target is positive, and the harvest LP runs
-once, where the loop first lacks a primal: on the iteration about to solve
-the master while no iterate has passed, or after a loop that hit the
-evaluation cap without one. It has one column per SC at full power, given
-to the first IR of the largest weighted gain w H in the kernel's table and
-worth that gain: its infeasibility means no allocation can meet the
-targets (``InfeasibleProblemError`` then counts the evaluations run), and
-its allocation is screened, which sets the best primal and nothing of the
-dual trajectory. ``metadata["harvest_lp_runs"]`` is 1 where it ran, else
-0. When the best screened primal's gap is still above
-:data:`CONVERGENCE_TOL` of |g| after the loop, the per-SC LP runs once
-more, over the visited iterates (the recovery LP). The best
-screened primal is returned; ``primal_source`` names it. Every LP runs on
-scipy's bundled HiGHS binding, ``scipy.optimize._highspy._core``, which
-this module loads from its file in scipy's install directory instead of
-importing it: the import would first run ``scipy.optimize``, whose ~0.45 s
-of imports (linalg, sparse, special, ...) this package never uses. The
-module is registered under its own name, so a later ``import
-scipy.optimize`` reuses it. A scipy outside the range pinned in
-pyproject.toml that moves the file makes this import fail with an
-ImportError naming the paths tried.
+the heaviest owner at the mean power, is screened, which sets the best
+primal and nothing of the dual trajectory. Its columns follow one rule.
+The first LP of a solve with no primal yet has one column per SC at full
+power (some target is then positive), for the SC's first best IR in the
+kernel's table there and worth that IR's weighted secrecy rate
+(:meth:`vector.Kernel.marginal_rates`): its infeasibility means no
+allocation can meet the targets (``InfeasibleProblemError`` then counts
+the evaluations run). Every other LP has the visited iterates' columns,
+one per (SC, iterate) with positive power. The full-power LP runs where
+the loop first lacks a primal: on the iteration about to solve the first
+master while no iterate has passed the screen, or after a loop that hit
+the evaluation cap without one. The LP over the visited iterates runs
+after the loop whenever the best screened primal's gap is still above
+:data:`CONVERGENCE_TOL` of |g|; ``metadata["lp_runs"]`` counts the LPs, 0
+to 2. Any iterate that passes the screen proves the targets reachable to
+within :data:`FEASIBILITY_TOL` (weak duality): a target less than that
+share above what the budget can deliver is met with that shortfall, not
+declared unreachable. The best screened primal is returned;
+``primal_source`` names it, by its evaluation's index or as
+``"recovered"``. Every LP runs on scipy's bundled HiGHS binding,
+``scipy.optimize._highspy._core``, which this module loads from its file
+in scipy's install directory instead of importing it: the import would
+first run ``scipy.optimize``, whose ~0.45 s of imports (linalg, sparse,
+special, ...) this package never uses. The module is registered under its
+own name, so a later ``import scipy.optimize`` reuses it. A scipy outside
+the range pinned in pyproject.toml that moves the file makes this import
+fail with an ImportError naming the paths tried.
 """
 
 from __future__ import annotations
@@ -175,8 +177,9 @@ _Highs, HighsStatus, HighsModelStatus = (
 class InfeasibleProblemError(RuntimeError):
     """No power allocation can satisfy the harvesting targets.
     ``evaluations`` counts the dual evaluations the solve ran first: those
-    before the harvest LP's verdict, which runs at the first master without
-    a screened primal or after the evaluation cap."""
+    before the verdict of the per-SC LP over one full-power column per
+    SC, which runs once where the loop first lacks a primal: at the first
+    master, or after a loop that hit the evaluation cap."""
 
     def __init__(self, message: str, evaluations: int = 0):
         super().__init__(message)
@@ -240,13 +243,13 @@ class _Engine:
         self.n_evals = 0
         self.newton_steps = 0
         self.master_solves = 0
-        self.harvest_lp_runs = 0
+        self.lp_runs = 0  # per-SC LPs
         self.visited: list = []  # per evaluation: per-SC owner, power, rate
         self.g_min = math.inf
         self.best_obj = -math.inf  # unnormalized weighted sum rate
         self.best_alloc: Allocation | None = None
         self.best_q: np.ndarray | None = None
-        # evaluation index, "harvest LP" or "recovered"
+        # evaluation index or "recovered" (an LP mixture)
         self.best_source: int | str | None = None
         self.trace: list = []  # per evaluation: a TRACE_DTYPE tuple
         self.lam: np.ndarray | None = None  # argmin of the visited dual values
@@ -261,7 +264,7 @@ class _Engine:
         # the start: the water level, each SC's marginal weighted rate at
         # equal power averaged over the SCs; the unit where it is 0
         level = float(np.mean(
-            self.kernel.marginal_rates(min(p_eq, self.p_eff))[1]))
+            self.kernel.marginal_rates(min(p_eq, self.p_eff))[2]))
         self.y_start = level / self.gamma0 or 1.0
 
     def evaluate(self, lam: np.ndarray, gamma: float):
@@ -328,9 +331,9 @@ class _Engine:
         y = (lambda / lam_scale, gamma / gamma0) from the water level, with
         Newton steps, halved at most twice where g rose, choosing the
         points; the master runs only where the Newton point is refused
-        (see the module docstring), and the harvest LP before the first
-        master that has no screened primal to go with it, at most once per
-        solve. Returns why it stopped: "gap closed" or
+        (see the module docstring), and the full-power per-SC LP before the
+        first master that has no screened primal to go with it, at most once
+        per solve. Returns why it stopped: "gap closed" or
         "bound certified", which certify the bound to
         :data:`CONVERGENCE_TOL`, or "evaluation cap" or "master LP
         failed"."""
@@ -365,11 +368,11 @@ class _Engine:
                 y = y_newton
                 continue
             left = None
-            if self.best_alloc is None and not self.harvest_lp_runs:
+            if self.best_alloc is None and not self.lp_runs:
                 # no iterate has passed the screen, so some target is
-                # positive: the harvest LP decides whether any allocation
+                # positive: the full-power LP decides whether any allocation
                 # meets them and seeds the screen before the master runs
-                self.harvest_lp_primal()
+                self.recover_primal()
                 if self.gap_closed():
                     return "gap closed"
             self.master_solves += 1
@@ -385,35 +388,30 @@ class _Engine:
 
     # -- per-SC LPs ----------------------------------------------------------
 
-    def harvest_lp_primal(self):
-        """Raise if no per-SC powers meet the harvest targets within the
-        budget; else screen the mixture of one column per SC at ``p_eff``
-        that maximizes sum_n w_k H[k, n] p_n, each SC given to the first IR
-        of its largest weighted gain w_k H[k, n] in the kernel's table (its
-        pinned IR, or its undominated IRs), and that gain the column's
-        value. A solve calls it at most once, only while no primal has
-        passed the screen: before the loop's first master, or after a loop
-        that hit the evaluation cap."""
-        self.harvest_lp_runs += 1
-        table = self.kernel.table
-        wh = self.cfg.weights[table] * self.H[table, self.cols]
-        first = np.argmax(wh, axis=0)
-        if not self._mix(self.cols, np.full(self.cfg.num_scs, self.p_eff),
-                         wh[first, self.cols], table[first, self.cols],
-                         "harvest LP"):
-            raise InfeasibleProblemError(
-                "harvesting targets unreachable under the power budget",
-                self.n_evals)
-
     def recover_primal(self):
-        """Screen one mixture of the visited iterates (Yu & Lui), one column
-        per (SC, iterate) with positive power."""
+        """Screen one mixture of per-SC columns (Yu & Lui). Where no primal
+        has passed the screen and no per-SC LP has run, one column per SC
+        at ``p_eff``, for the kernel's first best table IR there and worth
+        its weighted secrecy rate (:meth:`vector.Kernel.marginal_rates`);
+        then an infeasible LP means no allocation meets the harvest
+        targets, and raises. Else one column per (SC, visited iterate) with
+        positive power. A solve runs the full-power LP at most once."""
+        full_power = self.best_alloc is None and not self.lp_runs
+        self.lp_runs += 1
+        if full_power:
+            owner, rate, _ = self.kernel.marginal_rates(self.p_eff)
+            if not self._mix(self.cols, np.full(self.cfg.num_scs, self.p_eff),
+                             rate, owner):
+                raise InfeasibleProblemError(
+                    "harvesting targets unreachable under the power budget",
+                    self.n_evals)
+            return
         owner, power, rate = (np.array(v) for v in zip(*self.visited))
         sc, it = np.nonzero(power.T > 0)  # by SC
-        self._mix(sc, power[it, sc], rate[it, sc], owner[it, sc], "recovered")
+        self._mix(sc, power[it, sc], rate[it, sc], owner[it, sc])
 
     def _mix(self, sc: np.ndarray, power: np.ndarray, rate: np.ndarray,
-             owner: np.ndarray, source: str) -> bool:
+             owner: np.ndarray) -> bool:
         """Screen the best mixture of per-SC columns, rounded per SC; False
         unless HiGHS reports its LP optimal. Column j puts ``power[j]`` on SC
         ``sc[j]`` (nondecreasing) for IR ``owner[j]`` at rate ``rate[j]``. An
@@ -456,7 +454,7 @@ class _Engine:
         a = (optimal_split(p_sc, self.H[owners, self.cols],
                            self.B[owners, self.cols], cfg.noise_power)
              if self.kernel.free else self.kernel.a)
-        self._screen(owners, p_sc, np.where(on, a, 0.0), source)
+        self._screen(owners, p_sc, np.where(on, a, 0.0), "recovered")
         return True
 
 
@@ -592,8 +590,8 @@ def solve_dual(config: SystemConfig, channels: ChannelRealization,
     eng = _Engine(config, channels, options, alpha_fixed=alpha_fixed,
                   fixed_assign=fixed_assign)
     stop_reason = eng.cutting_plane()
-    if eng.best_alloc is None and not eng.harvest_lp_runs:
-        eng.harvest_lp_primal()  # the evaluation cap, with no primal
+    if eng.best_alloc is None and not eng.lp_runs:
+        eng.recover_primal()  # the evaluation cap, with no primal
     if not eng.gap_closed():
         eng.recover_primal()
     if eng.best_alloc is None:
@@ -619,7 +617,7 @@ def solve_dual(config: SystemConfig, channels: ChannelRealization,
             "primal_source": eng.best_source,
             "newton_steps": eng.newton_steps,
             "master_solves": eng.master_solves,
-            "harvest_lp_runs": eng.harvest_lp_runs,
+            "lp_runs": eng.lp_runs,
             "gap_floor": gap_floor,
         },
     )

@@ -269,14 +269,15 @@ class Kernel:
         return np.full_like(x, self.a)
 
     def marginal_rates(self, p):
-        """Each SC's first best table IR at the power ``p`` (watts) and
-        that IR's weighted marginal secrecy rate w dR/dp there, (N,) each.
-        The best IR has the largest w R(p, alpha), with alpha the optimal
-        split at p or the pinned one; by the envelope theorem its marginal
-        rate is the derivative at that fixed split. It is read from the
-        pair's stationarity row as the price at which p is a root, -om =
-        k(x) / d(x) at x = p / p0 (with a free split, its row at offset m
-        where optimal_split(p) is 0), and is 0 where the rate at p is."""
+        """Each SC's first best table IR at the power ``p`` (watts), that
+        IR's weighted secrecy rate w R there and its weighted marginal
+        secrecy rate w dR/dp, (N,) each. The best IR has the largest
+        w R(p, alpha), with alpha the optimal split at p or the pinned one;
+        by the envelope theorem its marginal rate is the derivative at that
+        fixed split. It is read from the pair's stationarity row as the
+        price at which p is a root, -om = k(x) / d(x) at x = p / p0 (with a
+        free split, its row at offset m where optimal_split(p) is 0), and is
+        0 where the rate at p is."""
         x = p / self.p0
         a = self._split(x)
         rate = self.w * _secrecy_rate(x, a, self.h, self.b, 1.0)
@@ -286,7 +287,7 @@ class Kernel:
         pair = self.at.take(first * self.cols.size + self.cols)
         if slope.size > self.m:
             pair = np.where(a.take(pair) == 0.0, pair + self.m, pair)
-        return self.ir.take(pair), slope.take(pair)
+        return self.ir.take(pair), rate.take(pair), slope.take(pair)
 
     def __call__(self, omega):
         """Each SC's (owner, p, alpha, value, dp/domega) at the (N,) prices:

@@ -74,7 +74,7 @@ class TestSolveCommand:
         assert report["metadata"]["converged"] is True
 
     def test_huge_budget_exit_ok(self, tmp_path):
-        # 1e20 W is HiGHS's default infinite bound; the harvest LP works in
+        # 1e20 W is HiGHS's default infinite bound; the per-SC LP works in
         # units of the budget and the targets, so none of its bounds or
         # right-hand sides is above 1, and it must find the targets reachable
         cfg = write_config(tmp_path, system={"P_max_dBm": 230})
@@ -294,8 +294,9 @@ class TestSweepCommand:
         assert rows[1][3] == "nan"
 
     def test_infeasible_row_counts_its_evaluations(self, tmp_path):
-        # the solve evaluates the dual, then the harvest LP proves the
-        # target unreachable; the row records that evaluation
+        # the solve evaluates the dual, then the per-SC LP over full-power
+        # columns proves the target unreachable; the row records that
+        # evaluation
         paper = os.path.join(os.path.dirname(__file__), "..", "configs",
                              "paper.yaml")
         out = tmp_path / "inf.csv"

@@ -18,7 +18,8 @@ from scipy.optimize import linprog
 
 from ofdma_swipt import (ChannelRealization, DomainError,
                          InfeasibleProblemError, SystemConfig, dual,
-                         secrecy_rate, solve, solve_dual, vector)
+                         optimal_split, secrecy_rate, solve, solve_dual,
+                         vector)
 from ofdma_swipt.cli import EXIT_INFEASIBLE, EXIT_NOT_CONVERGED, main
 from ofdma_swipt.dual import SolverOptions
 from ofdma_swipt.heuristics import round_robin_assignment
@@ -214,7 +215,7 @@ class TestCuttingPlane:
         for scheme, alpha in (("optimal", None), ("alpha05", 0.5),
                               ("noan", 0.0)):
             eng = dual._Engine(cfg, ch, SolverOptions(), alpha_fixed=alpha)
-            level = np.mean(eng.kernel.marginal_rates(p_eq)[1])
+            level = np.mean(eng.kernel.marginal_rates(p_eq)[2])
             rep = solve(cfg, ch, scheme)
             if scheme == "noan":
                 # no paper pair has h2 > b2, so no rate at split 0
@@ -440,10 +441,10 @@ class TestMasterLP:
 
 
 class TestHarvestLP:
-    """The harvest LP, a per-SC mixture with one column per SC at ``p_eff``,
-    against a cold ``linprog`` of the same LP over per-SC powers in watts:
-    the same verdict, and z * p_eff within 1e-12 * P_max of linprog's
-    powers."""
+    """The harvest LP, the per-SC mixture ``recover_primal`` runs while no
+    primal has passed the screen, one column per SC at ``p_eff``, against a
+    cold ``linprog`` of the same LP over per-SC powers in watts: the same
+    verdict, and z * p_eff within 1e-12 * P_max of linprog's powers."""
 
     @pytest.mark.parametrize("qbar_uw, seed", [
         (100.0, 0), (100.0, 1), (100.0, 2), (100.0, 3),
@@ -460,7 +461,8 @@ class TestHarvestLP:
         cfg = paper_system(qbar_uw=qbar_uw)
         ch = paper_channels(cfg, seed)
         n = cfg.num_scs
-        ref = linprog(c=-(ch.ir_gains.max(axis=0)),
+        # each column is worth max_k w_k R_k(p_eff, alpha*) per unit of z
+        ref = linprog(c=-self._rates(cfg, ch).max(axis=0),
                       A_ub=np.vstack([np.ones(n),
                                       -cfg.harvest_eff[:, None] * ch.er_gains]),
                       b_ub=np.append(cfg.total_power, -cfg.harvest_target),
@@ -469,9 +471,9 @@ class TestHarvestLP:
         if ref.status != 0:
             # 500 uW draw 10 and 900 uW draws 10-11
             with pytest.raises(InfeasibleProblemError, match="unreachable"):
-                eng.harvest_lp_primal()
+                eng.recover_primal()
             return
-        eng.harvest_lp_primal()
+        eng.recover_primal()
         assert len(models) == 1
         z = np.array(models[0].getSolution().col_value)
         assert np.max(np.abs(z * eng.p_eff - ref.x)) <= 1e-12 * cfg.total_power
@@ -482,18 +484,28 @@ class TestHarvestLP:
         calls = []
         mix = dual._Engine._mix
 
-        def spy(eng, sc, power, rate, owner, source):
+        def spy(eng, sc, power, rate, owner):
             calls.append((owner, rate))
-            return mix(eng, sc, power, rate, owner, source)
+            return mix(eng, sc, power, rate, owner)
 
         monkeypatch.setattr(dual._Engine, "_mix", spy)
         return calls
 
-    def test_owners_are_first_best_weighted_gain(self, monkeypatch):
+    @staticmethod
+    def _rates(cfg, ch):
+        """(K1, N) w_k R_k(p_eff, alpha*) of every pair, by ``model``."""
+        p_eff = min(cfg.peak_power, cfg.total_power)
+        H, B = ch.ir_gains, ch.eve_gains
+        return cfg.weights[:, None] * secrecy_rate(
+            p_eff, optimal_split(p_eff, H, B, cfg.noise_power), H, B,
+            cfg.noise_power)
+
+    def test_owners_are_first_best_weighted_rate(self, monkeypatch):
         # SC 0: IRs 0 and 1 tie in weight and gain, and IR 1's eavesdropper
         # is weaker, so the kernel's table drops IR 0; the mixture gives
-        # each SC the first IR of its largest weighted gain in the table,
-        # so SC 0 goes to IR 1 and every other SC to its strongest IR
+        # each SC the first IR of its largest weighted secrecy rate at
+        # p_eff in the table, so SC 0 goes to IR 1 and every other SC to
+        # its strongest IR, each column worth that rate
         cfg = paper_system(n_sc=8, k1=3)
         ch = paper_channels(cfg, 0)
         ch.gains[:2, 0] = 2.0 * ch.ir_gains[:, 0].max()
@@ -501,30 +513,32 @@ class TestHarvestLP:
         eng = dual._Engine(cfg, ch, SolverOptions())
         assert 0 not in eng.kernel.table[:, 0]
         calls = self._spy_mix(monkeypatch)
-        eng.harvest_lp_primal()
+        eng.recover_primal()
         expected = np.argmax(ch.ir_gains, axis=0)
         assert expected[0] == 0
         expected[0] = 1
         owners, rate = calls[0]
         assert owners.tolist() == expected.tolist()
-        assert rate.tolist() == ch.ir_gains.max(axis=0).tolist()
+        rates = self._rates(cfg, ch)
+        assert np.array_equal(np.argmax(rates, axis=0), expected)
+        assert rate == pytest.approx(rates.max(axis=0), rel=1e-12, abs=0.0)
 
     def test_pinned_columns_value_the_pinned_ir(self, monkeypatch):
         # FSA pins each SC's IR: the harvest LP's column on SC n is worth
-        # w H of the pinned IR, not the largest gain of any IR
+        # w R of the pinned IR at p_eff, not the largest rate of any IR
         cfg = replace(paper_system(qbar_uw=400.0),
                       weights=np.array([1.0, 2.0, 0.5, 1.0]))
         ch = paper_channels(cfg, 8)
         pinned = round_robin_assignment(cfg)
         eng = dual._Engine(cfg, ch, SolverOptions(), fixed_assign=pinned)
         calls = self._spy_mix(monkeypatch)
-        eng.harvest_lp_primal()
+        eng.recover_primal()
         owners, rate = calls[0]
-        cols = np.arange(cfg.num_scs)
+        rates = self._rates(cfg, ch)
         assert owners.tolist() == pinned.tolist()
-        assert rate.tolist() == (cfg.weights[pinned]
-                                 * ch.ir_gains[pinned, cols]).tolist()
-        assert np.any(rate != ch.ir_gains.max(axis=0))
+        assert rate == pytest.approx(rates[pinned, np.arange(cfg.num_scs)],
+                                     rel=1e-12, abs=0.0)
+        assert np.any(rate < 0.5 * rates.max(axis=0))
 
 
 class TestMasterFailure:
@@ -571,15 +585,18 @@ class TestMasterFailure:
 
 @pytest.fixture
 def lp_calls(monkeypatch):
-    """The evaluation count at each call of the harvest LP."""
+    """The evaluation count at each run of the harvest LP: the call of
+    ``recover_primal`` that finds no primal and no earlier per-SC LP, and so
+    runs over full-power columns."""
     calls = []
-    lp = dual._Engine.harvest_lp_primal
+    lp = dual._Engine.recover_primal
 
     def spy(eng):
-        calls.append(eng.n_evals)
+        if eng.best_alloc is None and not eng.lp_runs:
+            calls.append(eng.n_evals)
         return lp(eng)
 
-    monkeypatch.setattr(dual._Engine, "harvest_lp_primal", spy)
+    monkeypatch.setattr(dual._Engine, "recover_primal", spy)
     return calls
 
 
@@ -592,8 +609,8 @@ class TestPrimalSource:
         cfg = paper_system()
         rep = solve(cfg, paper_channels(cfg, 1), "noan")
         assert lp_calls == [1]
-        assert rep.metadata["harvest_lp_runs"] == 1
-        assert rep.metadata["primal_source"] == "harvest LP"
+        assert rep.metadata["lp_runs"] == 1
+        assert rep.metadata["primal_source"] == "recovered"
         assert rep.objective == 0.0
 
     def test_overspending_iterate_scaled_onto_budget(self):
@@ -602,7 +619,7 @@ class TestPrimalSource:
         cfg = paper_system(qbar_uw=400.0)
         ch = paper_channels(cfg, 10)
         eng = dual._Engine(cfg, ch, SolverOptions())
-        eng.harvest_lp_primal()
+        eng.recover_primal()
         lp = eng.best_alloc
         eng.best_obj = -np.inf
         over = Allocation(lp.owner, 1.5 * lp.sc_power, lp.sc_split,
@@ -684,6 +701,25 @@ class TestNoPrimal:
         assert len(rejecting_screen) == 3
         assert lp_calls == [1]
 
+    @pytest.mark.xfail(strict=True, reason=(
+        "Newton creep: on these draws each Newton point differs from the "
+        "last only by rounding, so the loop takes 200 Newton steps and 0 "
+        "masters and stops by the evaluation cap. Sending the loop to the "
+        "master after a Newton point that lowers g_min by no more than "
+        "CONVERGENCE_TOL |g| ends each by 'bound certified' in 2-3 "
+        "evaluations, but raises the optimal and alpha05 binding-set "
+        "totals to 845 and 1053 evaluations, above the 836 and 1046 of "
+        "test_binding_set_evaluations_not_above_gamma0_start"))
+    @pytest.mark.parametrize("seed", [1, 2, 5])
+    def test_bound_certified_without_a_primal(self, seed):
+        # with no primal the gap never closes, so only the master's model
+        # can certify the bound; the fix tried took 2-3 evaluations
+        cfg = paper_system()
+        eng = dual._Engine(cfg, paper_channels(cfg, seed),
+                           SolverOptions(max_iterations=200))
+        assert eng.cutting_plane() == "bound certified"
+        assert eng.n_evals <= 10
+
     def test_cli_exits_infeasible(self, capsys):
         paper = Path(__file__).parents[1] / "configs" / "paper.yaml"
         assert main(["solve", "--config", str(paper)]) == EXIT_INFEASIBLE
@@ -756,21 +792,25 @@ class TestRecovery:
             eng.evaluate(np.zeros(cfg.num_ers), gamma)
         columns = sum(np.count_nonzero(p > 0) for _, p, _ in eng.visited)
         assert columns == 5038
+        # no iterate passes the screen here, so the first LP is over
+        # full-power columns and the next over the visited iterates
+        assert eng.best_alloc is None
+        eng.recover_primal()
         tracemalloc.start()
         try:
             eng.recover_primal()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert eng.best_source == "recovered"
+        assert eng.best_source == "recovered" and eng.lp_runs == 2
         assert peak < 4 * 2 ** 20, peak
 
 
 class TestHarvestFeasibilityCheck:
-    def test_zero_targets_always_feasible(self):
+    def test_zero_targets_always_feasible(self, lp_calls):
         cfg = paper_system(n_sc=8, qbar_uw=0.0)
-        rep = solve(cfg, paper_channels(cfg, seed=0))
-        assert rep.metadata["primal_source"] != "harvest LP"
+        solve(cfg, paper_channels(cfg, seed=0))
+        assert lp_calls == []
 
     def test_unreachable_targets_detected(self, lp_calls):
         # just above what the whole budget on ER 0's best SC can deliver:
@@ -828,7 +868,7 @@ class TestHarvestFeasibilityCheck:
         rep = solve(cfg, paper_channels(cfg, seed))
         assert rep.trace[0].harvest_shortfall > 0.0
         assert lp_calls == []
-        assert rep.metadata["harvest_lp_runs"] == 0
+        assert rep.metadata["lp_runs"] == 0
 
     def test_run_at_the_first_master_without_a_primal(self, lp_calls):
         # 400 uW draw 10: no iterate passes before the fourth evaluation,
@@ -836,20 +876,46 @@ class TestHarvestFeasibilityCheck:
         cfg = paper_system(qbar_uw=400.0)
         rep = solve(cfg, paper_channels(cfg, 10))
         assert lp_calls == [4]
-        assert rep.metadata["harvest_lp_runs"] == 1
+        assert rep.metadata["lp_runs"] == 1
         assert rep.metadata["master_solves"] >= 1
         assert np.all(np.isnan(rep.trace["primal"][:4]))
 
     def test_run_after_the_evaluation_cap_without_a_primal(self, lp_calls):
         # the cap ends the loop before any master, with no primal: the LP
-        # runs after it, and its allocation is returned
+        # runs after it, and a mixture is returned
         cfg = paper_system(qbar_uw=400.0)
         rep = solve(cfg, paper_channels(cfg, 10),
                     options=SolverOptions(max_iterations=1))
         assert lp_calls == [1]
         assert rep.metadata["stop_reason"] == "evaluation cap"
         assert rep.metadata["master_solves"] == 0
-        assert rep.metadata["primal_source"] == "harvest LP"
+        assert rep.metadata["lp_runs"] == 2
+        assert rep.metadata["primal_source"] == "recovered"
+
+    def test_visited_lp_follows_the_full_power_lp_after_the_cap(
+            self, monkeypatch):
+        # 400 uW draw 10 capped at 2 evaluations: no iterate passed and no
+        # master ran, so the full-power LP runs after the loop, and where
+        # its mixture leaves the gap open the LP over the visited iterates
+        # runs too and improves on it
+        runs = []
+        lp = dual._Engine.recover_primal
+
+        def spy(eng):
+            full = eng.best_alloc is None and not eng.lp_runs
+            lp(eng)
+            runs.append((eng.n_evals, full, eng.best_obj))
+
+        monkeypatch.setattr(dual._Engine, "recover_primal", spy)
+        cfg = paper_system(qbar_uw=400.0)
+        rep = solve(cfg, paper_channels(cfg, 10),
+                    options=SolverOptions(max_iterations=2))
+        assert [run[:2] for run in runs] == [(2, True), (2, False)]
+        assert rep.metadata["stop_reason"] == "evaluation cap"
+        assert rep.metadata["master_solves"] == 0
+        assert rep.metadata["lp_runs"] == 2
+        assert runs[1][2] > 2.0 * runs[0][2]
+        assert rep.objective == runs[1][2] / cfg.num_scs
 
 
 #: the reference rows: Qbar = 100 uW on paper draws 0-19 and 300, 400, ...,
@@ -886,7 +952,9 @@ def reference_reports():
 @pytest.mark.parametrize("scheme", DUAL_SCHEMES)
 def test_harvest_lp_runs_at_most_once(scheme, lp_calls):
     # on every reference row, infeasible ones included; where it runs, no
-    # earlier evaluation passed the screen
+    # earlier evaluation passed the screen. lp_runs adds the LP over the
+    # visited iterates, which runs exactly where the loop ends with the
+    # gap open
     for qbar_uw, seed in REFERENCE_ROWS:
         cfg = paper_system(qbar_uw=qbar_uw)
         lp_calls.clear()
@@ -895,8 +963,10 @@ def test_harvest_lp_runs_at_most_once(scheme, lp_calls):
         except InfeasibleProblemError as err:
             assert lp_calls == [err.evaluations], (qbar_uw, seed)
             continue
-        assert len(lp_calls) == rep.metadata["harvest_lp_runs"] <= 1, (
-            qbar_uw, seed)
+        m = rep.metadata
+        assert len(lp_calls) <= 1, (qbar_uw, seed)
+        assert m["lp_runs"] == len(lp_calls) + (
+            m["stop_reason"] != "gap closed"), (qbar_uw, seed)
         if lp_calls:
             assert np.all(np.isnan(rep.trace["primal"][:lp_calls[0]])), (
                 qbar_uw, seed)
@@ -905,24 +975,31 @@ def test_harvest_lp_runs_at_most_once(scheme, lp_calls):
 @pytest.mark.parametrize("scheme", DUAL_SCHEMES)
 def test_infeasible_exactly_where_linprog_is(scheme):
     # an independent verdict: a feasibility LP over per-SC powers in
-    # [0, p_eff] with the budget row and the harvest rows
-    for qbar_uw in range(300, 1501, 200):
-        cfg = paper_system(qbar_uw=float(qbar_uw))
-        n, p_eff = cfg.num_scs, min(cfg.peak_power, cfg.total_power)
-        for seed in range(12):
-            ch = paper_channels(cfg, seed)
-            ref = linprog(c=np.zeros(n), A_ub=np.vstack(
-                [np.ones(n), -cfg.harvest_eff[:, None] * ch.er_gains]),
-                b_ub=np.append(cfg.total_power, -cfg.harvest_target),
-                bounds=[(0.0, p_eff)] * n, method="highs")
-            assert ref.status in (0, 2), (qbar_uw, seed, ref.message)
-            try:
-                solve(cfg, ch, scheme)
-            except InfeasibleProblemError as err:
-                assert ref.status == 2, (qbar_uw, seed)
-                assert err.evaluations >= 1
-            else:
-                assert ref.status == 0, (qbar_uw, seed)
+    # [0, p_eff] with the budget row and the harvest rows. Unequal weights
+    # leave an SC several undominated IRs, where the harvest LP's owner is
+    # the one of largest weighted rate; at K2 = 1 the one target is 4 Qbar
+    weights = np.array([1.0, 2.0, 0.5, 1.0])
+    for k2, times, w in ((4, 1, None), (4, 1, weights), (1, 4, weights)):
+        for qbar_uw in range(300, 1501, 200):
+            cfg = paper_system(k2=k2, qbar_uw=float(times * qbar_uw))
+            if w is not None:
+                cfg = replace(cfg, weights=w)
+            n, p_eff = cfg.num_scs, min(cfg.peak_power, cfg.total_power)
+            for seed in range(12):
+                case = (k2, w is not None, qbar_uw, seed)
+                ch = paper_channels(cfg, seed)
+                ref = linprog(c=np.zeros(n), A_ub=np.vstack(
+                    [np.ones(n), -cfg.harvest_eff[:, None] * ch.er_gains]),
+                    b_ub=np.append(cfg.total_power, -cfg.harvest_target),
+                    bounds=[(0.0, p_eff)] * n, method="highs")
+                assert ref.status in (0, 2), (case, ref.message)
+                try:
+                    solve(cfg, ch, scheme)
+                except InfeasibleProblemError as err:
+                    assert ref.status == 2, case
+                    assert err.evaluations >= 1
+                else:
+                    assert ref.status == 0, case
 
 
 @pytest.mark.parametrize("scheme", DUAL_SCHEMES)
@@ -955,7 +1032,7 @@ def test_dark_subcarriers_have_no_owner(reference_reports):
                 scheme, qbar_uw, seed)
             source = rep.metadata["primal_source"]
             sources.add("evaluation" if isinstance(source, int) else source)
-    assert sources == {"evaluation", "recovered", "harvest LP"}
+    assert sources == {"evaluation", "recovered"}
 
 
 @pytest.mark.parametrize("qbar_uw, seed", [(100.0, 0), (900.0, 0), (700.0, 11)])

@@ -426,10 +426,12 @@ def test_near_tie_pair_in_a_mixed_table():
     assert [one.p0.size for one in ones] == [2, 1]
     for p in (1e-13, 1e-14):
         assert optimal_split(p, H[0], B[0], 1.0).tolist() == [0.0, 0.0]
-        owner, slope = kern.marginal_rates(p)
+        owner, rate, slope = kern.marginal_rates(p)
         assert owner.tolist() == [0, 0]
         for j, one in enumerate(ones):
-            assert slope[j].tobytes() == one.marginal_rates(p)[1][0].tobytes()
+            ref = one.marginal_rates(p)
+            assert rate[j].tobytes() == ref[1][0].tobytes()
+            assert slope[j].tobytes() == ref[2][0].tobytes()
         assert np.all(np.isfinite(slope) & (slope > 0.0))
     for om in (-1.0, -0.3, -0.1, -0.03, -1e-3, -1e-12, 0.0, 1e-3, 0.5):
         got = kern(np.full(2, om))
@@ -451,17 +453,22 @@ def _marginal_oracle(h2, b2, sigma2, w, p, alpha):
 def _check_marginal_rates(H, B, sigma2, w, p, alpha, p_peak):
     """Check ``Kernel.marginal_rates(p)`` SC by SC: the owner's weighted
     rate at p is the largest of any IR's, with the optimal split at p where
-    ``alpha`` is None, and its slope is the oracle's to 1e-6, or 0 where the
-    rate is. Returns the SCs whose rate is 0 and those whose optimal split
-    at p is 0 with h2 > b2."""
-    owner, slope = vector.Kernel(H, B, sigma2, w, p_peak, alpha
-                                 ).marginal_rates(p)
+    ``alpha`` is None, the returned rate is w ``secrecy_rate`` of the owner
+    to 1e-12 and no IR outside the kernel's table beats it, and its slope
+    is the oracle's to 1e-6, or 0 where the rate is. Returns the SCs whose
+    rate is 0 and those whose optimal split at p is 0 with h2 > b2."""
+    kern = vector.Kernel(H, B, sigma2, w, p_peak, alpha)
+    owner, rate, slope = kern.marginal_rates(p)
     zero = split_0 = 0
     for n, k in enumerate(owner):
         splits = (optimal_split(p, H[:, n], B[:, n], sigma2) if alpha is None
                   else np.full(len(w), alpha))
         rates = w * _secrecy_rate(p, splits, H[:, n], B[:, n], sigma2)
         assert rates[k] == rates.max(), (n, k, rates)
+        ref = w * secrecy_rate(p, splits, H[:, n], B[:, n], sigma2)
+        assert rate[n] == pytest.approx(ref[k], rel=1e-12, abs=0.0), (n, k)
+        outside = np.setdiff1d(np.arange(len(w)), kern.table[:, n])
+        assert np.all(ref[outside] <= rate[n] * (1.0 + 1e-12)), (n, k)
         if rates[k] == 0.0:
             assert slope[n] == 0.0, n
             zero += 1
