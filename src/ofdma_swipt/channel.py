@@ -9,9 +9,11 @@ least the number of taps; with fewer subcarriers the taps fold modulo N,
 which keeps E[|H(n)|^2] = 1.
 
 Every receiver draws its distance and taps from its own child of the seed
-sequence, so adding receivers never perturbs the channels of existing ones;
-the folded taps of all receivers then go through one FFT over a (K, N)
-array.
+sequence, so adding receivers never perturbs the channels of existing ones:
+one uniform distance, whose loss is a scalar :func:`path_loss` call, then one
+normal draw of 2L values, the L real parts of its taps and then the L
+imaginary parts. The taps of all receivers sit in one zero-padded array,
+folded and sent through one FFT over a (K, N) array.
 """
 
 from __future__ import annotations
@@ -65,7 +67,7 @@ def watts_to_dbm(w: float) -> float:
 def path_loss(d: float, spec: ScenarioSpec) -> float:
     """Linear power gain at distance d: free-space anchor at 1 m, then
     exponent decay."""
-    if not np.all(np.asarray(d) >= D_REF):  # True for NaN too
+    if not (np.asarray(d) >= D_REF).all():  # True for NaN too
         raise DomainError(f"distance below reference {D_REF} m or NaN")
     g0 = (SPEED_OF_LIGHT / (4.0 * np.pi * spec.carrier * D_REF)) ** 2
     return g0 * (D_REF / d) ** spec.pathloss_exp
@@ -73,20 +75,20 @@ def path_loss(d: float, spec: ScenarioSpec) -> float:
 
 def generate_scenario(config: SystemConfig, spec: ScenarioSpec) -> ChannelRealization:
     """Draw one deterministic channel realization for the given seed."""
-    n, k_all = config.num_scs, config.num_receivers
-    children = np.random.SeedSequence(spec.seed).spawn(k_all)
+    n, k_all, num_taps = config.num_scs, config.num_receivers, spec.num_taps
     loss = np.empty(k_all)
-    taps = np.empty((k_all, spec.num_taps), dtype=complex)
-    for k, child in enumerate(children):
+    normals = np.empty((k_all, 2 * num_taps))  # per row: real, then imaginary
+    for k, child in enumerate(np.random.SeedSequence(spec.seed).spawn(k_all)):
         rng = np.random.default_rng(child)
         radius = spec.cell_radius if k < config.num_irs else spec.er_radius
         # a Python float: an array power rounds differently
         loss[k] = path_loss(rng.uniform(D_REF, radius), spec)
-        taps[k] = (rng.standard_normal(spec.num_taps)
-                   + 1j * rng.standard_normal(spec.num_taps))
-    taps *= np.sqrt(1.0 / (2.0 * spec.num_taps))  # unit total mean power
-    # taps beyond n fold onto tap l mod n: the n-point DFT of the response
-    taps = np.pad(taps, ((0, 0), (0, -spec.num_taps % n)))
+        rng.standard_normal(out=normals[k])
+    # taps beyond n fold onto tap l mod n: the n-point DFT of the response;
+    # the columns past num_taps stay 0
+    taps = np.zeros((k_all, num_taps + -num_taps % n), dtype=complex)
+    taps[:, :num_taps] = normals[:, :num_taps] + 1j * normals[:, num_taps:]
+    taps *= np.sqrt(1.0 / (2.0 * num_taps))  # unit total mean power
     freq = np.fft.fft(taps.reshape(k_all, -1, n).sum(axis=1), axis=1)
     gains = loss[:, None] * np.abs(freq) ** 2
     return ChannelRealization(gains=gains, num_irs=config.num_irs)

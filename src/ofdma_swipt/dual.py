@@ -232,7 +232,11 @@ class _Engine:
         self.opt = options
         self.H = channels.ir_gains
         self.B = channels.eve_gains
-        self.zg = config.harvest_eff[:, None] * channels.er_gains
+        self.G = channels.er_gains
+        self.zg = config.harvest_eff[:, None] * self.G
+        target = config.harvest_target
+        # the screen's harvest floor: each target less its tolerated shortfall
+        self.q_floor = target - FEASIBILITY_TOL * target
         self.p_eff = min(config.peak_power, config.total_power)
         self.kernel = vector.Kernel(self.H, self.B, config.noise_power,
                                     config.weights, self.p_eff, alpha_fixed,
@@ -258,13 +262,14 @@ class _Engine:
         p_eq = config.total_power / config.num_scs
         slopes = (config.weights[:, None] * self.H
                   / (LN2 * (config.noise_power + self.H * p_eq)))
-        self.gamma0 = float(np.mean(slopes))
-        gbar = channels.er_gains.mean(axis=1)
+        # means as sums over counts: np.mean's own arithmetic, unwrapped
+        self.gamma0 = float(slopes.sum() / slopes.size)
+        gbar = self.G.sum(axis=1) / config.num_scs
         self.lam_scale = self.gamma0 / (config.harvest_eff * gbar)
         # the start: the water level, each SC's marginal weighted rate at
         # equal power averaged over the SCs; the unit where it is 0
-        level = float(np.mean(
-            self.kernel.marginal_rates(min(p_eq, self.p_eff))[2]))
+        level = float(self.kernel.marginal_rates(min(p_eq, self.p_eff))[2].sum()
+                      / config.num_scs)
         self.y_start = level / self.gamma0 or 1.0
 
     def evaluate(self, lam: np.ndarray, gamma: float):
@@ -282,12 +287,15 @@ class _Engine:
             self.g_min, self.lam, self.gamma = g_raw, lam, gamma
         self.visited.append((owner, p, val - p * omega))
         q, total, primal_norm = self._screen(owner, p, a, self.n_evals)
-        qv = float(np.max(self.cfg.harvest_target - q)) if self.cfg.num_ers else 0.0
+        qv = (float((self.cfg.harvest_target - q).max()) if self.cfg.num_ers
+              else 0.0)
         self.trace.append((g_raw / self.cfg.num_scs, primal_norm,
                            total - self.cfg.total_power, qv))
         hess = (self.d_omega * dp) @ self.d_omega.T
-        return g_raw, np.append(q - self.cfg.harvest_target,
-                                self.cfg.total_power - total), hess
+        sub = np.empty(self.cfg.num_ers + 1)
+        np.subtract(q, self.cfg.harvest_target, out=sub[:-1])
+        sub[-1] = self.cfg.total_power - total
+        return g_raw, sub, hess
 
     def _screen(self, owner: np.ndarray, power: np.ndarray,
                 split: np.ndarray, source: int | str):
@@ -298,7 +306,7 @@ class _Engine:
         new best primal. The vectors and gains come from the solve, so the
         score skips the input checks of ``weighted_sum_secrecy``."""
         cfg = self.cfg
-        q = cfg.harvest_eff * (self.ch.er_gains @ power)
+        q = cfg.harvest_eff * (self.G @ power)
         total = float(power.sum())
         p_scaled, q_scaled = power, q
         if total > cfg.total_power:
@@ -306,8 +314,7 @@ class _Engine:
             # primal exceed the dual bound and the gap go negative
             scale = cfg.total_power / total
             p_scaled, q_scaled = power * scale, q * scale
-        target = cfg.harvest_target
-        if np.any(q_scaled < target - FEASIBILITY_TOL * target):
+        if (q_scaled < self.q_floor).any():
             return q, total, math.nan
         obj_raw = _weighted_sum_secrecy(owner, p_scaled, split, self.H, self.B,
                                         cfg.weights, cfg.noise_power)
@@ -360,9 +367,9 @@ class _Engine:
                 y = 0.5 * (y + left)
                 continue
             y_newton = _newton_point(y, s, unit * hess * unit[:, None] / scale)
-            if (y_newton is not None and np.all(y_newton <= master.upper)
+            if (y_newton is not None and (y_newton <= master.upper).all()
                     and master.model(y_newton) < self.g_min / scale + CONVERGENCE_TOL
-                    and not np.array_equal(y_newton, y)):
+                    and not (y_newton == y).all()):
                 self.newton_steps += 1
                 left, halvings = y, 0
                 y = y_newton
@@ -467,10 +474,10 @@ def _newton_point(y: np.ndarray, s: np.ndarray, hess: np.ndarray):
     itself where every coordinate drops; None where a free block is
     singular or not finite."""
     free = (y > 0) | (s < 0)
-    step = np.zeros_like(y)
+    step = np.zeros(y.size)
     while free.any():
-        block = hess[np.ix_(free, free)]
-        if not np.all(np.isfinite(block)):
+        block = hess[free][:, free]
+        if not np.isfinite(block).all():
             return None
         try:
             step[free] = np.linalg.solve(block, -s[free])
@@ -528,8 +535,9 @@ def _solve(h: _Highs):
 
 class _MasterLP:
     """Kelley's master LP, min t over 0 <= y <= upper and s_i . y - t <= b_i
-    for every cut i. :meth:`cut` stores the row (s_i, -1) and its bound
-    b_i, which :meth:`model` evaluates at a point. Most solves never solve
+    for every cut i. :meth:`cut` stores the row (s_i, -1, b_i) in one array
+    whose capacity doubles when full, so storing k cuts copies O(k) entries;
+    :meth:`model` evaluates the cuts at a point. Most solves never solve
     a master, so its HiGHS model is created at the first :meth:`solve`;
     each solve adds the cuts stored since the previous one as rows that
     never change and restarts the simplex from the previous basis. Growing
@@ -538,18 +546,22 @@ class _MasterLP:
     def __init__(self, upper: np.ndarray):
         self.upper = np.array(upper, dtype=float)
         self._h: _Highs | None = None
-        self._rows: list = []
-        self._b: list = []
+        self._cuts = np.empty((8, self.upper.size + 2))  # rows (s_i, -1, b_i)
+        self._k = 0  # cuts stored
 
     def cut(self, s: np.ndarray, b: float):
         """Add the cut s . y - t <= b."""
-        self._rows.append(np.append(s, -1.0))
-        self._b.append(b)
+        if self._k == len(self._cuts):
+            self._cuts = np.concatenate([self._cuts, np.empty_like(self._cuts)])
+        row = self._cuts[self._k]
+        row[:-2] = s
+        row[-2:] = -1.0, b
+        self._k += 1
 
     def model(self, y: np.ndarray) -> float:
         """The cut model at ``y``: max_i s_i . y - b_i."""
-        return float(np.max(np.array(self._rows)[:, :-1] @ y
-                            - np.array(self._b)))
+        cuts = self._cuts[:self._k]
+        return float((cuts[:, :-2] @ y - cuts[:, -1]).max())
 
     def grow(self, on_face: np.ndarray):
         """Quadruple the box on the faces ``on_face`` marks."""
@@ -565,9 +577,8 @@ class _MasterLP:
             self._h = _highs(np.append(np.zeros(m), -np.inf),
                              np.append(self.upper, np.inf),
                              np.append(np.zeros(m), 1.0))
-        new = slice(self._h.getNumRow(), None)  # cuts since the last solve
-        _add_rows(self._h, np.full(len(self._b[new]), -np.inf),
-                  np.array(self._b[new]), np.array(self._rows[new]))
+        new = self._cuts[self._h.getNumRow():self._k]  # since the last solve
+        _add_rows(self._h, np.full(len(new), -np.inf), new[:, -1], new[:, :-1])
         solution = _solve(self._h)
         return None if solution is None else (solution[0][:-1], solution[1])
 

@@ -6,6 +6,7 @@ import pytest
 
 from ofdma_swipt import (DomainError, ScenarioSpec, dbm_to_watts,
                          generate_scenario, path_loss, watts_to_dbm)
+from ofdma_swipt import channel
 from ofdma_swipt.channel import D_REF, SPEED_OF_LIGHT
 
 from conftest import paper_system
@@ -59,9 +60,18 @@ class TestPathLoss:
         with pytest.raises(DomainError):
             path_loss(0.5, ScenarioSpec())
 
-    @pytest.mark.parametrize("d", [np.nan, [2.0, np.nan]])
+    @pytest.mark.parametrize("d", [np.nan, [2.0, np.nan],
+                                   np.array([[3.0], [np.nan]])])
     def test_nan_distance_rejected(self, d):
         with pytest.raises(DomainError):
+            path_loss(d, ScenarioSpec())
+
+    @pytest.mark.parametrize("d", [
+        np.nextafter(D_REF, 0.0), -np.inf,
+        np.array([2.0, np.nextafter(D_REF, 0.0)])],
+        ids=["scalar-just-below", "scalar-minus-inf", "array-just-below"])
+    def test_just_below_reference_rejected(self, d):
+        with pytest.raises(DomainError, match="below reference"):
             path_loss(d, ScenarioSpec())
 
     def test_takes_arrays(self):
@@ -121,6 +131,21 @@ class TestGenerateScenario:
         for row in ch.gains:
             assert np.allclose(row, row[0])
 
+    def test_one_scalar_loss_call_per_receiver(self, monkeypatch):
+        # an array power rounds differently from the scalar one, so every
+        # receiver's loss comes from its own call on a Python float
+        distances = []
+
+        def recording(d, spec):
+            distances.append(d)
+            return path_loss(d, spec)
+
+        monkeypatch.setattr(channel, "path_loss", recording)
+        cfg = paper_system()
+        generate_scenario(cfg, ScenarioSpec(seed=3))
+        assert len(distances) == cfg.num_receivers
+        assert all(type(d) is float for d in distances)
+
     def test_er_gains_dominate_ir_gains(self):
         cfg = paper_system(n_sc=16)
         meds_ir, meds_er = [], []
@@ -133,7 +158,7 @@ class TestGenerateScenario:
 
 def per_receiver_gains(config, spec):
     """The generator drawn one receiver at a time: each receiver's taps are
-    padded, folded and transformed by their own FFT."""
+    two normal draws, padded, folded and transformed by their own FFT."""
     n = config.num_scs
     children = np.random.SeedSequence(spec.seed).spawn(config.num_receivers)
     gains = np.empty((config.num_receivers, n))
@@ -154,12 +179,16 @@ def per_receiver_gains(config, spec):
 
 @pytest.mark.parametrize("system, taps", [
     ({}, 8), ({"n_sc": 8}, 8), ({"n_sc": 3}, 8), ({}, 1),
-    ({"k2": 0, "qbar_uw": 0.0}, 8)],
-    ids=["paper", "n8", "n3-folded", "one-tap", "no-er"])
+    ({"k2": 0, "qbar_uw": 0.0}, 8), ({"n_sc": 1}, 8), ({"n_sc": 4}, 13),
+    ({"k1": 1, "k2": 1}, 8)],
+    ids=["paper", "n8", "n3-folded", "one-tap", "no-er", "n1-folded",
+         "n4-13-taps", "one-ir-one-er"])
 def test_one_fft_matches_per_receiver_draws(system, taps):
-    # the batched FFT over all receivers draws the same bytes
+    # one normal draw per receiver, split into real and imaginary parts,
+    # and the batched FFT over all receivers draw the same bytes as two
+    # draws and one FFT per receiver
     cfg = paper_system(**system)
-    for seed in range(20):
+    for seed in range(200):
         spec = ScenarioSpec(num_taps=taps, seed=seed)
         got = generate_scenario(cfg, spec).gains
         assert got.tobytes() == per_receiver_gains(cfg, spec).tobytes()

@@ -439,6 +439,29 @@ class TestMasterLP:
         # minimizer touches
         assert max(pinned) >= box
 
+    def test_cut_store_grows_past_its_capacity(self):
+        # the cuts live in one array whose capacity doubles from 8 rows: the
+        # model is the stacked rows' maximum to the bit, and each solve adds
+        # the cuts stored since the previous one, across the growth
+        rng = np.random.default_rng(0)
+        master = dual._MasterLP(np.full(3, 4.0))
+        cuts = []
+        for k in range(1, 21):
+            cuts.append((rng.standard_normal(3), float(rng.standard_normal())))
+            master.cut(*cuts[-1])
+            y = rng.uniform(0.0, 4.0, 3)
+            rows = np.array([np.append(s, -1.0) for s, _ in cuts])
+            expect = float(np.max(rows[:, :-1] @ y - np.array([b for _, b in cuts])))
+            assert master.model(y) == expect
+            if k in (5, 20):
+                _, t = master.solve()
+                ref = linprog(c=np.append(np.zeros(3), 1.0), A_ub=rows,
+                              b_ub=[b for _, b in cuts],
+                              bounds=[(0.0, 4.0)] * 3 + [(None, None)],
+                              method="highs")
+                assert ref.status == 0 and abs(t - ref.fun) <= 1e-9
+                assert master._h.getNumRow() == k
+
 
 class TestHarvestLP:
     """The harvest LP, the per-SC mixture ``recover_primal`` runs while no
