@@ -171,12 +171,18 @@ def with_axis(data: dict, axis: str, value) -> dict:
     return {**data, "system": sys_d}
 
 
+#: libyaml's parser where PyYAML was built with it, else the pure-Python
+#: one; both build the mapping with SafeLoader's constructor and resolver
+_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
 def read_config(path: str):
-    """The YAML document in ``path``, unparsed."""
+    """The YAML document in ``path``, unparsed: ``yaml.safe_load``'s
+    mapping, parsed by ``_LOADER``."""
     try:
         with open(path) as fh:
-            return yaml.safe_load(fh)
-    except (OSError, yaml.YAMLError) as exc:
+            return yaml.load(fh, Loader=_LOADER)
+    except (OSError, UnicodeDecodeError, yaml.YAMLError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
 
 

@@ -199,14 +199,16 @@ def threshold_x(alpha, h2, b2, sigma2):
     ``max(., 0)`` before use.
     """
     _, alpha = _validate_rate_inputs(0.0, alpha, sigma2, h2, b2)
-    out = _threshold(alpha, np.asarray(h2, dtype=float),
-                     np.asarray(b2, dtype=float), sigma2)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        out = _threshold(alpha, np.asarray(h2, dtype=float),
+                         np.asarray(b2, dtype=float), sigma2)
     return out if out.ndim else float(out)
 
 
 def _threshold(alpha, h2, b2, sigma2):
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        finite = np.divide(sigma2, alpha) * (1.0 / h2 - 1.0 / b2)
+    """:func:`threshold_x` without input checks; callers ignore divide,
+    invalid and overflow errors around it (sigma2 / 0 at alpha = 0)."""
+    finite = np.divide(sigma2, alpha) * (1.0 / h2 - 1.0 / b2)
     at_zero = np.where(b2 >= h2, np.inf, -np.inf)
     return np.where(alpha == 0.0, at_zero, finite)
 
@@ -220,11 +222,11 @@ def _secrecy_rate(p, alpha, h2, b2, sigma2):
     test; the rate is gated on ``p > [threshold_x]^+`` so that it is zero
     exactly below the threshold and positive beyond it.
     """
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         gain = ((1.0 - alpha) * p * (sigma2 * (h2 - b2) + alpha * h2 * b2 * p)
                 / (sigma2 * (sigma2 + b2 * p)))
         rs = np.log1p(gain) / LN2
-    x_plus = np.maximum(_threshold(alpha, h2, b2, sigma2), 0.0)
+        x_plus = np.maximum(_threshold(alpha, h2, b2, sigma2), 0.0)
     return np.where(p > x_plus, np.maximum(rs, 0.0), 0.0)
 
 

@@ -194,7 +194,9 @@ class Kernel:
     IRs, weights and peaks, each row's coefficients as ``k + om d``, highest
     power first (``k`` the price-free part, ``d`` the rate of change in the
     price), and the order. A call adds the roots, their slopes, the splits
-    and every value."""
+    and every value, and returns each SC's winning candidate; the caller
+    keeps those and passes them to :meth:`follow`, which re-prices the same
+    candidates at other prices without the splits or values."""
 
     def __init__(self, H, B, sigma2, weights, p_peak, alpha_fixed=None,
                  owner_fixed=None):
@@ -289,17 +291,26 @@ class Kernel:
             pair = np.where(a.take(pair) == 0.0, pair + self.m, pair)
         return self.ir.take(pair), rate.take(pair), slope.take(pair)
 
-    def __call__(self, omega):
-        """Each SC's (owner, p, alpha, value, dp/domega) at the (N,) prices:
-        its first best candidate in ``order``, or the skip where that value
-        is <= 0: all 0, owner -1. dp/domega is -dQ/domega / dQ/dp of the
-        stationarity polynomial Q whose root won, else 0."""
+    def _candidates(self, omega):
+        """The rows' normalized prices at the (N,) prices ``omega``, and
+        the rows' candidate powers and their rates of change in the price,
+        each (roots + 1, rows): the roots in (0, P_peak], NaN elsewhere,
+        then the peak, which does not move with the price."""
         om = np.asarray(omega, dtype=float).take(self.col) * self.p0
         x, slope = self.roots(om)
-        # the candidates: each row's roots in (0, P_peak], then its peak
-        x = np.concatenate([np.where((x > 0) & (x <= self.p_fix), x, np.nan),
-                            self.p_fix])
-        slope = np.concatenate([slope, np.zeros_like(self.p_fix)])
+        return (om, np.concatenate([np.where((x > 0) & (x <= self.p_fix), x,
+                                             np.nan), self.p_fix]),
+                np.concatenate([slope, np.zeros_like(self.p_fix)]))
+
+    def __call__(self, omega):
+        """Each SC's (owner, p, alpha, value, dp/domega, candidate) at the
+        (N,) prices: its first best candidate in ``order``, or the skip
+        where that value is <= 0: all 0, owner and candidate -1. dp/domega
+        is -dQ/domega / dQ/dp of the stationarity polynomial Q whose root
+        won, else 0. The candidate is the winner's flat index into the
+        (roots + 1, rows) candidates, roots then peak, which
+        :meth:`follow` takes."""
+        om, x, slope = self._candidates(omega)
         a = self._split(x)
         v = _value(x, a, self.h, self.b, self.w, om)
         # absent candidates (NaN power) and non-finite values never win
@@ -314,4 +325,22 @@ class Kernel:
         p0 = self.p0.take(row)
         return (np.where(skip, -1, self.ir.take(row)),
                 np.where(skip, 0.0, p) * p0, np.where(skip, 0.0, a),
-                np.where(skip, 0.0, v), np.where(skip, 0.0, d) * (p0 * p0))
+                np.where(skip, 0.0, v), np.where(skip, 0.0, d) * (p0 * p0),
+                np.where(skip, -1, best))
+
+    def follow(self, omega, cand):
+        """Each SC's (p, dp/domega), (N,) each, at the (N,) prices
+        ``omega`` for the candidates ``cand`` that a call returned, 0 where
+        it reads -1: the same roots and peaks a call computes, so where a
+        call at ``omega`` picks the same candidates both outputs are its
+        own to the bit. None where a kept root is absent or outside (0,
+        P_peak] at ``omega``, where no call would pick it."""
+        _, x, slope = self._candidates(omega)
+        # -1 reads the last row's peak, never NaN
+        p = x.take(cand)
+        if np.isnan(p).any():
+            return None
+        on = cand >= 0
+        p0 = self.p0.take(cand % self.ir.size)
+        return (np.where(on, p, 0.0) * p0,
+                np.where(on, slope.take(cand), 0.0) * (p0 * p0))

@@ -44,7 +44,7 @@ def solve_one(ctx):
     """(p*, alpha*, value) of the per-SC kernel on one pair."""
     kernel = vector.Kernel([[ctx.h2]], [[ctx.b2]], ctx.sigma2, [ctx.weight],
                            ctx.p_peak)
-    _, p, a, v, _ = kernel([ctx.omega])
+    _, p, a, v, _, _ = kernel([ctx.omega])
     return float(p[0]), float(a[0]), float(v[0])
 
 

@@ -53,6 +53,19 @@ class TestSolveCommand:
         bad.write_text("scheme: optimal\n")  # no system section
         assert main(["solve", "--config", str(bad)]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("text", [
+        b"system: [unclosed\n", b"system:\n\tK1: 2\n", b"a: 1\n---\nb: 2\n",
+        b"system:\n  K1: \xff\xfe\n"],
+        ids=["flow", "tab", "two-documents", "not-utf8"])
+    def test_malformed_yaml_exit_code(self, tmp_path, capsys, text):
+        bad = tmp_path / "bad.yaml"
+        bad.write_bytes(text)
+        for argv in (["solve"], ["sweep", "--axis", "Qbar", "--values", "100"]):
+            assert main(argv + ["--config", str(bad)]) == EXIT_CONFIG
+            err = capsys.readouterr().err
+            assert err.startswith("config error: cannot read config")
+            assert "Traceback" not in err
+
     def test_domain_error_exit_code(self, tmp_path):
         # parses, but one receiver leaves no eavesdropper to secure against
         cfg = write_config(tmp_path, system={"K1": 1, "K2": 0})

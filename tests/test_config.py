@@ -1,12 +1,18 @@
 """Config parsing: schema validation, unit conversion, defaults."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
-from ofdma_swipt.config import ConfigError, load_config, parse_config, with_axis
+from ofdma_swipt import config
+from ofdma_swipt.config import (ConfigError, load_config, parse_config,
+                                read_config, with_axis)
 from ofdma_swipt.heuristics import SCHEMES
+
+CONFIGS = sorted((Path(__file__).parents[1] / "configs").glob("*.yaml"))
 
 
 def base_config():
@@ -149,3 +155,45 @@ class TestLoadConfig:
         bad.write_text("system: [unclosed\n")
         with pytest.raises(ConfigError):
             load_config(str(bad))
+
+    def test_loader_is_libyaml_where_built(self):
+        # CSafeLoader has SafeLoader's constructor and resolver on libyaml's
+        # parser; without libyaml, SafeLoader itself
+        assert config._LOADER is (yaml.CSafeLoader if yaml.__with_libyaml__
+                                  else yaml.SafeLoader)
+
+    def test_reads_what_safe_load_reads(self, tmp_path):
+        # the shipped configs, configs written by yaml.safe_dump as the CLI
+        # tests write them, and scalars the YAML 1.1 resolver treats apart:
+        # the mapping is safe_load's, to its types and reprs
+        assert len(CONFIGS) >= 2
+        texts = [path.read_text() for path in CONFIGS]
+        for system in ({}, {"K2": 0}, {"Qbar_uW": 1e12}, {"K1": 1, "K2": 0},
+                       {"weights": [1.0, 2.0]}, {"Qbar_uW": [100, 2.5e-3]},
+                       {"P_peak_dBm": "inf"}, {"P_peak_dBm": None}):
+            data = base_config()
+            data["system"].update(system)
+            data["solver"] = {"max_iter": 7}
+            data["scenario"] = {"cell_radius": 200.0, "carrier": 9e8}
+            texts.append(yaml.safe_dump(data))
+        texts.append("system:\n  a: 1e3\n  b: 1.0e3\n  c: .inf\n  d: -.Inf\n"
+                     "  e: .nan\n  f: yes\n  g: off\n  h: ~\n  i: 0x1f\n"
+                     "  j: 017\n  k: 1_000\n  l: 2026-10-21\n  m: '37'\n"
+                     "  n: [1, {o: p}]\n  q: 190:20:30\n")
+        for i, text in enumerate(texts):
+            path = tmp_path / f"{i}.yaml"
+            path.write_text(text)
+            got, ref = read_config(str(path)), yaml.safe_load(text)
+            assert repr(got) == repr(ref), text
+
+    @pytest.mark.parametrize("text", [
+        "system: [unclosed\n", "system:\n\tK1: 2\n", "a: 1\n---\nb: 2\n",
+        "system: {K1: 2\n", "system:\n  K1: 2\n K2: 2\n", "key: value: other\n",
+        b"system:\n  K1: \xff\xfe\n"],
+        ids=["flow", "tab", "two-documents", "mapping", "indent", "nested",
+             "not-utf8"])
+    def test_malformed_file_is_a_config_error(self, tmp_path, text):
+        bad = tmp_path / "bad.yaml"
+        (bad.write_bytes if isinstance(text, bytes) else bad.write_text)(text)
+        with pytest.raises(ConfigError, match="cannot read config"):
+            read_config(str(bad))

@@ -8,7 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from ofdma_swipt import solve, vector
+from ofdma_swipt import InfeasibleProblemError, solve, vector
 from ofdma_swipt.model import (LN2, _secrecy_rate, optimal_split,
                                secrecy_rate, threshold_x)
 
@@ -41,14 +41,16 @@ def test_batch_shapes_and_consistency(rng):
     b = 10.0 ** rng.uniform(-2, 2, size=(k1, n))
     w = rng.uniform(0.5, 2.0, size=k1)
     om = rng.uniform(-0.5, 0.5, size=n)
-    owner, p, a, v, dp = vector.Kernel(h, b, 1.0, w, 10.0)(om)
-    assert owner.shape == p.shape == a.shape == v.shape == dp.shape == (n,)
+    owner, p, a, v, dp, cand = vector.Kernel(h, b, 1.0, w, 10.0)(om)
+    assert (owner.shape == p.shape == a.shape == v.shape == dp.shape
+            == cand.shape == (n,))
     for j in range(n):
         ref = [solve_one(Ctx(h2=h[k, j], b2=b[k, j], sigma2=1.0, weight=w[k],
                              omega=om[j], p_peak=10.0)) for k in range(k1)]
         best = max(r[2] for r in ref)
         if best <= 0.0:
-            assert (owner[j], p[j], a[j], v[j], dp[j]) == (-1, 0.0, 0.0, 0.0, 0.0)
+            assert (owner[j], p[j], a[j], v[j], dp[j], cand[j]) == (
+                -1, 0.0, 0.0, 0.0, 0.0, -1)
             continue
         p_ref, a_ref, v_ref = ref[owner[j]]
         assert v_ref == best
@@ -72,14 +74,14 @@ def test_pinned_owner_is_its_pairs_kernel(rng):
         om = rng.uniform(-0.5, 0.5, size=n)
         kern = vector.Kernel(h, b, 1.0, w, cap, alpha, pin)
         assert kern.p0.size == (2 * n if alpha is None else n)
-        owner, *got = kern(om)
+        owner, *got, _ = kern(om)
         assert np.any(got[0] == 0.0) and np.any(got[0] > 0.0)
         for j, k in enumerate(pin):
             ref = vector.Kernel([[h[k, j]]], [[b[k, j]]], 1.0, [w[k]], cap,
                                 alpha)(om[j:j + 1])
             assert owner[j] == (k if ref[0][0] == 0 else -1)
             assert [x[j].tobytes() for x in got] == [y[0].tobytes()
-                                                     for y in ref[1:]]
+                                                     for y in ref[1:5]]
 
 
 @pytest.mark.parametrize("a2", [1e-20, 1e-14, 1.0])
@@ -109,7 +111,7 @@ def test_skip_fallback_returns_zeros():
     # eavesdropper dominant, negative price: skipping the SC is optimal
     out = vector.Kernel(np.array([[1.0]]), np.array([[4.0]]), 1.0,
                         np.ones(1), 0.1)(np.array([-1.0]))
-    assert [x[0] for x in out] == [-1, 0.0, 0.0, 0.0, 0.0]
+    assert [x[0] for x in out] == [-1, 0.0, 0.0, 0.0, 0.0, -1]
 
 
 def test_energy_only_pair_sends_no_noise(rng):
@@ -117,7 +119,7 @@ def test_energy_only_pair_sends_no_noise(rng):
     # no split carries secrecy rate, and the reported one is 0, not 1
     out = vector.Kernel(np.array([[1.0]]), np.array([[4.0]]), 1.0,
                         np.ones(1), 0.5)(np.array([1.0]))
-    assert [x[0] for x in out] == [0, 0.5, 0.0, 0.5, 0.0]
+    assert [x[0] for x in out] == [0, 0.5, 0.0, 0.5, 0.0, 2]
     # the same below sigma2 (1/h2 - 1/b2), where no split has secrecy rate
     for _ in range(500):
         ctx = random_context(rng)
@@ -163,11 +165,69 @@ def test_kernel_reuse_matches_fresh_solve_all(monkeypatch, alpha, qbar_uw, seed)
         kern.p_fix[0] = 0.0
 
 
+def _kept_roots_inside(kern, om, cand):
+    """Whether every root candidate in ``cand`` lies in (0, P_peak] at the
+    prices ``om``: slot cand // rows of row cand % rows, the last slot
+    being the peak."""
+    rows = kern.ir.size
+    root = (cand >= 0) & (cand < kern.k.shape[0] * rows - rows)
+    x = kern.roots(om.take(kern.col) * kern.p0)[0].ravel().take(
+        np.where(root, cand, 0))
+    return bool(np.all(~root | ((x > 0) & (x <= kern.p_fix[0].take(
+        cand % rows)))))
+
+
+@pytest.mark.parametrize("scheme", ["optimal", "alpha05", "fsa"])
+def test_follow_is_the_call_that_keeps_every_winner(monkeypatch, scheme):
+    # at the prices of real solves, recorded at the kernel's door, follow
+    # takes the winners of the call before: where the call keeps every
+    # winner, its powers and dp/domega are that call's to the bit; it is
+    # None exactly where a kept root is absent or outside (0, P_peak],
+    # as at prices 1e9 times closer to 0, where the roots of the winners
+    # grow past the cap
+    calls = []
+    call = vector.Kernel.__call__
+
+    def recording(kern, omega):
+        out = call(kern, omega)
+        calls.append((kern, np.array(omega), out))
+        return out
+
+    monkeypatch.setattr(vector.Kernel, "__call__", recording)
+    rows = ([(100.0, seed) for seed in range(20)]
+            + [(qbar_uw, seed) for qbar_uw in (400.0, 500.0)
+               for seed in range(8, 12)])
+    kept = left = 0
+    for qbar_uw, seed in rows:
+        cfg = paper_system(qbar_uw=qbar_uw)
+        calls.clear()
+        try:
+            solve(cfg, paper_channels(cfg, seed), scheme)
+        except InfeasibleProblemError:
+            pass
+        for (kern, _, before), (again, om, out) in zip(calls, calls[1:]):
+            assert again is kern
+            cand = before[5]
+            got = kern.follow(om, cand)
+            if np.array_equal(out[5], cand):
+                kept += 1
+                assert got[0].tobytes() == out[1].tobytes()
+                assert got[1].tobytes() == out[4].tobytes()
+            inside = _kept_roots_inside(kern, om, cand)
+            assert (got is None) == (not inside), (qbar_uw, seed)
+            left += not inside
+            near_0 = 1e-9 * om
+            inside = _kept_roots_inside(kern, near_0, cand)
+            assert (kern.follow(near_0, cand) is None) == (not inside)
+            left += not inside
+    assert kept > 0 and left > 0, (kept, left)
+
+
 def _winner(kern, om):
     """(p, dp/domega, root slot) of a one-pair kernel at price ``om``; the
     slot counts the roots row by row and is None where the peak or the skip
     won. Every row of a one-pair kernel is that pair's."""
-    _, p, _, _, dp = kern(np.array([om]))
+    _, p, _, _, dp, _ = kern(np.array([om]))
     p, dp = float(p[0]), float(dp[0])
     roots = kern.roots(om * kern.p0)[0].T.ravel() * kern.p0[0]
     hit = np.flatnonzero(np.isclose(roots, p, rtol=1e-12, atol=0.0))
@@ -264,7 +324,7 @@ def test_extra_rows_at_scale(monkeypatch):
         assert kern.ir[m:].tolist() == ir.tolist()
         assert kern.col[m:].tolist() == sc.tolist()
         for om in prices:
-            owner, *got = kern(om)
+            owner, *got, _ = kern(om)
             for j, k in enumerate(owner):
                 if k < 0:
                     assert got[2][j] == 0.0
@@ -274,7 +334,7 @@ def test_extra_rows_at_scale(monkeypatch):
                 ref = one(om[j:j + 1])
                 assert ref[0][0] == 0
                 assert [x[j].tobytes() for x in got] == [y[0].tobytes()
-                                                         for y in ref[1:]]
+                                                         for y in ref[1:5]]
                 roots = one.roots(om[j] * one.p0)[0].T.ravel() * one.p0[0]
                 p = got[0][j]
                 if p in roots[:2]:
@@ -283,7 +343,7 @@ def test_extra_rows_at_scale(monkeypatch):
                     assert got[1][j] == 0.0
                     won["alpha0"] += 1
         # the boundary itself is no candidate: the roots match or beat it
-        _, _, _, v, _ = kern(edge)
+        _, _, _, v, _, _ = kern(edge)
         p_edge = s2 * (1.0 / b - 1.0 / h)
         cap = p_edge <= cfg.total_power
         ref = w[ir] * secrecy_rate(p_edge, 0.0, h, b, s2) + p_edge * edge
@@ -299,7 +359,7 @@ def _first_best(H, B, w, cap, alpha, om, j):
                           alpha)(om[j:j + 1]) for k in range(len(w))]
     values = [o[3][0] for o in outs]
     k = int(np.argmax(values))
-    best = [x[0] for x in outs[k]]
+    best = [x[0] for x in outs[k][:5]]
     best[0] = k if best[0] == 0 else -1
     return best, values
 
@@ -331,7 +391,7 @@ def test_undominated_table_is_first_best_over_one_pair_kernels(rng):
         alpha = (None, 0.0, 0.5, float(rng.uniform()))[i % 4]
         om = rng.uniform(-1.0, 1.0, size=n)
         kern = vector.Kernel(H, B, 1.0, w, cap, alpha)
-        got = kern(om)
+        got = kern(om)[:5]
         for j in range(n):
             keep = [k for k in range(k1) if not any(
                 w[o] >= w[k] and H[o, j] >= H[k, j] and B[o, j] <= B[k, j]
@@ -403,14 +463,14 @@ def test_padded_entries_repeat_their_first_pair(monkeypatch, k2):
         assert np.array_equal(order.swapaxes(1, 2)[padded],
                               first.swapaxes(1, 2)[padded])
         for om in prices:
-            got = kern(om)
+            got = kern(om)[:5]
             for j in np.flatnonzero(padded.any(axis=0)):
                 one = vector.Kernel(*(x[:, j:j + 1] for x in args[:2]),
                                     *args[2:], alpha)
                 assert one.table.shape[0] < len(t)
                 ref = one(om[j:j + 1])
                 assert [x[j].tobytes() for x in got] == [y[0].tobytes()
-                                                         for y in ref]
+                                                         for y in ref[:5]]
 
 
 def test_near_tie_pair_in_a_mixed_table():
@@ -434,10 +494,10 @@ def test_near_tie_pair_in_a_mixed_table():
             assert slope[j].tobytes() == ref[2][0].tobytes()
         assert np.all(np.isfinite(slope) & (slope > 0.0))
     for om in (-1.0, -0.3, -0.1, -0.03, -1e-3, -1e-12, 0.0, 1e-3, 0.5):
-        got = kern(np.full(2, om))
+        got = kern(np.full(2, om))[:5]
         for j, one in enumerate(ones):
             assert [x[j].tobytes() for x in got] == [
-                y[0].tobytes() for y in one(np.array([om]))]
+                y[0].tobytes() for y in one(np.array([om]))[:5]]
 
 
 def _marginal_oracle(h2, b2, sigma2, w, p, alpha):
