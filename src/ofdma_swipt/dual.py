@@ -18,11 +18,10 @@ sum p). Kelley's method (J. SIAM 8(4), 1960) keeps the piecewise-linear model
 of all cuts and minimizes it by an LP over a box that grows whenever the
 minimizer lands on its upper face. That master LP is one warm HiGHS model
 per solve, built at the first refused Newton point (below) with the cuts
-so far: most solves never solve a master. Each cut is written in units of g
-at the start point and added once as a row that never changes. Two rules
-stop the loop, each certifying the best dual value g_min as an upper bound
-on the optimum to :data:`CONVERGENCE_TOL`; ``metadata["stop_reason"]``
-names the one that fired:
+so far: most solves never solve a master. Each cut is added once as a row
+that never changes. Two rules stop the loop, each certifying the best dual
+value g_min as an upper bound on the optimum to :data:`CONVERGENCE_TOL`;
+``metadata["stop_reason"]`` names the one that fired:
 
 - *gap closed*, tested right after each evaluation and right after the
   per-SC LP, when it runs, before that iteration's next point: g_min -
@@ -57,9 +56,26 @@ p_eq = min(P_max / N, P_peak), each SC's for its best IR in the
 kernel's table there (:meth:`vector.Kernel.marginal_rates`, read from the
 kernel's stationarity rows). Where every SC's rate at p_eq is 0 (``noan``
 on the paper's pairs) it starts at ``gamma0``, the mean over all pairs of
-w H / (ln 2 (sigma^2 + H P_max / N)); ``gamma0`` and ``lam_scale`` stay
-the units of the normalized multipliers. ``metadata["gamma_init"]`` is the
+w H / (ln 2 (sigma^2 + H P_max / N)). ``metadata["gamma_init"]`` is the
 start.
+
+Each unit of the loop has one home. The engine (``_Engine``) owns the
+multipliers' unit, ``unit`` = (lam_scale, gamma0) with lam_scale_l =
+gamma0 / (zeta_l mean_n g_ln), and the cut scale ``scale``, g at the first
+evaluation (> 0, as lambda = 0 and gamma > 0 there).
+:meth:`_Engine.evaluate` and :meth:`_Engine.follow` take the normalized
+point y = (lambda, gamma) / ``unit`` and answer in cut units: g / scale,
+the subgradient times ``unit`` over scale, and the Hessian times ``unit``
+on both axes over scale. The loop is Kelley's cutting plane with projected
+Newton steps in y, with no unit arithmetic of its own.
+:class:`vector.Kernel` converts its winning candidates to watts in one
+helper, and the master (``_MasterLP``) owns and grows its box.
+:func:`solve_dual` runs the engine at the weights scaled by an exact power
+of two, the largest in [1, 2). The problem is homogeneous in the weights,
+so the objective, gap, ``gap_floor``, lambda, gamma, ``gamma_init`` and
+trace values of the given weights are the engine's after one exact ldexp,
+taken where they are divided by N; no unit or tolerance under- or
+overflows at extreme weights.
 
 The points are picked as in a bundle-Newton method (Luksan & Vlcek, Math.
 Program. 83, 1998). Where the winners of an evaluation do not switch, g is
@@ -86,7 +102,7 @@ Between two evaluations the loop may take model steps: Newton steps on the
 last evaluation's smooth piece, where g is what the same winners give. They
 run when the evaluation just taken kept every SC's winning candidate of
 the one before, no master has been solved, and the Newton step's predicted
-decrease -s . (y_newton - y), in units of g at the start point, exceeds
+decrease -s . (y_newton - y), in cut units (below), exceeds
 sqrt(CONVERGENCE_TOL). A model step re-linearizes at the Newton point from
 the same candidates' powers and dp/domega at its prices
 (:meth:`vector.Kernel.follow`: the same roots, without the values, the
@@ -149,7 +165,7 @@ import importlib.util
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -239,13 +255,13 @@ class SolveReport:
 
 
 class _Engine:
-    """One dual solve: the kernel, the best dual point and the best primal."""
+    """One dual solve: the kernel, the loop's units, the best dual point and
+    the best primal."""
 
     def __init__(self, config: SystemConfig, channels: ChannelRealization,
                  options: SolverOptions, alpha_fixed: float | None = None,
                  fixed_assign: np.ndarray | None = None):
         self.cfg = config
-        self.ch = channels
         self.opt = options
         self.H = channels.ir_gains
         self.B = channels.eve_gains
@@ -260,14 +276,14 @@ class _Engine:
                                     fixed_assign)
         # d omega_n / d(lambda, gamma): the directions of the dual's curvature
         self.d_omega = np.vstack([self.zg, -np.ones(config.num_scs)])
-        self.cols = np.arange(config.num_scs)
         self.n_evals = 0
         self.newton_steps = 0
         self.model_steps = 0
         self.master_solves = 0
-        # the winning candidates of the last evaluation and the one before
+        # the winning candidates of the last evaluation; whether they are
+        # those of the one before; whether its g rose above the best before
         self.cand: np.ndarray | None = None
-        self.cand_before: np.ndarray | None = None
+        self.kept = self.rose = False
         self.lp_runs = 0  # per-SC LPs
         self.visited: list = []  # per evaluation: per-SC owner, power, rate
         self.g_min = math.inf
@@ -276,7 +292,9 @@ class _Engine:
         self.best_q: np.ndarray | None = None
         # evaluation index or "recovered" (an LP mixture)
         self.best_source: int | str | None = None
-        self.trace: list = []  # per evaluation: a TRACE_DTYPE tuple
+        # per evaluation: a TRACE_DTYPE tuple, its g and primal sums over
+        # the SCs (solve_dual divides them by N)
+        self.trace: list = []
         self.lam: np.ndarray | None = None  # argmin of the visited dual values
         self.gamma: float | None = None
         # marginal-rate scale at equal power: the unit of gamma
@@ -284,69 +302,80 @@ class _Engine:
         slopes = (config.weights[:, None] * self.H
                   / (LN2 * (config.noise_power + self.H * p_eq)))
         # means as sums over counts: np.mean's own arithmetic, unwrapped
-        self.gamma0 = float(slopes.sum() / slopes.size)
+        gamma0 = float(slopes.sum() / slopes.size)
         gbar = self.G.sum(axis=1) / config.num_scs
-        self.lam_scale = self.gamma0 / (config.harvest_eff * gbar)
+        # the units of the normalized multipliers y: (lambda, gamma) = unit * y
+        self.unit = np.append(gamma0 / (config.harvest_eff * gbar), gamma0)
+        self.scale = None  # g at the first evaluation: the unit of the cuts
         # the start: the water level, each SC's marginal weighted rate at
         # equal power averaged over the SCs; the unit where it is 0
         level = float(self.kernel.marginal_rates(min(p_eq, self.p_eff))[2].sum()
                       / config.num_scs)
-        self.y_start = level / self.gamma0 or 1.0
+        self.y_start = level / gamma0 or 1.0
 
-    def evaluate(self, lam: np.ndarray, gamma: float):
-        """Inner maximization at one dual point; updates bound and primal,
-        and keeps the winning candidates for :meth:`follow`. Returns the
-        cut there, g and its subgradient (Q - Qbar, P_max - sum p), and g's
-        Hessian in (lambda, gamma) where the winners do not switch:
-        sum_n p'_n c_n c_n^T, with p'_n the owner's dp/domega and
-        c_n = d omega_n / d(lambda, gamma)."""
+    def evaluate(self, y: np.ndarray):
+        """Inner maximization at the normalized point ``y``; updates bound
+        and primal, keeps the winning candidates for :meth:`follow` and sets
+        ``kept`` and ``rose``. Returns the cut there in cut units: g, its
+        subgradient and its Hessian in y (see :meth:`_slopes`)."""
         self.n_evals += 1
-        omega = -gamma + lam @ self.zg
+        lam, gamma, omega = self._prices(y)
         owner, p, a, val, dp, cand = self.kernel(omega)
-        self.cand_before, self.cand = self.cand, cand
-        g_raw = (float(val.sum()) - float(lam @ self.cfg.harvest_target)
-                 + gamma * self.cfg.total_power)
-        if g_raw < self.g_min:
-            self.g_min, self.lam, self.gamma = g_raw, lam, gamma
+        self.kept = self.cand is not None and bool((cand == self.cand).all())
+        self.cand = cand
+        g = (float(val.sum()) - float(lam @ self.cfg.harvest_target)
+             + gamma * self.cfg.total_power)
+        self.rose = g > self.g_min
+        if g < self.g_min:
+            self.g_min, self.lam, self.gamma = g, lam, gamma
         self.visited.append((owner, p, val - p * omega))
-        q, total, primal_norm = self._screen(owner, p, a, self.n_evals)
+        q, total, primal = self._screen(owner, p, a, self.n_evals)
         qv = (float((self.cfg.harvest_target - q).max()) if self.cfg.num_ers
               else 0.0)
-        self.trace.append((g_raw / self.cfg.num_scs, primal_norm,
-                           total - self.cfg.total_power, qv))
-        return (g_raw, *self._slopes(q, total, dp))
+        self.trace.append((g, primal, total - self.cfg.total_power, qv))
+        self.scale = self.scale or g
+        return (g / self.scale, *self._slopes(q, total, dp))
 
-    def follow(self, lam: np.ndarray, gamma: float):
-        """g's subgradient and Hessian at (lambda, gamma), as
+    def follow(self, y: np.ndarray):
+        """g's subgradient and Hessian at the normalized point ``y``, as
         :meth:`evaluate` returns them, where every SC keeps the last
         evaluation's winning candidate (:meth:`vector.Kernel.follow`); None
         where a kept root leaves (0, P_peak]. Sets no bound, cut or
         primal."""
-        out = self.kernel.follow(-gamma + lam @ self.zg, self.cand)
+        out = self.kernel.follow(self._prices(y)[2], self.cand)
         if out is None:
             return None
         p, dp = out
         return self._slopes(self.cfg.harvest_eff * (self.G @ p),
                             float(p.sum()), dp)
 
+    def _prices(self, y: np.ndarray):
+        """lambda and gamma at the normalized point ``y``, and each SC's
+        price omega = lambda . zeta g_n - gamma."""
+        lam, gamma = y[:-1] * self.unit[:-1], y[-1] * self.unit[-1]
+        return lam, gamma, -gamma + lam @ self.zg
+
     def _slopes(self, q: np.ndarray, total: float, dp: np.ndarray):
-        """The subgradient (Q - Qbar, P_max - sum p) of harvest ``q`` and
-        total power ``total``, and the Hessian sum_n p'_n c_n c_n^T of the
-        power slopes ``dp``."""
+        """In cut units, each multiplier's axis times its unit and g divided
+        by ``scale``: the subgradient (Q - Qbar, P_max - sum p) of harvest
+        ``q`` and total power ``total``, and the Hessian sum_n p'_n c_n c_n^T
+        of the power slopes ``dp``, with c_n = d omega_n / d(lambda,
+        gamma)."""
         hess = (self.d_omega * dp) @ self.d_omega.T
         sub = np.empty(self.cfg.num_ers + 1)
         np.subtract(q, self.cfg.harvest_target, out=sub[:-1])
         sub[-1] = self.cfg.total_power - total
-        return sub, hess
+        return (self.unit * sub / self.scale,
+                self.unit * hess * self.unit[:, None] / self.scale)
 
     def _screen(self, owner: np.ndarray, power: np.ndarray,
                 split: np.ndarray, source: int | str):
         """Screen the primal of per-SC ``owner``, ``power`` and ``split``
         from ``source``. Returns its harvest and total power, both before
-        any scaling onto P_max, and its band-averaged objective, or NaN
-        where it is rejected; an :class:`Allocation` is built only for a
-        new best primal. The vectors and gains come from the solve, so the
-        score skips the input checks of ``weighted_sum_secrecy``."""
+        any scaling onto P_max, and its objective before the division by N,
+        or NaN where it is rejected; an :class:`Allocation` is built only
+        for a new best primal. The vectors and gains come from the solve,
+        so the score skips the input checks of ``weighted_sum_secrecy``."""
         cfg = self.cfg
         q = cfg.harvest_eff * (self.G @ power)
         total = float(power.sum())
@@ -365,7 +394,7 @@ class _Engine:
             self.best_alloc = Allocation(owner, p_scaled, split, cfg.num_irs)
             self.best_q = q_scaled
             self.best_source = source
-        return q, total, obj_raw / cfg.num_scs
+        return q, total, obj_raw
 
     # -- cutting plane -----------------------------------------------------
 
@@ -375,9 +404,14 @@ class _Engine:
         by weak duality both then lie within that share of the optimum."""
         return self.g_min - self.best_obj <= CONVERGENCE_TOL * abs(self.g_min)
 
+    @property
+    def g_min_cut(self) -> float:
+        """The best dual value in cut units."""
+        return self.g_min / self.scale
+
     def cutting_plane(self) -> str:
         """Kelley's cutting plane on the dual in normalized multipliers
-        y = (lambda / lam_scale, gamma / gamma0) from the water level, with
+        y = (lambda, gamma) / ``unit`` from the water level, with
         Newton steps, halved at most twice where g rose, choosing the
         points; the master runs only where the Newton point is refused
         (see the module docstring), and the full-power per-SC LP before the
@@ -386,33 +420,26 @@ class _Engine:
         "bound certified", which certify the bound to
         :data:`CONVERGENCE_TOL`, or "evaluation cap" or "master LP
         failed"."""
-        unit = np.append(self.lam_scale, self.gamma0)
         y = np.append(np.zeros(self.cfg.num_ers), self.y_start)
         master = _MasterLP(np.full(y.size, 4.0))
-        scale = None
         left, halvings = None, 0  # the point a Newton step left, its halvings
         for _ in range(self.opt.max_iterations):
-            g_before = self.g_min
-            g, sub, hess = self.evaluate(y[:-1] * unit[:-1], y[-1] * unit[-1])
+            g, s, hess = self.evaluate(y)
             if self.gap_closed():
                 return "gap closed"
-            # cut in units of g at the start point (>= gamma0 * P_max > 0):
-            # t >= g / scale + s . (y' - y)
-            scale = scale or g
-            s = unit * sub / scale
-            master.cut(s, s @ y - g / scale)
-            if left is not None and g > g_before and halvings < 2:
+            master.cut(s, s @ y - g)  # t >= g + s . (y' - y)
+            if left is not None and self.rose and halvings < 2:
                 # the Newton step rose above the best value before it:
                 # halfway back toward the point it left
                 halvings += 1
                 self.newton_steps += 1
                 y = 0.5 * (y + left)
                 continue
-            y_newton = _newton_point(y, s, unit * hess * unit[:, None] / scale)
+            y_newton = _newton_point(y, s, hess)
             if y_newton is not None and not self.master_solves:
-                y_newton = self._model_steps(y, s, y_newton, unit, scale)
+                y_newton = self._model_steps(y, s, y_newton)
             if (y_newton is not None and (y_newton <= master.upper).all()
-                    and master.model(y_newton) < self.g_min / scale + CONVERGENCE_TOL
+                    and master.model(y_newton) < self.g_min_cut + CONVERGENCE_TOL
                     and not (y_newton == y).all()):
                 self.newton_steps += 1
                 left, halvings = y, 0
@@ -430,15 +457,13 @@ class _Engine:
             solution = master.solve()
             if solution is None:
                 return "master LP failed"
-            y, t = solution
-            on_face = y >= master.upper * (1.0 - 1e-9)
-            if not on_face.any() and self.g_min / scale - t <= CONVERGENCE_TOL:
+            y, t, inside = solution
+            if inside and self.g_min_cut - t <= CONVERGENCE_TOL:
                 return "bound certified"
-            master.grow(on_face)
         return "evaluation cap"
 
-    def _model_steps(self, y: np.ndarray, s: np.ndarray, y_newton: np.ndarray,
-                     unit: np.ndarray, scale: float) -> np.ndarray:
+    def _model_steps(self, y: np.ndarray, s: np.ndarray,
+                     y_newton: np.ndarray) -> np.ndarray:
         """The Newton point after the model steps from the Newton point
         ``y_newton`` of ``y`` (gradient ``s``): none unless the last
         evaluation kept every winner of the one before and the predicted
@@ -447,20 +472,17 @@ class _Engine:
         :meth:`follow` and move to its projected Newton point, unless
         follow returns None, there is no Newton point, or the predicted
         decrease does not fall."""
-        if self.cand_before is None or not (self.cand == self.cand_before).all():
+        if not self.kept:
             return y_newton
         dec = -float(s @ (y_newton - y))
         if dec <= math.sqrt(CONVERGENCE_TOL):
             return y_newton
         while dec > CONVERGENCE_TOL:
-            slopes = self.follow(y_newton[:-1] * unit[:-1],
-                                 y_newton[-1] * unit[-1])
+            slopes = self.follow(y_newton)
             if slopes is None:
                 break
-            sub, hess = slopes
-            s = unit * sub / scale
-            y_next = _newton_point(y_newton, s,
-                                   unit * hess * unit[:, None] / scale)
+            s, hess = slopes
+            y_next = _newton_point(y_newton, s, hess)
             if y_next is None:
                 break
             dec_next = -float(s @ (y_next - y_newton))
@@ -484,8 +506,8 @@ class _Engine:
         self.lp_runs += 1
         if full_power:
             owner, rate, _ = self.kernel.marginal_rates(self.p_eff)
-            if not self._mix(self.cols, np.full(self.cfg.num_scs, self.p_eff),
-                             rate, owner):
+            if not self._mix(self.kernel.cols,
+                             np.full(self.cfg.num_scs, self.p_eff), rate, owner):
                 raise InfeasibleProblemError(
                     "harvesting targets unreachable under the power budget",
                     self.n_evals)
@@ -535,8 +557,8 @@ class _Engine:
         owners = np.full(n, -1)
         owners[sc[lead]] = owner[lead]
         owners[~on] = -1
-        a = (optimal_split(p_sc, self.H[owners, self.cols],
-                           self.B[owners, self.cols], cfg.noise_power)
+        a = (optimal_split(p_sc, self.H[owners, self.kernel.cols],
+                           self.B[owners, self.kernel.cols], cfg.noise_power)
              if self.kernel.free else self.kernel.a)
         self._screen(owners, p_sc, np.where(on, a, 0.0), "recovered")
         return True
@@ -617,8 +639,10 @@ class _MasterLP:
     :meth:`model` evaluates the cuts at a point. Most solves never solve
     a master, so its HiGHS model is created at the first :meth:`solve`;
     each solve adds the cuts stored since the previous one as rows that
-    never change and restarts the simplex from the previous basis. Growing
-    the box changes the bounds of the grown columns only."""
+    never change and restarts the simplex from the previous basis. The box
+    starts at ``upper`` and is the master's own: each solve quadruples it
+    on the faces its minimizer touches, which changes the bounds of those
+    columns only."""
 
     def __init__(self, upper: np.ndarray):
         self.upper = np.array(upper, dtype=float)
@@ -640,15 +664,12 @@ class _MasterLP:
         cuts = self._cuts[:self._k]
         return float((cuts[:, :-2] @ y - cuts[:, -1]).max())
 
-    def grow(self, on_face: np.ndarray):
-        """Quadruple the box on the faces ``on_face`` marks."""
-        self.upper[on_face] *= 4.0
-        for j in np.flatnonzero(on_face):
-            self._h.changeColBounds(int(j), 0.0, float(self.upper[j]))
-
     def solve(self):
-        """(y, min t) over the cuts so far, or None unless HiGHS reports the
-        master optimal. t is free, so it is read from the objective."""
+        """(y, min t, inside) over the cuts so far, or None unless HiGHS
+        reports the master optimal. t is free, so it is read from the
+        objective. ``inside`` is False where y lies on an upper face of the
+        box, to within 1e-9 of it; the box is then quadrupled on those
+        faces."""
         if self._h is None:
             m = self.upper.size
             self._h = _highs(np.append(np.zeros(m), -np.inf),
@@ -657,7 +678,14 @@ class _MasterLP:
         new = self._cuts[self._h.getNumRow():self._k]  # since the last solve
         _add_rows(self._h, np.full(len(new), -np.inf), new[:, -1], new[:, :-1])
         solution = _solve(self._h)
-        return None if solution is None else (solution[0][:-1], solution[1])
+        if solution is None:
+            return None
+        y = solution[0][:-1]
+        on_face = y >= self.upper * (1.0 - 1e-9)
+        self.upper[on_face] *= 4.0
+        for j in np.flatnonzero(on_face):
+            self._h.changeColBounds(int(j), 0.0, float(self.upper[j]))
+        return y, solution[1], not on_face.any()
 
 
 def solve_dual(config: SystemConfig, channels: ChannelRealization,
@@ -675,7 +703,14 @@ def solve_dual(config: SystemConfig, channels: ChannelRealization,
                 and np.all((owners >= 0) & (owners < config.num_irs))):
             raise DomainError("fixed_assign must be (N,) integers in [0, K1)")
     options = options or SolverOptions()
-    eng = _Engine(config, channels, options, alpha_fixed=alpha_fixed,
+    # the engine runs at the weights times 2^shift, the largest in [1, 2):
+    # the problem is homogeneous in the weights, and the exact power of two
+    # keeps its units and tolerances in range; ``unscaled`` undoes it. At
+    # shift 0 the config is the given one, which skips its re-validation
+    shift = 1 - int(np.frexp(config.weights.max())[1])
+    scaled = (replace(config, weights=np.ldexp(config.weights, shift))
+              if shift else config)
+    eng = _Engine(scaled, channels, options, alpha_fixed=alpha_fixed,
                   fixed_assign=fixed_assign)
     stop_reason = eng.cutting_plane()
     if eng.best_alloc is None and not eng.lp_runs:
@@ -684,24 +719,33 @@ def solve_dual(config: SystemConfig, channels: ChannelRealization,
         eng.recover_primal()
     if eng.best_alloc is None:
         raise InfeasibleProblemError("no feasible allocation found", eng.n_evals)
+
+    def unscaled(x, n=1):
+        """``x``, in units of the solve's weights, divided by ``n`` and in
+        units of the given weights."""
+        return np.ldexp(x / n, -shift)
+
     n = config.num_scs
-    gap = (eng.g_min - eng.best_obj) / n
+    trace = np.array(eng.trace, TRACE_DTYPE)
+    for name in ("dual", "primal"):
+        trace[name] = unscaled(trace[name], n)
     # how far below 0 rounding may take the gap (see the module docstring)
-    gap_floor = float(4.0 * np.finfo(float).eps * abs(eng.g_min)
-                      + eng.lam @ (FEASIBILITY_TOL * config.harvest_target)) / n
+    gap_floor = float(unscaled(
+        4.0 * np.finfo(float).eps * abs(eng.g_min)
+        + eng.lam @ (FEASIBILITY_TOL * config.harvest_target), n))
     return SolveReport(
-        objective=eng.best_obj / n,
+        objective=float(unscaled(eng.best_obj, n)),
         harvested=eng.best_q,
-        duality_gap=gap,
+        duality_gap=unscaled(eng.g_min - eng.best_obj, n),
         iterations=eng.n_evals,
         allocation=eng.best_alloc,
-        trace=np.array(eng.trace, TRACE_DTYPE),
+        trace=trace,
         metadata={
             "converged": stop_reason in ("gap closed", "bound certified"),
             "stop_reason": stop_reason,
-            "gamma_init": eng.y_start * eng.gamma0,
-            "lambda": eng.lam.tolist(),
-            "gamma": float(eng.gamma),
+            "gamma_init": float(unscaled(eng.y_start * eng.unit[-1])),
+            "lambda": unscaled(eng.lam).tolist(),
+            "gamma": float(unscaled(eng.gamma)),
             "primal_source": eng.best_source,
             "newton_steps": eng.newton_steps,
             "model_steps": eng.model_steps,

@@ -317,16 +317,13 @@ class Kernel:
         v = np.where(np.isfinite(v), v, -np.inf)
         first = np.argmax(v.take(self.order), axis=0)
         best = self.order.take(first * self.cols.size + self.cols)
-        row = best % self.ir.size
-        p, a, v, d = (X.take(best) for X in (x, a, v, slope))
+        a, v = a.take(best), v.take(best)
         # the skip fallback (0, 0) has value 0
         skip = ~(v > 0.0)
-        # normalized to physical units: p = p0 x and omega = om / p0
-        p0 = self.p0.take(row)
-        return (np.where(skip, -1, self.ir.take(row)),
-                np.where(skip, 0.0, p) * p0, np.where(skip, 0.0, a),
-                np.where(skip, 0.0, v), np.where(skip, 0.0, d) * (p0 * p0),
-                np.where(skip, -1, best))
+        cand = np.where(skip, -1, best)
+        p, dp = self._physical(x, slope, cand)
+        return (np.where(skip, -1, self.ir.take(best % self.ir.size)), p,
+                np.where(skip, 0.0, a), np.where(skip, 0.0, v), dp, cand)
 
     def follow(self, omega, cand):
         """Each SC's (p, dp/domega), (N,) each, at the (N,) prices
@@ -336,11 +333,16 @@ class Kernel:
         own to the bit. None where a kept root is absent or outside (0,
         P_peak] at ``omega``, where no call would pick it."""
         _, x, slope = self._candidates(omega)
-        # -1 reads the last row's peak, never NaN
-        p = x.take(cand)
-        if np.isnan(p).any():
-            return None
+        p, dp = self._physical(x, slope, cand)
+        return None if np.isnan(p).any() else (p, dp)
+
+    def _physical(self, x, slope, cand):
+        """The candidates ``cand``, flat indices into the (roots + 1, rows)
+        candidates ``x`` with their slopes ``slope``, in physical units: the
+        powers p0 x and their rates of change p0^2 dx/dom in the price
+        omega = om / p0. The skip, -1, is 0 in both; it reads the last
+        row's peak, never NaN, so a NaN power is an absent root."""
         on = cand >= 0
         p0 = self.p0.take(cand % self.ir.size)
-        return (np.where(on, p, 0.0) * p0,
+        return (np.where(on, x.take(cand), 0.0) * p0,
                 np.where(on, slope.take(cand), 0.0) * (p0 * p0))

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -96,6 +97,20 @@ class TestSolveCommand:
         report = json.loads(out.read_text())
         assert report["metadata"]["converged"] is True
         assert all(q >= 100e-6 for q in report["harvested_w"])
+
+    def test_subnormal_weight_exit_ok(self, tmp_path, capsys):
+        # the paper config at weight 1e-320: the dual loop's unit of gamma
+        # underflowed to 0, and the start divided by it, a ZeroDivisionError
+        # traceback; the solve runs at weights scaled into [1, 2)
+        text = (Path(__file__).parents[1] / "configs" / "paper.yaml").read_text()
+        assert "\n  weights: 1.0\n" in text
+        cfg = tmp_path / "tiny.yaml"
+        cfg.write_text(text.replace("\n  weights: 1.0\n",
+                                    "\n  weights: 1e-320\n"))
+        out = tmp_path / "r.json"
+        assert main(["solve", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+        assert "Traceback" not in capsys.readouterr().err
+        assert json.loads(out.read_text())["metadata"]["converged"] is True
 
     def test_not_converged_exit_code(self, tmp_path):
         cfg = write_config(tmp_path, solver={"max_iter": 2})
