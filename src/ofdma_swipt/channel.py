@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ChannelRealization, DomainError, SystemConfig
+from .model import ChannelRealization, DomainError, SystemConfig, _is_count
 
 SPEED_OF_LIGHT = 299_792_458.0
 
@@ -47,8 +47,8 @@ class ScenarioSpec:
             # receivers are dropped at distances in [D_REF, radius]
             if getattr(self, name) < D_REF:
                 raise DomainError(f"{name} below the reference distance {D_REF} m")
-        if self.num_taps < 1:
-            raise DomainError("need at least one fading tap")
+        if not _is_count(self.num_taps, 1):
+            raise DomainError("num_taps must be an integer >= 1")
 
 
 def dbm_to_watts(x: float) -> float:

@@ -23,16 +23,15 @@ that never changes. Two rules stop the loop, each certifying the best dual
 value g_min as an upper bound on the optimum to :data:`CONVERGENCE_TOL`;
 ``metadata["stop_reason"]`` names the one that fired:
 
-- *gap closed*, tested right after each evaluation and right after the
-  per-SC LP, when it runs, before that iteration's next point: g_min -
-  best_obj <= CONVERGENCE_TOL * |g_min|. By weak duality every screened
-  primal is at most the optimum, which is at most g_min. The screen's
-  harvest shortfall of :data:`FEASIBILITY_TOL` per target lets a primal
-  exceed g_min by at most lambda . (FEASIBILITY_TOL * Qbar) at g_min's
-  lambda: the floor of a negative gap, reported with 4 ulps of g_min for
-  rounding as
-  ``metadata["gap_floor"]``. ``solve_dual`` runs the per-SC LP exactly
-  when this test fails after the loop; both places call one method.
+- *gap closed*, tested right after each evaluation, before that
+  iteration's next point: g_min - best_obj <= CONVERGENCE_TOL * |g_min|.
+  By weak duality every screened primal is at most the optimum, which is
+  at most g_min. The screen's harvest shortfall of :data:`FEASIBILITY_TOL`
+  per target lets a primal exceed g_min by at most lambda .
+  (FEASIBILITY_TOL * Qbar) at g_min's lambda: the floor of a negative gap,
+  reported with 4 ulps of g_min for rounding as ``metadata["gap_floor"]``.
+  ``solve_dual`` runs the per-SC LP exactly when this test fails after the
+  loop; both places call one method.
 - *bound certified*, tested on the iterations that solve the master: when
   its minimizer is inside the box, the model's minimum t is, by convexity, a
   lower bound on g over the whole orthant, and g_min is within
@@ -130,23 +129,26 @@ mixes per-SC columns (Yu & Lui, IEEE Trans. Commun. 54(7), 2006): weights
 each SC, that maximize the rate within the budget and the harvest targets,
 every row in units of its right-hand side; its mixture, rounded per SC to
 the heaviest owner at the mean power, is screened, which sets the best
-primal and nothing of the dual trajectory. Its columns follow one rule.
-The first LP of a solve with no primal yet has one column per SC at full
-power (some target is then positive), for the SC's first best IR in the
-kernel's table there and worth that IR's weighted secrecy rate
-(:meth:`vector.Kernel.marginal_rates`): its infeasibility means no
-allocation can meet the targets (``InfeasibleProblemError`` then counts
-the evaluations run). Every other LP has the visited iterates' columns,
-one per (SC, iterate) with positive power. The full-power LP runs where
-the loop first lacks a primal: on the iteration about to solve the first
-master while no iterate has passed the screen, or after a loop that hit
-the evaluation cap without one. The LP over the visited iterates runs
-after the loop whenever the best screened primal's gap is still above
-:data:`CONVERGENCE_TOL` of |g|; ``metadata["lp_runs"]`` counts the LPs, 0
-to 2. Any iterate that passes the screen proves the targets reachable to
-within :data:`FEASIBILITY_TOL` (weak duality): a target less than that
-share above what the budget can deliver is met with that shortfall, not
-declared unreachable. The best screened primal is returned;
+primal and nothing of the dual trajectory. Its pool follows one rule: the
+(owner, power, rate) points it is given, one column per (SC, point) with
+positive power, led, exactly while no primal has passed the screen, by the
+full-power point: one column per SC at full power (some target is then
+positive), for the SC's first best IR in the kernel's table there and worth
+that IR's weighted secrecy rate (:meth:`vector.Kernel.marginal_rates`). Its
+mixtures put any power in [0, min(P_peak, P_max)] on each SC, and harvest
+depends on power alone, so whatever other points the pool holds, the LP's
+infeasibility means no allocation can meet the targets; only then does it
+raise (``InfeasibleProblemError``, with the evaluations run). The loop runs
+it once, with no other point, on the iteration about to solve the first
+master while no iterate has passed the screen: N columns. After the loop it
+runs over every visited iterate whenever the best screened primal's gap is
+still above :data:`CONVERGENCE_TOL` of |g|, so a loop that hit the
+evaluation cap without a primal runs one LP over the full-power point and
+the visited iterates. ``metadata["lp_runs"]`` counts the LPs, 0 to 2. Any
+iterate that passes the screen proves the targets reachable to within
+:data:`FEASIBILITY_TOL` (weak duality): a target less than that share above
+what the budget can deliver is met with that shortfall, not declared
+unreachable. The best screened primal is returned;
 ``primal_source`` names it, by its evaluation's index or as
 ``"recovered"``. Every LP runs on scipy's bundled HiGHS binding,
 ``scipy.optimize._highspy._core``, which this module loads from its file
@@ -170,7 +172,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .model import (LN2, Allocation, ChannelRealization, DomainError,
-                    SystemConfig, _weighted_sum_secrecy, optimal_split)
+                    SystemConfig, _is_count, _weighted_sum_secrecy,
+                    optimal_split)
 from . import vector
 
 _HIGHS_CORE = "scipy.optimize._highspy._core"
@@ -210,9 +213,9 @@ _Highs, HighsStatus, HighsModelStatus = (
 class InfeasibleProblemError(RuntimeError):
     """No power allocation can satisfy the harvesting targets.
     ``evaluations`` counts the dual evaluations the solve ran first: those
-    before the verdict of the per-SC LP over one full-power column per
-    SC, which runs once where the loop first lacks a primal: at the first
-    master, or after a loop that hit the evaluation cap."""
+    before the verdict of the per-SC LP whose pool the full-power point
+    leads, which happens while no primal has passed the screen: before the
+    first master, or after a loop that ended without a primal."""
 
     def __init__(self, message: str, evaluations: int = 0):
         super().__init__(message)
@@ -231,8 +234,8 @@ class SolverOptions:
     max_iterations: int = 5000  # dual evaluations
 
     def __post_init__(self):
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
+        if not _is_count(self.max_iterations, 1):
+            raise ValueError("max_iterations must be an integer >= 1")
 
 
 #: one record per evaluation: the dual value and the screened primal (NaN
@@ -276,15 +279,13 @@ class _Engine:
                                     fixed_assign)
         # d omega_n / d(lambda, gamma): the directions of the dual's curvature
         self.d_omega = np.vstack([self.zg, -np.ones(config.num_scs)])
-        self.n_evals = 0
-        self.newton_steps = 0
-        self.model_steps = 0
-        self.master_solves = 0
+        # evaluations, Newton and model steps, masters and per-SC LPs
+        self.n_evals = self.newton_steps = self.model_steps = 0
+        self.master_solves = self.lp_runs = 0
         # the winning candidates of the last evaluation; whether they are
         # those of the one before; whether its g rose above the best before
         self.cand: np.ndarray | None = None
         self.kept = self.rose = False
-        self.lp_runs = 0  # per-SC LPs
         self.visited: list = []  # per evaluation: per-SC owner, power, rate
         self.g_min = math.inf
         self.best_obj = -math.inf  # unnormalized weighted sum rate
@@ -414,9 +415,10 @@ class _Engine:
         y = (lambda, gamma) / ``unit`` from the water level, with
         Newton steps, halved at most twice where g rose, choosing the
         points; the master runs only where the Newton point is refused
-        (see the module docstring), and the full-power per-SC LP before the
-        first master that has no screened primal to go with it, at most once
-        per solve. Returns why it stopped: "gap closed" or
+        (see the module docstring), and the per-SC LP over the full-power
+        point alone, N columns, before the first master if no primal has
+        passed the screen. "Gap closed" is tested after each evaluation
+        only. Returns why it stopped: "gap closed" or
         "bound certified", which certify the bound to
         :data:`CONVERGENCE_TOL`, or "evaluation cap" or "master LP
         failed"."""
@@ -446,13 +448,11 @@ class _Engine:
                 y = y_newton
                 continue
             left = None
-            if self.best_alloc is None and not self.lp_runs:
+            if self.best_alloc is None and not self.master_solves:
                 # no iterate has passed the screen, so some target is
                 # positive: the full-power LP decides whether any allocation
                 # meets them and seeds the screen before the master runs
                 self.recover_primal()
-                if self.gap_closed():
-                    return "gap closed"
             self.master_solves += 1
             solution = master.solve()
             if solution is None:
@@ -494,27 +494,26 @@ class _Engine:
 
     # -- per-SC LPs ----------------------------------------------------------
 
-    def recover_primal(self):
-        """Screen one mixture of per-SC columns (Yu & Lui). Where no primal
-        has passed the screen and no per-SC LP has run, one column per SC
-        at ``p_eff``, for the kernel's first best table IR there and worth
-        its weighted secrecy rate (:meth:`vector.Kernel.marginal_rates`);
-        then an infeasible LP means no allocation meets the harvest
-        targets, and raises. Else one column per (SC, visited iterate) with
-        positive power. A solve runs the full-power LP at most once."""
-        full_power = self.best_alloc is None and not self.lp_runs
+    def recover_primal(self, iterates=()):
+        """Screen one mixture of the per-SC columns of the (owner, power,
+        rate) ``iterates``, one per (SC, iterate) with positive power. While
+        no primal has passed the screen, the full-power point leads them:
+        one column per SC at ``p_eff``, for the kernel's first best table IR
+        there and worth its weighted secrecy rate
+        (:meth:`vector.Kernel.marginal_rates`); an infeasible LP then means
+        no allocation meets the harvest targets, and raises."""
         self.lp_runs += 1
-        if full_power:
+        reach = self.best_alloc is None  # this LP decides reachability
+        if reach:
             owner, rate, _ = self.kernel.marginal_rates(self.p_eff)
-            if not self._mix(self.kernel.cols,
-                             np.full(self.cfg.num_scs, self.p_eff), rate, owner):
-                raise InfeasibleProblemError(
-                    "harvesting targets unreachable under the power budget",
-                    self.n_evals)
-            return
-        owner, power, rate = (np.array(v) for v in zip(*self.visited))
+            iterates = [(owner, np.full(self.cfg.num_scs, self.p_eff), rate),
+                        *iterates]
+        owner, power, rate = (np.array(v) for v in zip(*iterates))
         sc, it = np.nonzero(power.T > 0)  # by SC
-        self._mix(sc, power[it, sc], rate[it, sc], owner[it, sc])
+        if not self._mix(sc, power[it, sc], rate[it, sc], owner[it, sc]) and reach:
+            raise InfeasibleProblemError(
+                "harvesting targets unreachable under the power budget",
+                self.n_evals)
 
     def _mix(self, sc: np.ndarray, power: np.ndarray, rate: np.ndarray,
              owner: np.ndarray) -> bool:
@@ -555,8 +554,7 @@ class _Engine:
         p_sc = np.bincount(sc, z * power, minlength=n)
         on = p_sc > 0
         owners = np.full(n, -1)
-        owners[sc[lead]] = owner[lead]
-        owners[~on] = -1
+        owners[sc[lead]] = np.where(on[sc[lead]], owner[lead], -1)
         a = (optimal_split(p_sc, self.H[owners, self.kernel.cols],
                            self.B[owners, self.kernel.cols], cfg.noise_power)
              if self.kernel.free else self.kernel.a)
@@ -702,7 +700,6 @@ def solve_dual(config: SystemConfig, channels: ChannelRealization,
         if not (owners.shape == (config.num_scs,) and owners.dtype.kind in "iu"
                 and np.all((owners >= 0) & (owners < config.num_irs))):
             raise DomainError("fixed_assign must be (N,) integers in [0, K1)")
-    options = options or SolverOptions()
     # the engine runs at the weights times 2^shift, the largest in [1, 2):
     # the problem is homogeneous in the weights, and the exact power of two
     # keeps its units and tolerances in range; ``unscaled`` undoes it. At
@@ -710,13 +707,11 @@ def solve_dual(config: SystemConfig, channels: ChannelRealization,
     shift = 1 - int(np.frexp(config.weights.max())[1])
     scaled = (replace(config, weights=np.ldexp(config.weights, shift))
               if shift else config)
-    eng = _Engine(scaled, channels, options, alpha_fixed=alpha_fixed,
-                  fixed_assign=fixed_assign)
+    eng = _Engine(scaled, channels, options or SolverOptions(), alpha_fixed,
+                  fixed_assign)
     stop_reason = eng.cutting_plane()
-    if eng.best_alloc is None and not eng.lp_runs:
-        eng.recover_primal()  # the evaluation cap, with no primal
     if not eng.gap_closed():
-        eng.recover_primal()
+        eng.recover_primal(eng.visited)
     if eng.best_alloc is None:
         raise InfeasibleProblemError("no feasible allocation found", eng.n_evals)
 

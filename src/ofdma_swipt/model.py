@@ -33,6 +33,13 @@ def _check(cond, msg):
         raise DomainError(msg)
 
 
+def _is_count(value, least: int) -> bool:
+    """Whether ``value`` is an integer, a Python or a numpy one but not a
+    bool, of at least ``least``."""
+    return (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+            and value >= least)
+
+
 @dataclass
 class SystemConfig:
     """Static system parameters: receiver counts, power budgets, targets.
@@ -55,9 +62,9 @@ class SystemConfig:
         self.weights = np.atleast_1d(np.asarray(self.weights, dtype=float))
         self.harvest_eff = np.atleast_1d(np.asarray(self.harvest_eff, dtype=float))
         self.harvest_target = np.atleast_1d(np.asarray(self.harvest_target, dtype=float))
-        _check(self.num_irs >= 1, "need at least one IR")
-        _check(self.num_ers >= 0, "num_ers must be nonnegative")
-        _check(self.num_scs >= 1, "need at least one subcarrier")
+        _check(_is_count(self.num_irs, 1), "num_irs must be an integer >= 1")
+        _check(_is_count(self.num_ers, 0), "num_ers must be an integer >= 0")
+        _check(_is_count(self.num_scs, 1), "num_scs must be an integer >= 1")
         _check(0 < self.total_power < np.inf,
                "total_power must be positive and finite")
         _check(self.peak_power > 0, "peak_power must be positive")

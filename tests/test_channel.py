@@ -216,3 +216,16 @@ class TestScenarioSpecValidation:
     def test_bad_taps(self):
         with pytest.raises(DomainError):
             ScenarioSpec(num_taps=0)
+
+    @pytest.mark.parametrize("taps", [2.5, np.nan, True],
+                             ids=["fraction", "nan", "bool"])
+    def test_taps_not_an_integer(self, taps):
+        # at construction, not later by numpy in generate_scenario
+        with pytest.raises(DomainError, match="num_taps must be an integer"):
+            ScenarioSpec(num_taps=taps)
+
+    def test_taps_numpy_integer(self):
+        cfg = paper_system(n_sc=8)
+        got, ref = (generate_scenario(cfg, ScenarioSpec(num_taps=taps, seed=1))
+                    for taps in (np.int64(3), 3))
+        assert np.array_equal(got.gains, ref.gains)

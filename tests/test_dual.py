@@ -563,10 +563,11 @@ class TestMasterLP:
 
 
 class TestHarvestLP:
-    """The harvest LP, the per-SC mixture ``recover_primal`` runs while no
-    primal has passed the screen, one column per SC at ``p_eff``, against a
-    cold ``linprog`` of the same LP over per-SC powers in watts: the same
-    verdict, and z * p_eff within 1e-12 * P_max of linprog's powers."""
+    """The per-SC LP over the full-power point alone, one column per SC at
+    ``p_eff``, which ``recover_primal`` runs with no iterates while no
+    primal has passed the screen, against a cold ``linprog`` of the same LP
+    over per-SC powers in watts: the same verdict, and z * p_eff within
+    1e-12 * P_max of linprog's powers."""
 
     @pytest.mark.parametrize("qbar_uw, seed", [
         (100.0, 0), (100.0, 1), (100.0, 2), (100.0, 3),
@@ -707,23 +708,23 @@ class TestMasterFailure:
 
 @pytest.fixture
 def lp_calls(monkeypatch):
-    """The evaluation count at each run of the harvest LP: the call of
-    ``recover_primal`` that finds no primal and no earlier per-SC LP, and so
-    runs over full-power columns."""
+    """The evaluation count at each per-SC LP whose pool the full-power
+    point leads: each call of ``recover_primal`` while no primal has passed
+    the screen."""
     calls = []
     lp = dual._Engine.recover_primal
 
-    def spy(eng):
-        if eng.best_alloc is None and not eng.lp_runs:
+    def spy(eng, iterates=()):
+        if eng.best_alloc is None:
             calls.append(eng.n_evals)
-        return lp(eng)
+        return lp(eng, iterates)
 
     monkeypatch.setattr(dual._Engine, "recover_primal", spy)
     return calls
 
 
 class TestPrimalSource:
-    def test_harvest_lp_fallback_named(self, lp_calls):
+    def test_full_power_mixture_named(self, lp_calls):
         # every noan iterate scores 0: the first misses a target and its
         # Newton point is refused, so the LP runs before the first master,
         # right after that evaluation, and its primal, screened before any
@@ -813,16 +814,18 @@ class TestNoPrimal:
             solve(cfg, paper_channels(cfg, 0))
         assert err.value.evaluations == len(rejecting_screen) > 0
 
-    def test_harvest_lp_runs_once(self, rejecting_screen, lp_calls):
+    def test_full_power_point_leads_each_pool_without_a_primal(
+            self, rejecting_screen, lp_calls):
         # noan solves a master after each of its 3 evaluations here, each
-        # without a primal; the LP runs before the first of them only,
-        # though its mixture too is rejected
+        # without a primal; the loop's LP runs before the first of them
+        # only, and as its mixture too is rejected, the full-power point
+        # also leads the pool of the LP after the loop
         cfg = paper_system(n_sc=8)
         with pytest.raises(InfeasibleProblemError,
                            match="no feasible allocation found"):
             solve(cfg, paper_channels(cfg, 0), "noan")
         assert len(rejecting_screen) == 3
-        assert lp_calls == [1]
+        assert lp_calls == [1, 3]
 
     @pytest.mark.xfail(strict=True, reason=(
         "Newton creep: on these draws each Newton point differs from the "
@@ -899,7 +902,7 @@ class TestRecovery:
     def test_not_run_once_gap_closed(self, monkeypatch):
         calls = []
         monkeypatch.setattr(dual._Engine, "recover_primal",
-                            lambda eng: calls.append(eng))
+                            lambda eng, iterates=(): calls.append(eng))
         cfg = paper_system()
         rep = solve(cfg, paper_channels(cfg, 0))
         assert rep.duality_gap <= dual.CONVERGENCE_TOL * abs(
@@ -916,12 +919,13 @@ class TestRecovery:
         columns = sum(np.count_nonzero(p > 0) for _, p, _ in eng.visited)
         assert columns == 5038
         # no iterate passes the screen here, so the first LP is over
-        # full-power columns and the next over the visited iterates
+        # full-power columns and, once its mixture has passed, the next
+        # over the visited iterates alone
         assert eng.best_alloc is None
         eng.recover_primal()
         tracemalloc.start()
         try:
-            eng.recover_primal()
+            eng.recover_primal(eng.visited)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -930,6 +934,9 @@ class TestRecovery:
 
 
 class TestHarvestFeasibilityCheck:
+    """Where an LP whose pool the full-power point leads runs, and its
+    verdict on reachability."""
+
     def test_zero_targets_always_feasible(self, lp_calls):
         cfg = paper_system(n_sc=8, qbar_uw=0.0)
         solve(cfg, paper_channels(cfg, seed=0))
@@ -1003,42 +1010,48 @@ class TestHarvestFeasibilityCheck:
         assert rep.metadata["master_solves"] >= 1
         assert np.all(np.isnan(rep.trace["primal"][:4]))
 
-    def test_run_after_the_evaluation_cap_without_a_primal(self, lp_calls):
-        # the cap ends the loop before any master, with no primal: the LP
-        # runs after it, and a mixture is returned
+    @pytest.mark.parametrize("cap, objective", [
+        (1, 7.968216114134025), (2, 9.893832072661606)],
+        ids=["cap-1", "cap-2"])
+    def test_one_lp_after_the_cap_without_a_primal(self, monkeypatch, cap,
+                                                   objective):
+        # the cap ends the loop before any master, with no primal: one LP
+        # after it mixes the full-power point, first on each SC, with every
+        # visited iterate
+        pools = []
+        mix = dual._Engine._mix
+
+        def spy(eng, sc, power, rate, owner):
+            pools.append((eng, sc, power, rate, owner))
+            return mix(eng, sc, power, rate, owner)
+
+        monkeypatch.setattr(dual._Engine, "_mix", spy)
         cfg = paper_system(qbar_uw=400.0)
         rep = solve(cfg, paper_channels(cfg, 10),
-                    options=SolverOptions(max_iterations=1))
-        assert lp_calls == [1]
-        assert rep.metadata["stop_reason"] == "evaluation cap"
-        assert rep.metadata["master_solves"] == 0
-        assert rep.metadata["lp_runs"] == 2
-        assert rep.metadata["primal_source"] == "recovered"
-
-    def test_visited_lp_follows_the_full_power_lp_after_the_cap(
-            self, monkeypatch):
-        # 400 uW draw 10 capped at 2 evaluations: no iterate passed and no
-        # master ran, so the full-power LP runs after the loop, and where
-        # its mixture leaves the gap open the LP over the visited iterates
-        # runs too and improves on it
-        runs = []
-        lp = dual._Engine.recover_primal
-
-        def spy(eng):
-            full = eng.best_alloc is None and not eng.lp_runs
-            lp(eng)
-            runs.append((eng.n_evals, full, eng.best_obj))
-
-        monkeypatch.setattr(dual._Engine, "recover_primal", spy)
-        cfg = paper_system(qbar_uw=400.0)
-        rep = solve(cfg, paper_channels(cfg, 10),
-                    options=SolverOptions(max_iterations=2))
-        assert [run[:2] for run in runs] == [(2, True), (2, False)]
-        assert rep.metadata["stop_reason"] == "evaluation cap"
-        assert rep.metadata["master_solves"] == 0
-        assert rep.metadata["lp_runs"] == 2
-        assert runs[1][2] > 2.0 * runs[0][2]
-        assert rep.objective == runs[1][2] / cfg.num_scs
+                    options=SolverOptions(max_iterations=cap))
+        m = rep.metadata
+        assert (m["stop_reason"], m["master_solves"]) == ("evaluation cap", 0)
+        assert m["lp_runs"] == 1 and m["primal_source"] == "recovered"
+        assert rep.objective == objective
+        [(eng, sc, power, rate, owner)] = pools
+        assert len(eng.visited) == cap
+        # the first column of each SC is the full-power point's
+        n = cfg.num_scs
+        lead = np.searchsorted(sc, np.arange(n))
+        assert np.array_equal(sc[lead], np.arange(n))
+        full_owner, full_rate, _ = eng.kernel.marginal_rates(eng.p_eff)
+        assert np.all(power[lead] == eng.p_eff)
+        assert np.array_equal(owner[lead], full_owner)
+        assert np.array_equal(rate[lead], full_rate)
+        # the rest are every visited iterate's columns of positive power
+        rest = np.setdiff1d(np.arange(sc.size), lead)
+        v_owner, v_power, v_rate = (np.array(v) for v in zip(*eng.visited))
+        v_sc, it = np.nonzero(v_power.T > 0)
+        assert v_sc.size > 0
+        assert np.array_equal(sc[rest], v_sc)
+        assert np.array_equal(power[rest], v_power[it, v_sc])
+        assert np.array_equal(owner[rest], v_owner[it, v_sc])
+        assert np.array_equal(rate[rest], v_rate[it, v_sc])
 
 
 #: the reference rows: Qbar = 100 uW on paper draws 0-19 and 300, 400, ...,
@@ -1074,10 +1087,10 @@ def reference_reports():
 
 @pytest.mark.parametrize("scheme", DUAL_SCHEMES)
 def test_harvest_lp_runs_at_most_once(scheme, lp_calls):
-    # on every reference row, infeasible ones included; where it runs, no
-    # earlier evaluation passed the screen. lp_runs adds the LP over the
-    # visited iterates, which runs exactly where the loop ends with the
-    # gap open
+    # on every reference row, infeasible ones included: at most one LP's
+    # pool has the full-power point, and no earlier evaluation passed the
+    # screen. lp_runs adds the LP over the visited iterates, which runs
+    # exactly where the loop ends with the gap open
     for qbar_uw, seed in REFERENCE_ROWS:
         cfg = paper_system(qbar_uw=qbar_uw)
         lp_calls.clear()
@@ -1093,6 +1106,28 @@ def test_harvest_lp_runs_at_most_once(scheme, lp_calls):
         if lp_calls:
             assert np.all(np.isnan(rep.trace["primal"][:lp_calls[0]])), (
                 qbar_uw, seed)
+
+
+@pytest.mark.parametrize("scheme, qbar_uw, seed", [
+    ("optimal", 400.0, 10), ("noan", 100.0, 1), ("noan", 100.0, 2)])
+def test_in_loop_lp_has_one_column_per_sc(monkeypatch, scheme, qbar_uw, seed):
+    # the LP before the first master runs over the full-power point alone,
+    # N columns; the visited iterates in that pool too cost 400 uW draw 10
+    # about 1.9 ms per solve (ROADMAP, "One LP pool")
+    calls = []
+    mix = dual._Engine._mix
+
+    def spy(eng, sc, *args):
+        calls.append((eng.master_solves, sc.copy()))
+        return mix(eng, sc, *args)
+
+    monkeypatch.setattr(dual._Engine, "_mix", spy)
+    cfg = paper_system(qbar_uw=qbar_uw)
+    rep = solve(cfg, paper_channels(cfg, seed), scheme)
+    assert rep.metadata["master_solves"] >= 1
+    in_loop = [sc for masters, sc in calls if masters == 0]
+    assert len(in_loop) == 1
+    assert np.array_equal(in_loop[0], np.arange(cfg.num_scs))
 
 
 @pytest.mark.parametrize("scheme", DUAL_SCHEMES)
@@ -1310,6 +1345,19 @@ class TestSolverOptions:
     def test_rejects_bad_values(self):
         with pytest.raises(ValueError):
             SolverOptions(max_iterations=0)
+
+    @pytest.mark.parametrize("count", [2.5, np.nan, True],
+                             ids=["fraction", "nan", "bool"])
+    def test_rejects_a_count_that_is_not_an_integer(self, count):
+        # at construction, not later by range() in the loop
+        with pytest.raises(ValueError, match="must be an integer"):
+            SolverOptions(max_iterations=count)
+
+    def test_accepts_a_numpy_integer(self):
+        cfg = paper_system(n_sc=8)
+        rep = solve(cfg, paper_channels(cfg, 0),
+                    options=SolverOptions(max_iterations=np.int64(1)))
+        assert rep.iterations == 1
 
 
 class TestHighsLoader:

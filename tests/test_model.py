@@ -293,3 +293,26 @@ class TestSystemConfigShapes:
                          total_power=1.0, peak_power=1.0, noise_power=1.0,
                          weights=np.ones(1), harvest_eff=[0.5, 0.7],
                          harvest_target=[1e-4, 1e-4])
+
+
+class TestSystemConfigCounts:
+    @staticmethod
+    def _config(num_irs=1, num_ers=0, num_scs=2, k1=1, k2=0):
+        # vectors of K1 = k1 IRs and K2 = k2 ERs, whatever the counts say
+        return SystemConfig(num_irs=num_irs, num_ers=num_ers, num_scs=num_scs,
+                            total_power=1.0, peak_power=1.0, noise_power=1.0,
+                            weights=np.ones(k1), harvest_eff=np.full(k2, 0.5),
+                            harvest_target=np.zeros(k2))
+
+    @pytest.mark.parametrize("name", ["num_irs", "num_ers", "num_scs"])
+    @pytest.mark.parametrize("count", [2.5, np.nan, True],
+                             ids=["fraction", "nan", "bool"])
+    def test_rejects_a_count_that_is_not_an_integer(self, name, count):
+        # at construction, before numpy sizes an array by it
+        with pytest.raises(DomainError, match=f"{name} must be an integer"):
+            self._config(**{name: count})
+
+    def test_accepts_numpy_integers(self):
+        cfg = self._config(num_irs=np.int64(2), num_ers=np.int32(1),
+                           num_scs=np.uint8(3), k1=2, k2=1)
+        assert (cfg.num_irs, cfg.num_ers, cfg.num_scs) == (2, 1, 3)
